@@ -83,16 +83,8 @@ bench:
 ## report 0 allocs/op: the compare gate fails on any new allocation on a
 ## zero-alloc benchmark.
 bench-json:
-	$(GO) test -run='^$$' -bench='CacheAccess|ExecLoad' -benchmem -benchtime=100000x -count=5 -json \
-		./internal/arch ./internal/sim > BENCH_cache.tmp
-	$(GO) test -run='^$$' -bench='Tune' -benchmem -benchtime=3x -count=5 -json \
-		./internal/tuner >> BENCH_cache.tmp
-	$(GO) test -run='^$$' -bench='ServeRun' -benchmem -benchtime=100000x -count=5 -json \
-		./internal/serve >> BENCH_cache.tmp
-	$(GO) test -run='^$$' -bench='ServeConcurrentCold' -benchmem -benchtime=2x -count=5 -json \
-		./internal/serve >> BENCH_cache.tmp
-	$(GO) test -run='^$$' -bench='ProxyStep' -benchmem -benchtime=20x -count=5 -json \
-		. >> BENCH_cache.tmp
+	rm -f BENCH_cache.tmp
+	$(call tracked-benchmarks,-count=5 -json >> BENCH_cache.tmp)
 	$(GO) run ./cmd/benchjson < BENCH_cache.tmp > BENCH_cache.json
 	rm -f BENCH_cache.tmp
 
@@ -103,22 +95,26 @@ bench-json:
 ## hosts too noisy to hold the baseline (refresh the baseline itself with
 ## `make bench-json`, ideally from the nightly workflow's artifact).
 bench-check:
-	@if [ "$(BENCH_GATE)" = "off" ]; then \
-		echo "bench-check: BENCH_GATE=off -- smoke run only (no baseline comparison)"; \
-		$(GO) test -run='^$$' -bench='CacheAccess|ExecLoad' -benchtime=1x ./internal/arch ./internal/sim && \
-		$(GO) test -run='^$$' -bench='Tune' -benchtime=1x ./internal/tuner && \
-		$(GO) test -run='^$$' -bench='ServeRun|ServeConcurrentCold' -benchtime=1x ./internal/serve && \
-		$(GO) test -run='^$$' -bench='ProxyStep' -benchtime=1x .; \
-	else \
-		rm -f BENCH_fresh.tmp && \
-		$(GO) test -run='^$$' -bench='CacheAccess|ExecLoad' -benchmem -benchtime=100000x -count=5 -json ./internal/arch ./internal/sim > BENCH_fresh.tmp && \
-		$(GO) test -run='^$$' -bench='Tune' -benchmem -benchtime=3x -count=5 -json ./internal/tuner >> BENCH_fresh.tmp && \
-		$(GO) test -run='^$$' -bench='ServeRun' -benchmem -benchtime=100000x -count=5 -json ./internal/serve >> BENCH_fresh.tmp && \
-		$(GO) test -run='^$$' -bench='ServeConcurrentCold' -benchmem -benchtime=2x -count=5 -json ./internal/serve >> BENCH_fresh.tmp && \
-		$(GO) test -run='^$$' -bench='ProxyStep' -benchmem -benchtime=20x -count=5 -json . >> BENCH_fresh.tmp && \
-		$(GO) run ./cmd/benchjson -compare BENCH_cache.json -tolerance 0.25 < BENCH_fresh.tmp; \
-		status=$$?; rm -f BENCH_fresh.tmp; exit $$status; \
-	fi
+ifeq ($(BENCH_GATE),off)
+	@echo "bench-check: BENCH_GATE=off -- smoke run only (no baseline comparison)"
+	$(call tracked-benchmarks,-benchtime=1x)
+else
+	rm -f BENCH_fresh.tmp
+	$(call tracked-benchmarks,-count=5 -json >> BENCH_fresh.tmp)
+	$(GO) run ./cmd/benchjson -compare BENCH_cache.json -tolerance 0.25 < BENCH_fresh.tmp; \
+		status=$$?; rm -f BENCH_fresh.tmp; exit $$status
+endif
+
+# tracked-benchmarks is the one list of benchmarks BENCH_cache.json tracks,
+# one go test call each; $(1) is appended to every call (a later -benchtime
+# overrides the listed one, and a redirection collects the output).
+define tracked-benchmarks
+$(GO) test -run='^$$' -bench='CacheAccess|ExecLoad' -benchmem -benchtime=100000x ./internal/arch ./internal/sim $(1)
+$(GO) test -run='^$$' -bench='Tune' -benchmem -benchtime=3x ./internal/tuner $(1)
+$(GO) test -run='^$$' -bench='ServeRun' -benchmem -benchtime=100000x ./internal/serve $(1)
+$(GO) test -run='^$$' -bench='ServeConcurrentCold' -benchmem -benchtime=2x ./internal/serve $(1)
+$(GO) test -run='^$$' -bench='ProxyStep' -benchmem -benchtime=20x . $(1)
+endef
 
 ## cover: coverage profile over the short suite + the coverage-floor gate
 ## (prints the per-package table; floor lives in scripts/coverage-gate.sh)

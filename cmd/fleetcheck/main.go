@@ -7,11 +7,12 @@
 //
 //	smoke     liveness, readiness, listings, one run, and cache coalescing
 //	          on the repeat — the minimum a freshly booted target must do.
-//	mix       a cold batch of -n distinct settings followed by warm single
-//	          runs and a warm repeat batch: request order, all-warm repeats,
-//	          and (with -backends) the fleet-wide no-duplicate-simulation
-//	          invariant; finishes with a fast tune job polled to completion.
-//	postkill  availability after a replica was killed: the same -n settings
+//	mix       a cold batch spanning -n trace groups, two weight lanes each,
+//	          followed by warm single runs and a warm repeat batch: request
+//	          order, all-warm repeats, and (with -backends) the fleet-wide
+//	          invariant that each trace group is simulated exactly once;
+//	          finishes with a fast tune job polled to completion.
+//	postkill  availability after a replica was killed: the same settings
 //	          must still answer without any 5xx, and with -backends the
 //	          survivors must answer them from gossip-warmed caches without
 //	          executing a single new simulation.
@@ -31,6 +32,8 @@ import (
 	"strings"
 	"time"
 
+	"dataproxy/internal/core"
+	"dataproxy/internal/proxy"
 	"dataproxy/pkg/client"
 )
 
@@ -40,7 +43,7 @@ func main() {
 	url := flag.String("url", "http://127.0.0.1:8090", "target base URL (router or single replica)")
 	mode := flag.String("mode", "smoke", "check mode: smoke, mix or postkill")
 	backendsFlag := flag.String("backends", "", "optional name=url list of replicas for fleet-wide metric assertions")
-	n := flag.Int("n", 6, "distinct settings in the mix/postkill batch")
+	n := flag.Int("n", 6, "trace groups in the mix/postkill batch")
 	workload := flag.String("workload", "terasort", "workload to exercise")
 	timeout := flag.Duration("timeout", 2*time.Minute, "overall deadline")
 	flag.Parse()
@@ -94,17 +97,34 @@ func parseBackends(spec string) ([]namedBackend, error) {
 	return out, nil
 }
 
-// mixSettings builds n distinct settings plus one deliberate duplicate of
-// the first, so every mix exercises batch-internal deduplication too.  The
-// settings vary chunkSize so each lands in its own trace group — that keeps
-// proxyd_run_executed_total (which counts trace groups, not requests) equal
-// to the number of distinct settings simulated.
+// mixSettings builds n trace groups of two lanes each plus one deliberate
+// duplicate of the first setting, so every mix exercises batch-internal
+// deduplication too.  The groups vary chunkSize, which reshapes the trace;
+// the lanes of a group differ only in weight, so one simulation serves both
+// and the fleet must route them to one owner.
 func mixSettings(n int) []map[string]float64 {
-	settings := make([]map[string]float64, 0, n+1)
+	settings := make([]map[string]float64, 0, 2*n+1)
 	for i := 0; i < n; i++ {
-		settings = append(settings, map[string]float64{"chunkSize": 1 + float64(i)*0.1})
+		chunk := 1 + float64(i)*0.1
+		settings = append(settings,
+			map[string]float64{"chunkSize": chunk},
+			map[string]float64{"chunkSize": chunk, "weight": 1.5})
 	}
 	return append(settings, map[string]float64{"chunkSize": 1})
+}
+
+// traceGroups counts the distinct trace groups among settings, the unit
+// proxyd_run_executed_total counts.
+func traceGroups(workload string, settings []map[string]float64) (int, error) {
+	b, err := proxy.ForWorkload(workload)
+	if err != nil {
+		return 0, err
+	}
+	keys := map[string]bool{}
+	for _, s := range settings {
+		keys[b.TraceKey(core.Setting(s))] = true
+	}
+	return len(keys), nil
 }
 
 // executedTotal sums proxyd_run_executed_total across the given replicas.
@@ -166,9 +186,17 @@ func smoke(ctx context.Context, c *client.Client, workload string) error {
 }
 
 // mix drives the cold/warm workload mix and, when backends are known,
-// asserts the fleet never simulated a setting twice.
+// asserts the fleet simulated each trace group of the mix exactly once.
+// Every group holds a lane no earlier check warms, so it is cold here.
 func mix(ctx context.Context, c *client.Client, backends []namedBackend, workload string, n int) error {
 	settings := mixSettings(n)
+	var before float64
+	var err error
+	if len(backends) > 0 {
+		if before, err = executedTotal(ctx, backends); err != nil {
+			return err
+		}
+	}
 	batch, err := c.RunBatch(ctx, client.RunRequest{Workload: workload, Settings: settings})
 	if err != nil {
 		return fmt.Errorf("cold batch: %w", err)
@@ -203,12 +231,16 @@ func mix(ctx context.Context, c *client.Client, backends []namedBackend, workloa
 		}
 	}
 	if len(backends) > 0 {
-		total, err := executedTotal(ctx, backends)
+		after, err := executedTotal(ctx, backends)
 		if err != nil {
 			return err
 		}
-		if total != float64(n) {
-			return fmt.Errorf("fleet executed %g simulations for %d distinct settings (duplicate work)", total, n)
+		groups, err := traceGroups(workload, settings)
+		if err != nil {
+			return err
+		}
+		if after-before != float64(groups) {
+			return fmt.Errorf("fleet executed %g simulations for %d trace groups (duplicate work)", after-before, groups)
 		}
 	}
 	// A fast self-targeted tune job must route, run and converge.

@@ -1,9 +1,10 @@
 // Command proxyrouter fronts a fleet of proxyd replicas behind the same /v1
-// API a single replica serves: requests shard to their consistent-hash owner
-// (so the fleet never simulates a setting twice), batches split per owner
-// and rejoin in request order, tune jobs return shard-prefixed IDs that
-// route their polls back, and a dead replica's keyspace fails over to its
-// ring successors with no client-visible 5xx while any backend survives.
+// API a single replica serves: requests shard to the consistent-hash owner
+// of their trace group (so the fleet simulates each group once), batches
+// split per owner and rejoin in request order, tune jobs return
+// shard-prefixed IDs that route their polls back, and a dead replica's
+// keyspace fails over to its ring successors with no client-visible 5xx
+// while any backend survives.
 //
 // Usage:
 //

@@ -1,11 +1,11 @@
 // Package fleet shards a proxyd fleet: a consistent-hash ring assigns every
-// cache key an owning replica, and Router fronts the replicas with the same
-// /v1 API a single proxyd serves — single runs and tune jobs forward to the
-// key's owner, batches split per owner and rejoin in request order, and a
-// dead replica's keyspace moves to its ring successors without disturbing
-// anyone else's keys.  Ownership is authoritative for where a setting is
-// simulated; the replicas' cache gossip (internal/serve peering) is merely
-// advisory warm-up on top of it.
+// trace group of cache keys an owning replica, and Router fronts the
+// replicas with the same /v1 API a single proxyd serves — single runs and
+// tune jobs forward to the key's owner, batches split per owner and rejoin
+// in request order, and a dead replica's keyspace moves to its ring
+// successors without disturbing anyone else's keys.  Ownership is
+// authoritative for where a trace group is simulated; the replicas' cache
+// gossip (internal/serve peering) is merely advisory warm-up on top of it.
 package fleet
 
 import (
@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"dataproxy/internal/core"
+	"dataproxy/internal/proxy"
 )
 
 // DefaultVnodes is the number of ring points each node contributes.  More
@@ -164,19 +165,35 @@ func appendUint(dst []byte, v int) []byte {
 	return append(dst, byte('0'+v%10))
 }
 
+// benchmarks maps each proxied workload to its benchmark.  It is built once
+// because proxy.ForWorkload rebuilds every proxy DAG on each call, and
+// RunKey runs once per routed setting; the table is only ever read.
+var benchmarks = func() map[string]*core.Benchmark {
+	m := make(map[string]*core.Benchmark)
+	for _, b := range proxy.All() {
+		m[b.Workload] = b
+	}
+	return m
+}()
+
 // RunKey is the sharding key of one /v1/run evaluation: workload, effective
-// architecture and the bit-exact canonical setting — the same identity
-// tuner.MemoKey caches under, minus the cluster fingerprint (constant across
-// identically configured replicas), so the fleet sends every distinct
-// simulation to exactly one owner and never executes a setting twice.
+// architecture and the setting's trace group (core.Benchmark.TraceKey), the
+// unit one simulation serves.  The trace key reads the same effective
+// factors the replica's memo key canonicalises (Setting.Get semantics, so a
+// nil setting keys like the default), which gives every setting exactly one
+// owner.  Every lane of a trace group shares that owner, so a batch simulates
+// each of its groups on one replica only, and concurrent cold singles of a
+// group share that replica's coalescing window.  An unknown workload keys as
+// workload|arch, so its owner answers with the usual bad_request.
 func RunKey(workload, archName string, setting core.Setting) string {
 	if archName == "" {
 		archName = "westmere"
 	}
-	if setting == nil {
-		setting = core.DefaultSetting()
+	b := benchmarks[workload]
+	if b == nil {
+		return workload + "|" + archName
 	}
-	return workload + "|" + archName + "|" + setting.Canonical()
+	return workload + "|" + archName + "|" + b.TraceKey(setting)
 }
 
 // TuneKey is the sharding key of one /v1/tune job: tune jobs for the same

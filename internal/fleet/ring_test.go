@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dataproxy/internal/core"
+	"dataproxy/internal/proxy"
 )
 
 // testKeys builds a deterministic corpus of distinct keys.
@@ -135,16 +136,54 @@ func TestRingNoLiveNode(t *testing.T) {
 	}
 }
 
-// TestShardingKeys pins the key normalisation: the default architecture and
-// the default setting are spelled out, so a request that omits them shards
-// identically to one that states them.
+// TestShardingKeys pins the sharding rule: a run keys on its trace group,
+// so every lane one simulation serves shares an owner, while anything that
+// reshapes the trace moves to its own key.  The default architecture and
+// setting are spelled out, and settings the router cannot judge still get a
+// fixed key for their owner to reject.
 func TestShardingKeys(t *testing.T) {
-	if RunKey("terasort", "", nil) != RunKey("terasort", "westmere", core.DefaultSetting()) {
-		t.Error("omitted arch/setting must shard like their explicit defaults")
+	for _, w := range proxy.Workloads() {
+		base := RunKey(w, "westmere", nil)
+		if RunKey(w, "", nil) != RunKey(w, "westmere", core.DefaultSetting()) {
+			t.Errorf("%s: omitted arch/setting must shard like their explicit defaults", w)
+		}
+		for _, weight := range []float64{0.5, 1.25, 2} {
+			if got := RunKey(w, "westmere", core.Setting{"weight": weight}); got != base {
+				t.Errorf("%s: weight lane %g keys %q, want its group's %q", w, weight, got, base)
+			}
+		}
+		if RunKey(w, "westmere", core.Setting{"chunkSize": 1.5}) == base {
+			t.Errorf("%s: a chunkSize change reshapes the trace and must not share its key", w)
+		}
+		if RunKey(w, "haswell", nil) == base {
+			t.Errorf("%s: architectures must shard apart", w)
+		}
 	}
-	if RunKey("terasort", "westmere", core.Setting{"dataSize": 1.5}) == RunKey("terasort", "westmere", nil) {
-		t.Error("distinct settings must shard under distinct keys")
+
+	// TeraSort samples 1.5 MiB of a 2 GiB input: dataSize lanes share a key
+	// while the sample clamp holds, and one shrinking the input below the
+	// sample changes the trace.
+	lanes := []core.Setting{nil, {"dataSize": 0.5}, {"dataSize": 1.5, "weight": 0.75}, {"dataSize": 3}}
+	for _, s := range lanes {
+		if RunKey("terasort", "", s) != RunKey("terasort", "", lanes[0]) {
+			t.Errorf("dataSize lane %v inside the sample clamp must share its group's key", s)
+		}
 	}
+	if RunKey("terasort", "", core.Setting{"dataSize": 1e-4}) == RunKey("terasort", "", nil) {
+		t.Error("a dataSize below the sample size reshapes the trace and must not share its key")
+	}
+
+	// An unknown workload keys on workload|arch alone, so one owner rejects
+	// all its requests; invalid settings key without panicking, and their
+	// owner rejects them.
+	unknown := RunKey("wordcount", "", core.Setting{"dataSize": 2})
+	if unknown != RunKey("wordcount", "westmere", nil) {
+		t.Errorf("unknown workload keys %q; want one fixed key per workload and arch", unknown)
+	}
+	for _, s := range []core.Setting{{"weight": -1}, {"bogus": 3}, {"chunkSize": math.Inf(1)}, {"numTasks": math.NaN()}} {
+		_ = RunKey("terasort", "", s)
+	}
+
 	if TuneKey("terasort", "") != TuneKey("terasort", "westmere") {
 		t.Error("omitted tune arch must shard like the explicit default")
 	}

@@ -77,11 +77,11 @@ type backend struct {
 }
 
 // Router fronts a proxyd fleet behind the single-node /v1 API: every request
-// forwards to the consistent-hash owner of its cache key (RunKey/TuneKey),
+// forwards to the consistent-hash owner of its sharding key (RunKey/TuneKey),
 // batches split per owner and rejoin in request order, and an unreachable
 // owner's keyspace fails over to its ring successors.  The router holds no
 // simulation state of its own — ownership placement plus the replicas' own
-// result caches are what guarantee the fleet never simulates a setting
+// result caches are what guarantee the fleet never simulates a trace group
 // twice.  Create it with NewRouter, serve Handler, and Close it to stop the
 // health-probe loop.
 type Router struct {
@@ -346,8 +346,8 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 	relay(w, resp)
 }
 
-// handleRunBatch serves the Settings form of POST /v1/run.  Each setting is
-// owned by one shard; the batch splits into one sub-batch per owner, the
+// handleRunBatch serves the Settings form of POST /v1/run.  Each trace group
+// is owned by one shard; the batch splits into one sub-batch per owner, the
 // sub-batches execute concurrently, and the results rejoin in request order.
 // The shed contract stays all-or-nothing across the whole batch: any
 // sub-batch error (a 429 included) fails the entire request with that

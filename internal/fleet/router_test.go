@@ -212,6 +212,40 @@ func TestBatchSplitsAcrossShardsInOrder(t *testing.T) {
 	}
 }
 
+// TestBatchGroupSimulatesOnce pins trace-group ownership end to end: every
+// lane of a trace group reaches one replica, so a batch of many weight lanes
+// over two groups costs the fleet exactly two simulations, and each lane is
+// then a cache hit on its own.
+func TestBatchGroupSimulatesOnce(t *testing.T) {
+	tf := newTestFleet(t, 3)
+	ctx := context.Background()
+
+	var settings []map[string]float64
+	for _, chunk := range []float64{1, 1.5} {
+		for l := 0; l < 8; l++ {
+			settings = append(settings, map[string]float64{"chunkSize": chunk, "weight": 0.5 + 0.25*float64(l)})
+		}
+	}
+	before := tf.executedTotal(t, ctx)
+	batch, err := tf.api.RunBatch(ctx, client.RunRequest{Workload: "terasort", Settings: settings})
+	if err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	if got := tf.executedTotal(t, ctx) - before; got != 2 {
+		t.Fatalf("fleet executed %g simulations for a batch of 2 trace groups", got)
+	}
+	for i, s := range settings {
+		single, err := tf.api.Run(ctx, client.RunRequest{Workload: "terasort", Setting: s})
+		if err != nil {
+			t.Fatalf("reading back settings[%d]: %v", i, err)
+		}
+		if !single.Coalesced || single.RuntimeSeconds != batch.Results[i].RuntimeSeconds {
+			t.Errorf("settings[%d] read back coalesced=%v runtime %g, want a cache hit with the batch's %g",
+				i, single.Coalesced, single.RuntimeSeconds, batch.Results[i].RuntimeSeconds)
+		}
+	}
+}
+
 // TestFailoverReroutesWithout5xx kills a replica and checks its keyspace
 // fails over to the survivors with no client-visible 5xx.
 func TestFailoverReroutesWithout5xx(t *testing.T) {
@@ -468,11 +502,16 @@ func TestBatchErrorIsAllOrNothing(t *testing.T) {
 	tf := newTestFleet(t, 2)
 	ctx := context.Background()
 
-	// Collect settings until both backends own at least one.
+	// Collect settings until both backends own at least one.  Ownership
+	// follows the trace group, so the corpus varies chunkSize: dataSize and
+	// weight lanes of one group never reach a second owner.
 	var settings []map[string]float64
 	owners := map[string]bool{}
 	for i := 0; len(owners) < 2; i++ {
-		s := map[string]float64{"dataSize": 1 + float64(i)*0.05}
+		if i == 64 {
+			t.Fatalf("64 chunkSize groups all map to %v; the ring cannot be spreading keys", owners)
+		}
+		s := map[string]float64{"chunkSize": 1 + float64(i)*0.05}
 		owner, _ := tf.router.ring.Owner(RunKey("terasort", "", core.Setting(s)), nil)
 		owners[owner] = true
 		settings = append(settings, s)
