@@ -55,7 +55,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -64,6 +63,7 @@ import (
 	"syscall"
 	"time"
 
+	"dataproxy/internal/apihttp"
 	"dataproxy/internal/faultinject"
 	"dataproxy/internal/parallel"
 	"dataproxy/internal/perf"
@@ -131,7 +131,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	requestLog, err := buildRequestLog(*logLevel)
+	requestLog, err := apihttp.BuildRequestLog(*logLevel)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -184,19 +184,6 @@ func main() {
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
-}
-
-// buildRequestLog resolves the -log-level flag into a stderr slog logger;
-// an empty level disables request logging (nil logger).
-func buildRequestLog(level string) (*slog.Logger, error) {
-	if level == "" {
-		return nil, nil
-	}
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("proxyd: -log-level %q: %w", level, err)
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})), nil
 }
 
 // parsePeers parses the -peers flag: comma-separated name=url pairs.

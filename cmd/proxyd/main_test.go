@@ -1,9 +1,6 @@
 package main
 
-import (
-	"log/slog"
-	"testing"
-)
+import "testing"
 
 func TestParsePeers(t *testing.T) {
 	peers, err := parsePeers("s1=http://10.0.0.2:8080, s2=http://10.0.0.3:8080/,")
@@ -20,21 +17,5 @@ func TestParsePeers(t *testing.T) {
 		if _, err := parsePeers(bad); err == nil {
 			t.Errorf("spec %q should be rejected", bad)
 		}
-	}
-}
-
-func TestBuildRequestLog(t *testing.T) {
-	if lg, err := buildRequestLog(""); err != nil || lg != nil {
-		t.Fatalf("empty level should disable logging, got %v, %v", lg, err)
-	}
-	lg, err := buildRequestLog("info")
-	if err != nil || lg == nil {
-		t.Fatalf("info level: %v, %v", lg, err)
-	}
-	if !lg.Enabled(nil, slog.LevelInfo) || lg.Enabled(nil, slog.LevelDebug) {
-		t.Fatal("info logger should pass info and suppress debug")
-	}
-	if _, err := buildRequestLog("loud"); err == nil {
-		t.Fatal("unknown level should be rejected")
 	}
 }

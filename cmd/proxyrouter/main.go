@@ -29,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -37,6 +36,7 @@ import (
 	"syscall"
 	"time"
 
+	"dataproxy/internal/apihttp"
 	"dataproxy/internal/fleet"
 )
 
@@ -55,13 +55,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var requestLog *slog.Logger
-	if *logLevel != "" {
-		var lvl slog.Level
-		if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
-			log.Fatalf("-log-level %q: %v", *logLevel, err)
-		}
-		requestLog = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))
+	requestLog, err := apihttp.BuildRequestLog(*logLevel)
+	if err != nil {
+		log.Fatal(err)
 	}
 	rt, err := fleet.NewRouter(fleet.Config{
 		Name:          *name,

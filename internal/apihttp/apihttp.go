@@ -1,10 +1,13 @@
 // Package apihttp holds the HTTP conventions every dataproxy serving surface
 // shares: the indent-2 JSON encoding of responses, the versioned /v1 error
 // envelope ({"error":{"code","message","retry_after_ms"}}) with its stable
-// code-per-status mapping, and the fallback wrapper that rewrites the bare
-// text errors http.ServeMux generates into the same envelope.  proxyd
-// (internal/serve) and proxyrouter (internal/fleet) both build on it, so a
-// client sees one error contract no matter which tier answered.
+// code-per-status mapping, the request middleware (Mux: per-route counts,
+// the in-flight gauge, the request log, and the fallback that rewrites the
+// bare text errors http.ServeMux generates into the same envelope) and the
+// strict, size-capped body decoder.  proxyd (internal/serve) and
+// proxyrouter (internal/fleet) both build on it, so a client sees one error
+// contract no matter which tier answered and an operator one set of request
+// series and log fields.
 package apihttp
 
 import (
@@ -44,10 +47,25 @@ func Error(w http.ResponseWriter, status int, code client.ErrorCode, msg string,
 	}})
 }
 
+// ShedRetryAfter is the delay advertised with every load-shedding (429) or
+// unavailable (503) response Fail writes.
+const ShedRetryAfter = time.Second
+
+// Fail writes err as the envelope with the default code for status
+// (CodeForStatus); shedding statuses (429, 503) carry ShedRetryAfter.
+// Handlers needing a non-default code for a status (the draining 429) call
+// Error directly.
+func Fail(w http.ResponseWriter, status int, err error) {
+	var retryAfter time.Duration
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		retryAfter = ShedRetryAfter
+	}
+	Error(w, status, CodeForStatus(status), err.Error(), retryAfter)
+}
+
 // CodeForStatus maps an HTTP status to its default stable error code:
 // 400 bad_request, 404 not_found, 429 shed, 503 unavailable, anything else
-// internal.  Handlers needing a non-default code for a status (the draining
-// 429) call Error directly.
+// internal.
 func CodeForStatus(status int) client.ErrorCode {
 	switch status {
 	case http.StatusBadRequest, http.StatusMethodNotAllowed:
@@ -62,19 +80,11 @@ func CodeForStatus(status int) client.ErrorCode {
 	return client.CodeInternal
 }
 
-// EnvelopeFallback rewrites the text/plain 404/405 errors http.ServeMux
-// generates for unmatched routes and methods into the /v1 error envelope, so
-// no path through a server can emit a bare-text error body.  Handler-made
-// responses pass through untouched: they always set an application/json
-// Content-Type before writing the status.
-func EnvelopeFallback(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		next.ServeHTTP(&fallbackWriter{ResponseWriter: w}, r)
-	})
-}
-
-// fallbackWriter intercepts non-JSON 404/405 status writes and substitutes
-// the envelope, swallowing the original text body.
+// fallbackWriter rewrites the text/plain 404/405 errors http.ServeMux
+// generates for unmatched routes and methods into the /v1 error envelope,
+// swallowing the original text body, so no path through a server can emit a
+// bare-text error body.  Handler-made responses pass through untouched: they
+// always set an application/json Content-Type before writing the status.
 type fallbackWriter struct {
 	http.ResponseWriter
 	intercepted bool

@@ -73,11 +73,10 @@ func TestCodeForStatus(t *testing.T) {
 }
 
 func TestEnvelopeFallbackRewritesMuxErrors(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/thing", func(w http.ResponseWriter, r *http.Request) {
+	h := NewMux(nil)
+	h.HandleFunc("POST /v1/thing", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	h := EnvelopeFallback(mux)
 
 	// Unmatched route: the mux's text 404 becomes a not_found envelope.
 	rec := httptest.NewRecorder()
@@ -117,9 +116,10 @@ func TestEnvelopeFallbackRewritesMuxErrors(t *testing.T) {
 func TestEnvelopeFallbackLeavesHandlerErrorsAlone(t *testing.T) {
 	// A handler that writes its own JSON 404 (e.g. an unknown job ID) must
 	// not have its body swallowed.
-	h := EnvelopeFallback(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := NewMux(nil)
+	h.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		Error(w, http.StatusNotFound, client.CodeNotFound, "no such job", 0)
-	}))
+	})
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/job-9", nil))
 	var env client.ErrorEnvelope

@@ -20,10 +20,6 @@ import (
 	"dataproxy/pkg/client"
 )
 
-// maxRequestBody bounds a routed request body; real run/tune bodies are a
-// few kilobytes, so the cap only stops hostile or corrupt payloads.
-const maxRequestBody = 8 << 20
-
 // Backend names one proxyd replica the router fronts.
 type Backend struct {
 	// Name is the replica's shard name (its proxyd -name / Config.Name),
@@ -89,15 +85,13 @@ type Router struct {
 	ring     *Ring
 	backends []*backend // sorted by name
 	byName   map[string]*backend
-	mux      *http.ServeMux
+	mux      *apihttp.Mux
 	hc       *http.Client // forwards; per-request contexts bound lifetime
 
 	stop      chan struct{}
 	closeOnce sync.Once
 	done      sync.WaitGroup
 
-	reqMu            sync.Mutex
-	reqCounts        map[string]int64
 	failovers        atomic.Int64
 	unavailableTotal atomic.Int64
 }
@@ -111,12 +105,11 @@ func NewRouter(cfg Config) (*Router, error) {
 		return nil, errors.New("fleet: at least one backend is required")
 	}
 	rt := &Router{
-		cfg:       cfg,
-		mux:       http.NewServeMux(),
-		byName:    make(map[string]*backend, len(cfg.Backends)),
-		hc:        &http.Client{},
-		stop:      make(chan struct{}),
-		reqCounts: make(map[string]int64),
+		cfg:    cfg,
+		mux:    apihttp.NewMux(cfg.RequestLog),
+		byName: make(map[string]*backend, len(cfg.Backends)),
+		hc:     &http.Client{},
+		stop:   make(chan struct{}),
 	}
 	names := make([]string, 0, len(cfg.Backends))
 	for _, b := range cfg.Backends {
@@ -153,79 +146,22 @@ func (rt *Router) Close() {
 	rt.done.Wait()
 }
 
-// Handler returns the HTTP handler serving the fleet-fronting /v1 API, with
-// the same envelope fallback as a single replica: even unmatched-route and
-// wrong-method errors carry the versioned error envelope.
-func (rt *Router) Handler() http.Handler { return apihttp.EnvelopeFallback(rt.mux) }
+// Handler returns the HTTP handler serving the fleet-fronting /v1 API
+// behind the same apihttp middleware as a single replica: even
+// unmatched-route and wrong-method errors carry the versioned error
+// envelope.
+func (rt *Router) Handler() http.Handler { return rt.mux }
 
 func (rt *Router) routes() {
-	rt.handle("GET /healthz", rt.handleHealthz)
-	rt.handle("GET /readyz", rt.handleReadyz)
-	rt.handle("GET /metrics", rt.handleMetrics)
-	rt.handle("GET /v1/workloads", rt.handleListing)
-	rt.handle("GET /v1/archs", rt.handleListing)
-	rt.handle("POST /v1/run", rt.handleRun)
-	rt.handle("POST /v1/tune", rt.handleTune)
-	rt.handle("GET /v1/jobs/{id}", rt.handleJob)
-	rt.handle("GET /v1/cluster", rt.handleCluster)
-}
-
-// handle registers a route with request counting and — when
-// Config.RequestLog is set — one structured log line per request.
-func (rt *Router) handle(pattern string, h http.HandlerFunc) {
-	rt.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		rt.reqMu.Lock()
-		rt.reqCounts[pattern]++
-		rt.reqMu.Unlock()
-		lg := rt.cfg.RequestLog
-		if lg == nil {
-			h(w, r)
-			return
-		}
-		start := time.Now()
-		info := &routedInfo{}
-		r = r.WithContext(context.WithValue(r.Context(), ctxKeyRouted{}, info))
-		sw := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r)
-		attrs := []any{
-			"method", r.Method,
-			"route", pattern,
-			"status", sw.status,
-			"duration_ms", float64(time.Since(start).Microseconds()) / 1000,
-		}
-		if info.shard != "" {
-			attrs = append(attrs, "shard", info.shard)
-		}
-		lg.Info("request", attrs...)
-	})
-}
-
-// statusRecorder captures the status code a handler writes, for the request
-// log.  Handlers that never call WriteHeader implicitly answer 200.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-// WriteHeader records the status before delegating.
-func (w *statusRecorder) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// routedInfo carries per-request annotations (the owning shard a request
-// forwarded to) from the forwarding path back to the logging middleware;
-// ctxKeyRouted keys it into the request context.
-type routedInfo struct{ shard string }
-
-type ctxKeyRouted struct{}
-
-// annotateShard records the owning backend for the request log; it is a
-// no-op when request logging is off.
-func annotateShard(ctx context.Context, shard string) {
-	if info, ok := ctx.Value(ctxKeyRouted{}).(*routedInfo); ok {
-		info.shard = shard
-	}
+	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
+	rt.mux.HandleFunc("GET /readyz", rt.handleReadyz)
+	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
+	rt.mux.HandleFunc("GET /v1/workloads", rt.handleListing)
+	rt.mux.HandleFunc("GET /v1/archs", rt.handleListing)
+	rt.mux.HandleFunc("POST /v1/run", rt.handleRun)
+	rt.mux.HandleFunc("POST /v1/tune", rt.handleTune)
+	rt.mux.HandleFunc("GET /v1/jobs/{id}", rt.handleJob)
+	rt.mux.HandleFunc("GET /v1/cluster", rt.handleCluster)
 }
 
 // alive reports a backend's current health; it is the ring's liveness input.
@@ -236,12 +172,7 @@ func (rt *Router) alive(name string) bool { return rt.byName[name].healthy.Load(
 // itself originates.
 func (rt *Router) unavailable(w http.ResponseWriter, msg string) {
 	rt.unavailableTotal.Add(1)
-	apihttp.Error(w, http.StatusServiceUnavailable, client.CodeUnavailable, msg, time.Second)
-}
-
-// badRequest rejects a request the router itself could not parse.
-func (rt *Router) badRequest(w http.ResponseWriter, err error) {
-	apihttp.Error(w, http.StatusBadRequest, client.CodeBadRequest, err.Error(), 0)
+	apihttp.Fail(w, http.StatusServiceUnavailable, errors.New(msg))
 }
 
 // send performs one HTTP exchange with a backend and folds the transport
@@ -289,7 +220,7 @@ func (rt *Router) forwardRaw(ctx context.Context, key, method, path string, body
 			continue
 		}
 		b.forwarded.Add(1)
-		annotateShard(ctx, b.name)
+		apihttp.Annotate(ctx, "shard", b.name)
 		return b, resp, true
 	}
 }
@@ -308,29 +239,14 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 	_, _ = io.Copy(w, resp.Body)
 }
 
-// readBody reads and strictly decodes a request body, returning the raw
-// bytes for verbatim forwarding.
-func readBody(w http.ResponseWriter, r *http.Request, v any) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if err != nil {
-		return nil, fmt.Errorf("fleet: reading request: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return nil, fmt.Errorf("fleet: decoding request: %w", err)
-	}
-	return body, nil
-}
-
 // handleRun serves POST /v1/run: a single-setting body forwards verbatim to
 // the setting's owner (so the response bytes are exactly what the replica
 // produced), a batch splits per owner; see handleRunBatch.
 func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req client.RunRequest
-	body, err := readBody(w, r, &req)
+	body, err := apihttp.DecodeBody(w, r, &req)
 	if err != nil {
-		rt.badRequest(w, err)
+		apihttp.Fail(w, http.StatusBadRequest, fmt.Errorf("fleet: %w", err))
 		return
 	}
 	if req.Settings != nil {
@@ -357,11 +273,11 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 // passthrough.
 func (rt *Router) handleRunBatch(w http.ResponseWriter, r *http.Request, req client.RunRequest, body []byte) {
 	if req.Setting != nil {
-		rt.badRequest(w, errors.New(`fleet: request must set "setting" or "settings", not both`))
+		apihttp.Fail(w, http.StatusBadRequest, errors.New(`fleet: request must set "setting" or "settings", not both`))
 		return
 	}
 	if len(req.Settings) == 0 {
-		rt.badRequest(w, errors.New(`fleet: "settings" must contain at least one setting`))
+		apihttp.Fail(w, http.StatusBadRequest, errors.New(`fleet: "settings" must contain at least one setting`))
 		return
 	}
 	// A transport failure mid-fan-out marks the backend dead and replans the
@@ -487,7 +403,7 @@ func (rt *Router) relayError(w http.ResponseWriter, err error) {
 		apihttp.Error(w, ae.Status, ae.Code, ae.Message, ae.RetryAfter)
 		return
 	}
-	apihttp.Error(w, http.StatusInternalServerError, client.CodeInternal, err.Error(), 0)
+	apihttp.Fail(w, http.StatusInternalServerError, err)
 }
 
 // handleTune serves POST /v1/tune: the job goes to the TuneKey owner so its
@@ -496,9 +412,9 @@ func (rt *Router) relayError(w http.ResponseWriter, err error) {
 // back without any router-side job state.
 func (rt *Router) handleTune(w http.ResponseWriter, r *http.Request) {
 	var req client.TuneRequest
-	body, err := readBody(w, r, &req)
+	body, err := apihttp.DecodeBody(w, r, &req)
 	if err != nil {
-		rt.badRequest(w, err)
+		apihttp.Fail(w, http.StatusBadRequest, fmt.Errorf("fleet: %w", err))
 		return
 	}
 	b, resp, ok := rt.forwardRaw(r.Context(), TuneKey(req.Workload, req.Arch), http.MethodPost, "/v1/tune", body)
@@ -513,8 +429,7 @@ func (rt *Router) handleTune(w http.ResponseWriter, r *http.Request) {
 	defer resp.Body.Close()
 	var tr client.TuneResponse
 	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
-		apihttp.Error(w, http.StatusInternalServerError, client.CodeInternal,
-			fmt.Sprintf("fleet: undecodable tune response from %s: %v", b.name, err), 0)
+		apihttp.Fail(w, http.StatusInternalServerError, fmt.Errorf("fleet: undecodable tune response from %s: %v", b.name, err))
 		return
 	}
 	tr.JobID = b.name + "." + tr.JobID
@@ -531,8 +446,7 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	shard, rest, ok := strings.Cut(id, ".")
 	b := rt.byName[shard]
 	if !ok || rest == "" || b == nil {
-		apihttp.Error(w, http.StatusNotFound, client.CodeNotFound,
-			fmt.Sprintf("fleet: unknown job %q (router job IDs look like shard.job-N)", id), 0)
+		apihttp.Fail(w, http.StatusNotFound, fmt.Errorf("fleet: unknown job %q (router job IDs look like shard.job-N)", id))
 		return
 	}
 	resp, err := rt.send(r.Context(), b, http.MethodGet, "/v1/jobs/"+rest, nil)
@@ -548,8 +462,7 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	defer resp.Body.Close()
 	var job client.JobResponse
 	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-		apihttp.Error(w, http.StatusInternalServerError, client.CodeInternal,
-			fmt.Sprintf("fleet: undecodable job response from %s: %v", shard, err), 0)
+		apihttp.Fail(w, http.StatusInternalServerError, fmt.Errorf("fleet: undecodable job response from %s: %v", shard, err))
 		return
 	}
 	job.ID = id
@@ -612,20 +525,11 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics renders the router's Prometheus-style exposition: request
-// counts per route, per-backend health, forwarding and keyspace gauges, and
-// the failover/unavailable totals.
+// counts per route and the in-flight gauge, per-backend health, forwarding
+// and keyspace gauges, and the failover/unavailable totals.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	rt.reqMu.Lock()
-	routes := make([]string, 0, len(rt.reqCounts))
-	for route := range rt.reqCounts {
-		routes = append(routes, route)
-	}
-	sort.Strings(routes)
-	for _, route := range routes {
-		fmt.Fprintf(w, "proxyrouter_http_requests_total{route=%q} %d\n", route, rt.reqCounts[route])
-	}
-	rt.reqMu.Unlock()
+	rt.mux.WriteMetrics(w, "proxyrouter")
 	shares := rt.ring.Shares(rt.alive)
 	for _, b := range rt.backends {
 		healthy := 0

@@ -1,12 +1,16 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,6 +25,7 @@ type testFleet struct {
 	routerTS *httptest.Server
 	servers  []*serve.Server
 	tss      []*httptest.Server
+	backends []Backend
 	api      *client.Client // talks to the router
 }
 
@@ -50,6 +55,7 @@ func newTestFleet(t *testing.T, n int) *testFleet {
 	}
 	t.Cleanup(rt.Close)
 	tf.router = rt
+	tf.backends = backends
 	tf.routerTS = httptest.NewServer(rt.Handler())
 	t.Cleanup(tf.routerTS.Close)
 	tf.api = client.New(tf.routerTS.URL, client.WithRetries(0))
@@ -420,6 +426,12 @@ func TestRouterClusterAndMetrics(t *testing.T) {
 	if v, ok := client.ParseMetric(text, `proxyrouter_http_requests_total{route="GET /v1/cluster"}`); !ok || v < 2 {
 		t.Errorf("request counter for /v1/cluster = %v %v", v, ok)
 	}
+	if v, ok := client.ParseMetric(text, `proxyrouter_http_requests_total{route="POST /v1/tune"}`); !ok || v != 0 {
+		t.Errorf("unused route should be listed at 0, got %v %v", v, ok)
+	}
+	if v, ok := client.ParseMetric(text, "proxyrouter_http_in_flight"); !ok || v != 1 {
+		t.Errorf("proxyrouter_http_in_flight = %v %v, want 1 (the scrape itself)", v, ok)
+	}
 
 	// Listings relay from a healthy replica even with one drained.
 	wl, err := tf.api.Workloads(ctx)
@@ -529,5 +541,98 @@ func TestBatchErrorIsAllOrNothing(t *testing.T) {
 	}
 	if !client.IsRetryable(err) {
 		t.Errorf("relayed batch error lost its retryable code: %+v", ae)
+	}
+}
+
+// getBody GETs url and returns the status and body.
+func getBody(t *testing.T, url string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
+}
+
+// TestRoutedJobBodyIsVerbatim: a done job read through the router is the
+// owning replica's body byte for byte, except for the shard-prefixed ID, so
+// the result vectors keep the replica's canonical metric order.
+func TestRoutedJobBodyIsVerbatim(t *testing.T) {
+	tf := newTestFleet(t, 2)
+	ctx := context.Background()
+	tr, err := tf.api.Tune(ctx, client.TuneRequest{
+		Workload:      "terasort",
+		MaxIterations: 1,
+		Metrics:       []string{"IPC"},
+		Parameters:    []string{"dataSize"},
+		ImpactFactors: []float64{1.25},
+		Target:        map[string]float64{"IPC": 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tf.api.PollJob(ctx, tr.JobID, 10*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	shard, id, _ := strings.Cut(tr.JobID, ".")
+	status, direct := getBody(t, tf.tss[tf.backendIndex(t, shard)].URL+"/v1/jobs/"+id)
+	if status != http.StatusOK || !strings.Contains(direct, `"proxy_metrics"`) {
+		t.Fatalf("owner's job body: %d %s", status, direct)
+	}
+	status, routed := getBody(t, tf.routerTS.URL+"/v1/jobs/"+tr.JobID)
+	want := strings.Replace(direct, `"id": "`+id+`"`, `"id": "`+tr.JobID+`"`, 1)
+	if status != http.StatusOK || routed != want {
+		t.Fatalf("routed job body (%d):\n%s\nwant the owner's body:\n%s", status, routed, want)
+	}
+}
+
+// syncBuffer is a mutex-guarded log sink: handlers write it while the test
+// reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestRouterRequestLogNamesOwner: with request logging on, the router's line
+// for a forwarded request carries the shared fields and the owning shard.
+func TestRouterRequestLogNamesOwner(t *testing.T) {
+	tf := newTestFleet(t, 2)
+	var logs syncBuffer
+	rt, err := NewRouter(Config{Backends: tf.backends, ProbeInterval: time.Hour,
+		RequestLog: slog.New(slog.NewTextHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	ts := httptest.NewServer(rt.Handler())
+	t.Cleanup(ts.Close)
+
+	setting := map[string]float64{"dataSize": 1.1}
+	owner, _ := rt.ring.Owner(RunKey("terasort", "", core.Setting(setting)), nil)
+	if _, err := client.New(ts.URL).Run(context.Background(), client.RunRequest{Workload: "terasort", Setting: setting}); err != nil {
+		t.Fatal(err)
+	}
+	text := logs.String()
+	for _, want := range []string{"method=POST", `route="POST /v1/run"`, "status=200", "duration_ms=", "shard=" + owner} {
+		if !strings.Contains(text, want) {
+			t.Errorf("router request log missing %q in:\n%s", want, text)
+		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"dataproxy/internal/proxy"
 	"dataproxy/internal/sim"
 	"dataproxy/internal/testutil"
+	"dataproxy/pkg/client"
 )
 
 // coalesceScheduler builds a scheduler whose collection window seals only at
@@ -217,7 +218,7 @@ func TestCoalesceMetricsExposition(t *testing.T) {
 		wg.Add(1)
 		go func(data float64) {
 			defer wg.Done()
-			resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "terasort", Setting: map[string]float64{"dataSize": data}})
+			resp, body := postJSON(t, ts.URL+"/v1/run", client.RunRequest{Workload: "terasort", Setting: map[string]float64{"dataSize": data}})
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("run dataSize=%g: status %d body %s", data, resp.StatusCode, body)
 			}
@@ -296,11 +297,11 @@ func TestRequestLogging(t *testing.T) {
 	lg := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelInfo}))
 	_, ts := newTestServer(t, Config{Name: "shard-a", RequestLog: lg})
 
-	resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "terasort"})
+	resp, body := postJSON(t, ts.URL+"/v1/run", client.RunRequest{Workload: "terasort"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("run: status %d body %s", resp.StatusCode, body)
 	}
-	resp, _ = postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "nope"})
+	resp, _ = postJSON(t, ts.URL+"/v1/run", client.RunRequest{Workload: "nope"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad run: status %d, want 400", resp.StatusCode)
 	}

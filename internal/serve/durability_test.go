@@ -14,6 +14,7 @@ import (
 	"dataproxy/internal/faultinject"
 	"dataproxy/internal/perf"
 	"dataproxy/internal/snapshot"
+	"dataproxy/pkg/client"
 )
 
 // getMetrics scrapes /metrics as one string.
@@ -29,23 +30,24 @@ func getMetrics(t *testing.T, baseURL string) string {
 // selfTarget measures the default terasort proxy once through /v1/run and
 // returns a tune request targeting the measured vector — a reachable target
 // that makes tune jobs cheap and deterministic.
-func selfTarget(t *testing.T, baseURL string) TuneRequest {
+func selfTarget(t *testing.T, baseURL string) client.TuneRequest {
 	t.Helper()
-	resp, body := postJSON(t, baseURL+"/v1/run", RunRequest{Workload: "terasort"})
+	resp, body := postJSON(t, baseURL+"/v1/run", client.RunRequest{Workload: "terasort"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("target run: status %d body %s", resp.StatusCode, body)
 	}
-	var rr RunResponse
+	var rr client.RunResponse
 	if err := json.Unmarshal(body, &rr); err != nil {
 		t.Fatal(err)
 	}
-	return TuneRequest{
+	m := decodeMetrics(t, rr.Metrics)
+	return client.TuneRequest{
 		Workload:      "terasort",
 		MaxIterations: 1,
 		Metrics:       []string{"IPC", "MIPS"},
 		Parameters:    []string{"dataSize"},
 		ImpactFactors: []float64{1.25},
-		Target:        map[string]float64{"IPC": rr.Metrics.IPC, "MIPS": rr.Metrics.MIPS},
+		Target:        map[string]float64{"IPC": m.IPC, "MIPS": m.MIPS},
 	}
 }
 
@@ -63,12 +65,12 @@ func TestWarmRestartTuneIsBitIdentical(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("tune: status %d body %s", resp.StatusCode, body)
 	}
-	var accepted TuneResponse
+	var accepted client.TuneResponse
 	if err := json.Unmarshal(body, &accepted); err != nil {
 		t.Fatal(err)
 	}
 	jobA := pollJob(t, tsA.URL, accepted.JobID)
-	if jobA.State != JobDone {
+	if jobA.State != client.JobDone {
 		t.Fatalf("job A state %s (error %q)", jobA.State, jobA.Error)
 	}
 	if jobA.Result.Evaluations == 0 {
@@ -100,7 +102,7 @@ func TestWarmRestartTuneIsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobB := pollJob(t, tsB.URL, accepted.JobID)
-	if jobB.State != JobDone {
+	if jobB.State != client.JobDone {
 		t.Fatalf("job B state %s (error %q)", jobB.State, jobB.Error)
 	}
 
@@ -256,13 +258,13 @@ func TestCrashMidTuneIsReenqueuedAndCompletes(t *testing.T) {
 	defer close(release)
 
 	sA, tsA := newTestServer(t, Config{StateDir: dir})
-	req := TuneRequest{Workload: "terasort", MaxIterations: 1, Parameters: []string{"dataSize"},
+	req := client.TuneRequest{Workload: "terasort", MaxIterations: 1, Parameters: []string{"dataSize"},
 		ImpactFactors: []float64{1.25}, Metrics: []string{"IPC"}, Target: map[string]float64{"IPC": 1}}
 	resp, body := postJSON(t, tsA.URL+"/v1/tune", req)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("tune: status %d body %s", resp.StatusCode, body)
 	}
-	var accepted TuneResponse
+	var accepted client.TuneResponse
 	if err := json.Unmarshal(body, &accepted); err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +282,7 @@ func TestCrashMidTuneIsReenqueuedAndCompletes(t *testing.T) {
 		t.Errorf("metrics missing re-enqueued job count; got:\n%s", metrics)
 	}
 	job := pollJob(t, tsB.URL, accepted.JobID)
-	if job.State != JobDone {
+	if job.State != client.JobDone {
 		t.Fatalf("re-enqueued job %s state %s (error %q), want done", accepted.JobID, job.State, job.Error)
 	}
 }
@@ -294,19 +296,19 @@ func TestDispatcherSurvivesInjectedPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts := newTestServer(t, Config{})
-	req := TuneRequest{Workload: "terasort", MaxIterations: 1, Parameters: []string{"dataSize"},
+	req := client.TuneRequest{Workload: "terasort", MaxIterations: 1, Parameters: []string{"dataSize"},
 		ImpactFactors: []float64{1.25}, Metrics: []string{"IPC"}, Target: map[string]float64{"IPC": 1}}
 
 	resp, body := postJSON(t, ts.URL+"/v1/tune", req)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("tune: status %d body %s", resp.StatusCode, body)
 	}
-	var accepted TuneResponse
+	var accepted client.TuneResponse
 	if err := json.Unmarshal(body, &accepted); err != nil {
 		t.Fatal(err)
 	}
 	job := pollJob(t, ts.URL, accepted.JobID)
-	if job.State != JobFailed || !strings.Contains(job.Error, "chaos monkey") {
+	if job.State != client.JobFailed || !strings.Contains(job.Error, "chaos monkey") {
 		t.Fatalf("job under panic: state %s error %q, want failed with the injected message", job.State, job.Error)
 	}
 
@@ -317,7 +319,7 @@ func TestDispatcherSurvivesInjectedPanic(t *testing.T) {
 	if err := json.Unmarshal(body, &accepted); err != nil {
 		t.Fatal(err)
 	}
-	if job = pollJob(t, ts.URL, accepted.JobID); job.State != JobDone {
+	if job = pollJob(t, ts.URL, accepted.JobID); job.State != client.JobDone {
 		t.Fatalf("job after panic: state %s (error %q), want done — dispatcher must survive", job.State, job.Error)
 	}
 }
@@ -344,10 +346,10 @@ func TestDrainShedsAndFlipsReadyz(t *testing.T) {
 	if resp, _ = getJSON(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
 		t.Errorf("/healthz during drain: status %d, want 200 (liveness only)", resp.StatusCode)
 	}
-	if resp, _ = postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "terasort"}); resp.StatusCode != http.StatusTooManyRequests {
+	if resp, _ = postJSON(t, ts.URL+"/v1/run", client.RunRequest{Workload: "terasort"}); resp.StatusCode != http.StatusTooManyRequests {
 		t.Errorf("/v1/run during drain: status %d, want 429", resp.StatusCode)
 	}
-	tune := TuneRequest{Workload: "terasort", Target: map[string]float64{"IPC": 1}}
+	tune := client.TuneRequest{Workload: "terasort", Target: map[string]float64{"IPC": 1}}
 	if resp, _ = postJSON(t, ts.URL+"/v1/tune", tune); resp.StatusCode != http.StatusTooManyRequests {
 		t.Errorf("/v1/tune during drain: status %d, want 429", resp.StatusCode)
 	}
@@ -378,7 +380,7 @@ func TestDrainTimeoutStillSnapshots(t *testing.T) {
 	defer close(release)
 
 	s, ts := newTestServer(t, Config{StateDir: dir, ShutdownTimeout: 100 * time.Millisecond})
-	req := TuneRequest{Workload: "terasort", MaxIterations: 1, Parameters: []string{"dataSize"},
+	req := client.TuneRequest{Workload: "terasort", MaxIterations: 1, Parameters: []string{"dataSize"},
 		ImpactFactors: []float64{1.25}, Metrics: []string{"IPC"}, Target: map[string]float64{"IPC": 1}}
 	if resp, body := postJSON(t, ts.URL+"/v1/tune", req); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("tune: status %d body %s", resp.StatusCode, body)
@@ -395,11 +397,11 @@ func TestDrainTimeoutStillSnapshots(t *testing.T) {
 	}
 	var running int
 	for _, je := range st.Jobs {
-		var pj persistedJob
-		if err := json.Unmarshal(je.Payload, &pj); err != nil {
+		var rec jobRecord
+		if err := json.Unmarshal(je.Payload, &rec); err != nil {
 			t.Fatal(err)
 		}
-		if pj.Job.State == JobRunning {
+		if rec.Job.State == client.JobRunning {
 			running++
 		}
 	}
@@ -453,7 +455,7 @@ func TestEvictedMemoIsArchivedIntoSnapshot(t *testing.T) {
 	sA, tsA := newTestServer(t, Config{StateDir: dir, MaxCacheEntries: 1})
 
 	for _, setting := range []map[string]float64{nil, {"dataSize": 2}} {
-		resp, body := postJSON(t, tsA.URL+"/v1/run", RunRequest{Workload: "terasort", Setting: setting})
+		resp, body := postJSON(t, tsA.URL+"/v1/run", client.RunRequest{Workload: "terasort", Setting: setting})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("run %v: status %d body %s", setting, resp.StatusCode, body)
 		}
@@ -467,11 +469,11 @@ func TestEvictedMemoIsArchivedIntoSnapshot(t *testing.T) {
 
 	_, tsB := newTestServer(t, Config{StateDir: dir})
 	for _, setting := range []map[string]float64{nil, {"dataSize": 2}} {
-		resp, body := postJSON(t, tsB.URL+"/v1/run", RunRequest{Workload: "terasort", Setting: setting})
+		resp, body := postJSON(t, tsB.URL+"/v1/run", client.RunRequest{Workload: "terasort", Setting: setting})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("warm run %v: status %d body %s", setting, resp.StatusCode, body)
 		}
-		var rr RunResponse
+		var rr client.RunResponse
 		if err := json.Unmarshal(body, &rr); err != nil {
 			t.Fatal(err)
 		}
@@ -488,9 +490,9 @@ func TestRestoreFullQueueFailsJobInsteadOfHanging(t *testing.T) {
 	dir := t.TempDir()
 	var jobs []snapshot.JobEntry
 	for i := 1; i <= 3; i++ {
-		payload, err := json.Marshal(persistedJob{
-			Job: Job{ID: jobID(i), State: JobQueued, Workload: "terasort", Arch: "westmere"},
-			Request: TuneRequest{Workload: "terasort", Arch: "westmere",
+		payload, err := json.Marshal(jobRecord{
+			Job: client.JobResponse{ID: jobID(i), State: client.JobQueued, Workload: "terasort", Arch: "westmere"},
+			Request: client.TuneRequest{Workload: "terasort", Arch: "westmere",
 				Target: map[string]float64{"IPC": 1}, MaxIterations: 1,
 				Parameters: []string{"dataSize"}, ImpactFactors: []float64{1.25}, Metrics: []string{"IPC"}},
 		})
@@ -508,13 +510,13 @@ func TestRestoreFullQueueFailsJobInsteadOfHanging(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		counts := s.jobs.counts()
-		if counts[JobQueued] == 0 && counts[JobRunning] == 0 {
+		if counts[client.JobQueued] == 0 && counts[client.JobRunning] == 0 {
 			break
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
 	counts := s.jobs.counts()
-	if got := counts[JobDone] + counts[JobFailed]; got != 3 {
+	if got := counts[client.JobDone] + counts[client.JobFailed]; got != 3 {
 		t.Fatalf("restored jobs settled as %v, want all 3 done or failed", counts)
 	}
 }

@@ -1,15 +1,14 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
+	"dataproxy/internal/apihttp"
 	"dataproxy/pkg/client"
 )
 
@@ -117,44 +116,22 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 	}
 }
 
-// TestJobResponseByteCompatible pins the satellite contract of the
-// /v1/jobs/{id} redesign: projecting a Job onto JobResponse must produce
-// byte-identical JSON to marshalling the raw store record, finished and
-// unfinished alike.
-func TestJobResponseByteCompatible(t *testing.T) {
-	created := time.Date(2026, 8, 8, 10, 0, 0, 0, time.UTC)
-	jobs := []Job{
-		{
-			ID: "job-1", State: JobQueued, Workload: "wc", Arch: "westmere",
-			Created: created,
-			Request: TuneRequest{Workload: "wc"}, // must NOT leak into either shape
-		},
-		{
-			ID: "job-2", State: JobFailed, Workload: "sort", Arch: "haswell",
-			Created: created, Finished: created.Add(time.Minute),
-			Error: "boom",
-		},
-		{
-			ID: "job-3", State: JobDone, Workload: "grep", Arch: "westmere",
-			Created: created, Finished: created.Add(2 * time.Minute),
-			Result: &TuneResult{
-				Setting:   map[string]float64{"dataSize": 1.5},
-				Converged: true, Iterations: 3, Evaluations: 9, MemoHits: 2,
-				PerMetric: map[string]float64{},
-			},
-		},
+// TestOversizedBodyIsRejected: a request body past apihttp.MaxBody is a 400
+// bad_request even when it is valid JSON, so no client can make the replica
+// buffer an unbounded body.
+func TestOversizedBodyIsRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := `{"workload":"terasort"` + strings.Repeat(" ", apihttp.MaxBody) + `}`
+	resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, j := range jobs {
-		raw, err := json.Marshal(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		typed, err := json.Marshal(jobResponse(j))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(raw, typed) {
-			t.Errorf("job %s: typed response diverged from raw record:\nraw:   %s\ntyped: %s", j.ID, raw, typed)
-		}
+	defer resp.Body.Close()
+	var env client.ErrorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatalf("body is not an envelope: %v", err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || env.Error.Code != client.CodeBadRequest {
+		t.Fatalf("oversized body: %d %+v, want 400 bad_request", resp.StatusCode, env.Error)
 	}
 }

@@ -4,43 +4,18 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"dataproxy/pkg/client"
 )
 
-// JobState enumerates the lifecycle of an asynchronous tuning job.
-type JobState string
-
-// The job lifecycle: a job is queued on POST /v1/tune, running while the
-// dispatcher executes it, and ends done (result available) or failed
-// (error recorded).
-const (
-	JobQueued  JobState = "queued"
-	JobRunning JobState = "running"
-	JobDone    JobState = "done"
-	JobFailed  JobState = "failed"
-)
-
-// Job is one asynchronous proxy-qualification request and its outcome,
-// polled via GET /v1/jobs/{id}.
-type Job struct {
-	// ID is the opaque job identifier returned by POST /v1/tune.
-	ID string `json:"id"`
-	// State is the current lifecycle state.
-	State JobState `json:"state"`
-	// Workload and Arch echo the tuning request.
-	Workload string `json:"workload"`
-	Arch     string `json:"arch"`
-	// Created and Finished are wall-clock timestamps (Finished is zero until
-	// the job completes).
-	Created  time.Time `json:"created"`
-	Finished time.Time `json:"finished,omitzero"`
-	// Error holds the failure message of a failed job.
-	Error string `json:"error,omitempty"`
-	// Result holds the tuning outcome of a done job.
-	Result *TuneResult `json:"result,omitempty"`
-	// Request is the full tuning request, retained so an unfinished job can
-	// be snapshotted and re-driven after a restart.  It is deliberately not
-	// part of the GET /v1/jobs/{id} body.
-	Request TuneRequest `json:"-"`
+// jobRecord is one asynchronous proxy-qualification job: its GET
+// /v1/jobs/{id} body plus the original tuning request, retained so an
+// unfinished job can be snapshotted and re-driven after a restart.  The
+// record is also the job's snapshot payload, so its JSON shape is the
+// durable format.
+type jobRecord struct {
+	Job     client.JobResponse `json:"job"`
+	Request client.TuneRequest `json:"request"`
 }
 
 // jobStore is an in-memory job registry.  It is the persistence boundary a
@@ -52,31 +27,33 @@ type jobStore struct {
 	mu    sync.Mutex
 	seq   int
 	cap   int
-	jobs  map[string]*Job
+	jobs  map[string]*jobRecord
 	order []string // creation order, for pruning oldest finished jobs first
 }
 
 func newJobStore(cap int) *jobStore {
-	return &jobStore{cap: cap, jobs: make(map[string]*Job)}
+	return &jobStore{cap: cap, jobs: make(map[string]*jobRecord)}
 }
 
 // create registers a new queued job and returns a snapshot of it.
-func (js *jobStore) create(req TuneRequest, now time.Time) Job {
+func (js *jobStore) create(req client.TuneRequest, now time.Time) client.JobResponse {
 	js.mu.Lock()
 	defer js.mu.Unlock()
 	js.seq++
-	j := &Job{
-		ID:       fmt.Sprintf("job-%d", js.seq),
-		State:    JobQueued,
-		Workload: req.Workload,
-		Arch:     req.Arch,
-		Created:  now,
-		Request:  req,
+	rec := &jobRecord{
+		Job: client.JobResponse{
+			ID:       fmt.Sprintf("job-%d", js.seq),
+			State:    client.JobQueued,
+			Workload: req.Workload,
+			Arch:     req.Arch,
+			Created:  now,
+		},
+		Request: req,
 	}
-	js.jobs[j.ID] = j
-	js.order = append(js.order, j.ID)
+	js.jobs[rec.Job.ID] = rec
+	js.order = append(js.order, rec.Job.ID)
 	js.pruneLocked()
-	return *j
+	return rec.Job
 }
 
 // restore re-installs a job from a snapshot under its ORIGINAL ID, so
@@ -85,35 +62,35 @@ func (js *jobStore) create(req TuneRequest, now time.Time) Job {
 // old process; the caller re-enqueues it).  The ID counter advances past
 // every restored ID so new jobs never collide with restored ones.  Restoring
 // an ID that already exists is refused: live state beats a stale import.
-func (js *jobStore) restore(j Job) bool {
+func (js *jobStore) restore(rec jobRecord) bool {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	if _, exists := js.jobs[j.ID]; exists {
+	id := rec.Job.ID
+	if _, exists := js.jobs[id]; exists {
 		return false
 	}
-	if j.State == JobRunning {
-		j.State = JobQueued
+	if rec.Job.State == client.JobRunning {
+		rec.Job.State = client.JobQueued
 	}
 	var n int
-	if _, err := fmt.Sscanf(j.ID, "job-%d", &n); err == nil && n > js.seq {
+	if _, err := fmt.Sscanf(id, "job-%d", &n); err == nil && n > js.seq {
 		js.seq = n
 	}
-	rec := j
-	js.jobs[j.ID] = &rec
-	js.order = append(js.order, j.ID)
+	js.jobs[id] = &rec
+	js.order = append(js.order, id)
 	js.pruneLocked()
 	return true
 }
 
 // snapshot returns a copy of every job record in creation order, for the
 // state manager to persist.
-func (js *jobStore) snapshot() []Job {
+func (js *jobStore) snapshot() []jobRecord {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	out := make([]Job, 0, len(js.jobs))
+	out := make([]jobRecord, 0, len(js.jobs))
 	for _, id := range js.order {
-		if j, ok := js.jobs[id]; ok {
-			out = append(out, *j)
+		if rec, ok := js.jobs[id]; ok {
+			out = append(out, *rec)
 		}
 	}
 	return out
@@ -127,11 +104,11 @@ func (js *jobStore) pruneLocked() {
 	}
 	kept := js.order[:0]
 	for _, id := range js.order {
-		j, ok := js.jobs[id]
+		rec, ok := js.jobs[id]
 		if !ok {
 			continue // removed out of band (e.g. a shed tune)
 		}
-		if len(js.jobs) > js.cap && (j.State == JobDone || j.State == JobFailed) {
+		if len(js.jobs) > js.cap && rec.Job.IsFinished() {
 			delete(js.jobs, id)
 			continue
 		}
@@ -140,15 +117,15 @@ func (js *jobStore) pruneLocked() {
 	js.order = kept
 }
 
-// get returns a snapshot of the job by ID.
-func (js *jobStore) get(id string) (Job, bool) {
+// get returns a snapshot of the job's body by ID.
+func (js *jobStore) get(id string) (client.JobResponse, bool) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	j, ok := js.jobs[id]
+	rec, ok := js.jobs[id]
 	if !ok {
-		return Job{}, false
+		return client.JobResponse{}, false
 	}
-	return *j, true
+	return rec.Job, true
 }
 
 // remove deletes a job record outright.  It is used when a job was created
@@ -164,38 +141,39 @@ func (js *jobStore) remove(id string) {
 func (js *jobStore) setRunning(id string) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	if j := js.jobs[id]; j != nil {
-		j.State = JobRunning
+	if rec := js.jobs[id]; rec != nil {
+		rec.Job.State = client.JobRunning
 	}
 }
 
 // finish records the job outcome: done with a result, or failed with an
 // error message.
-func (js *jobStore) finish(id string, res *TuneResult, err error, now time.Time) {
+func (js *jobStore) finish(id string, res *client.TuneResult, err error, now time.Time) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	j := js.jobs[id]
-	if j == nil {
+	rec := js.jobs[id]
+	if rec == nil {
 		return
 	}
+	j := &rec.Job
 	j.Finished = now
 	if err != nil {
-		j.State = JobFailed
+		j.State = client.JobFailed
 		j.Error = err.Error()
 	} else {
-		j.State = JobDone
+		j.State = client.JobDone
 		j.Result = res
 	}
 	js.pruneLocked()
 }
 
 // counts returns the number of jobs per state, for the /metrics endpoint.
-func (js *jobStore) counts() map[JobState]int {
+func (js *jobStore) counts() map[string]int {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	out := make(map[JobState]int, 4)
-	for _, j := range js.jobs {
-		out[j.State]++
+	out := make(map[string]int, 4)
+	for _, rec := range js.jobs {
+		out[rec.Job.State]++
 	}
 	return out
 }

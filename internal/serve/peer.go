@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dataproxy/internal/apihttp"
 	"dataproxy/internal/perf"
 	"dataproxy/internal/snapshot"
 	"dataproxy/internal/tuner"
@@ -38,10 +39,6 @@ type Peer struct {
 // peerHeader carries the sender's shard name on a peer exchange so the
 // receiver can attribute installed entries per peer in /v1/cluster.
 const peerHeader = "X-Proxyd-Peer"
-
-// maxPeerBody bounds a peer-exchange request body; a conforming sender stays
-// far below it (GossipBatch entries per exchange).
-const maxPeerBody = 8 << 20
 
 // peerState is one partner's book-keeping on the sending side.
 type peerState struct {
@@ -214,9 +211,9 @@ func (pm *peerManager) exchange(p *peerState, entries []tuner.ExportedEntry) err
 // simulation work, and a draining replica's cache is precisely the one worth
 // spreading before it exits.
 func (s *Server) handlePeerEntries(w http.ResponseWriter, r *http.Request) {
-	st, err := snapshot.Decode(http.MaxBytesReader(w, r.Body, maxPeerBody))
+	st, err := snapshot.Decode(http.MaxBytesReader(w, r.Body, apihttp.MaxBody))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("serve: undecodable peer exchange: %w", err))
+		apihttp.Fail(w, http.StatusBadRequest, fmt.Errorf("serve: undecodable peer exchange: %w", err))
 		return
 	}
 	memo := s.sched.currentMemo()
@@ -249,7 +246,7 @@ func (s *Server) handlePeerEntries(w http.ResponseWriter, r *http.Request) {
 		log.Printf("proxyd: installed %d gossiped cache entries (%d skipped) from %q",
 			installed, skipped, r.Header.Get(peerHeader))
 	}
-	writeJSON(w, http.StatusOK, client.PeerExchangeResponse{
+	apihttp.WriteJSON(w, http.StatusOK, client.PeerExchangeResponse{
 		Received:  len(st.MemoEntries),
 		Installed: installed,
 		Skipped:   skipped,
@@ -271,7 +268,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	apihttp.WriteJSON(w, http.StatusOK, out)
 }
 
 // writeGossipMetrics renders the gossip counters and per-peer health gauges.

@@ -20,6 +20,7 @@ import (
 	"dataproxy/internal/sim"
 	"dataproxy/internal/testutil"
 	"dataproxy/internal/tuner"
+	"dataproxy/pkg/client"
 )
 
 // newTestServer boots a Server and an httptest front end, both torn down
@@ -82,7 +83,7 @@ func TestHealthzAndListings(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/workloads status %d", resp.StatusCode)
 	}
-	var infos []WorkloadInfo
+	var infos []client.WorkloadInfo
 	if err := json.Unmarshal(body, &infos); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestHealthzAndListings(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/archs status %d", resp.StatusCode)
 	}
-	var archs []ArchInfo
+	var archs []client.ArchInfo
 	if err := json.Unmarshal(body, &archs); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestHealthzAndListings(t *testing.T) {
 
 func TestRunRejectsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for name, req := range map[string]RunRequest{
+	for name, req := range map[string]client.RunRequest{
 		"unknown workload":  {Workload: "wordcount"},
 		"unknown arch":      {Workload: "terasort", Arch: "skylake"},
 		"unknown parameter": {Workload: "terasort", Setting: map[string]float64{"dataSizes": 2}},
@@ -117,10 +118,10 @@ func TestRunRejectsBadRequests(t *testing.T) {
 		}
 	}
 	for name, req := range map[string]any{
-		"both setting and settings": RunRequest{Workload: "terasort", Setting: map[string]float64{"dataSize": 2}, Settings: []map[string]float64{{"dataSize": 3}}},
+		"both setting and settings": client.RunRequest{Workload: "terasort", Setting: map[string]float64{"dataSize": 2}, Settings: []map[string]float64{{"dataSize": 3}}},
 		"empty settings batch":      map[string]any{"workload": "terasort", "settings": []any{}},
-		"bad setting in batch":      RunRequest{Workload: "terasort", Settings: []map[string]float64{{"dataSize": 2}, {"dataSize": -1}}},
-		"unknown param in batch":    RunRequest{Workload: "terasort", Settings: []map[string]float64{{"dataSizes": 2}}},
+		"bad setting in batch":      client.RunRequest{Workload: "terasort", Settings: []map[string]float64{{"dataSize": 2}, {"dataSize": -1}}},
+		"unknown param in batch":    client.RunRequest{Workload: "terasort", Settings: []map[string]float64{{"dataSizes": 2}}},
 	} {
 		resp, _ := postJSON(t, ts.URL+"/v1/run", req)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -133,13 +134,13 @@ func TestRunRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// runMetricsJSON extracts the deterministic metric-vector encoding of a run
-// response body (the Coalesced flag legitimately differs between the
+// runMetricsJSON extracts the served metric-vector bytes of a run response
+// body, compacted (the Coalesced flag legitimately differs between the
 // executing request and its coalesced twins, so bodies are compared on the
 // metric payload).
 func runMetricsJSON(t *testing.T, body []byte) string {
 	t.Helper()
-	var rr RunResponse
+	var rr client.RunResponse
 	if err := json.Unmarshal(body, &rr); err != nil {
 		t.Fatalf("decoding run response %s: %v", body, err)
 	}
@@ -147,10 +148,20 @@ func runMetricsJSON(t *testing.T, body []byte) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.RuntimeSeconds != rr.Metrics.Runtime {
-		t.Fatalf("runtime_seconds %g != metrics runtime %g", rr.RuntimeSeconds, rr.Metrics.Runtime)
+	if m := decodeMetrics(t, rr.Metrics); rr.RuntimeSeconds != m.Runtime {
+		t.Fatalf("runtime_seconds %g != metrics runtime %g", rr.RuntimeSeconds, m.Runtime)
 	}
 	return string(data)
+}
+
+// decodeMetrics decodes a raw metric vector of a response body.
+func decodeMetrics(t *testing.T, raw json.RawMessage) perf.Metrics {
+	t.Helper()
+	var m perf.Metrics
+	if err := m.UnmarshalJSON(raw); err != nil {
+		t.Fatalf("decoding metric vector %s: %v", raw, err)
+	}
+	return m
 }
 
 // TestRunCoalescesAndIsDeterministic is the serving layer's core property
@@ -158,7 +169,7 @@ func runMetricsJSON(t *testing.T, body []byte) string {
 // simulation, every response carries bit-identical metrics, and the metrics
 // are bit-identical at any host worker count.
 func TestRunCoalescesAndIsDeterministic(t *testing.T) {
-	req := RunRequest{Workload: "terasort", Arch: "westmere", Setting: map[string]float64{"dataSize": 1.5, "numTasks": 0.5}}
+	req := client.RunRequest{Workload: "terasort", Arch: "westmere", Setting: map[string]float64{"dataSize": 1.5, "numTasks": 0.5}}
 	var perWorkerCount []string
 	for _, workers := range []int{1, 4} {
 		prev := parallel.SetWorkers(workers)
@@ -214,7 +225,7 @@ func TestRunCoalescesAndIsDeterministic(t *testing.T) {
 func TestRunMatchesDirectExecution(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, setting := range []core.Setting{{"dataSize": 0.8}, {"dataSize": 1.4, "numTasks": 0.5}} {
-		resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "kmeans", Setting: setting})
+		resp, body := postJSON(t, ts.URL+"/v1/run", client.RunRequest{Workload: "kmeans", Setting: setting})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d body %s", resp.StatusCode, body)
 		}
@@ -260,7 +271,7 @@ func TestRunShedsOverloadWith429(t *testing.T) {
 
 	first := make(chan int, 1)
 	go func() {
-		resp, _ := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "terasort", Setting: map[string]float64{"dataSize": 1}})
+		resp, _ := postJSON(t, ts.URL+"/v1/run", client.RunRequest{Workload: "terasort", Setting: map[string]float64{"dataSize": 1}})
 		first <- resp.StatusCode
 	}()
 	select {
@@ -269,7 +280,7 @@ func TestRunShedsOverloadWith429(t *testing.T) {
 		t.Fatal("first request never started executing")
 	}
 
-	resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "terasort", Setting: map[string]float64{"dataSize": 2}})
+	resp, body := postJSON(t, ts.URL+"/v1/run", client.RunRequest{Workload: "terasort", Setting: map[string]float64{"dataSize": 2}})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overloaded request: status %d body %s, want 429", resp.StatusCode, body)
 	}
@@ -281,7 +292,7 @@ func TestRunShedsOverloadWith429(t *testing.T) {
 	if status := <-first; status != http.StatusOK {
 		t.Fatalf("first request: status %d, want 200", status)
 	}
-	resp, body = postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "terasort", Setting: map[string]float64{"dataSize": 2}})
+	resp, body = postJSON(t, ts.URL+"/v1/run", client.RunRequest{Workload: "terasort", Setting: map[string]float64{"dataSize": 2}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("retry after shed: status %d body %s", resp.StatusCode, body)
 	}
@@ -301,7 +312,7 @@ func TestRunBatchMixedWarmColdExecutesOnlyCold(t *testing.T) {
 	warm := []map[string]float64{{"dataSize": 0.8}, {"dataSize": 1.2}}
 	singles := make([]string, len(warm))
 	for i, setting := range warm {
-		resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "terasort", Setting: setting})
+		resp, body := postJSON(t, ts.URL+"/v1/run", client.RunRequest{Workload: "terasort", Setting: setting})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("warmup %d: status %d body %s", i, resp.StatusCode, body)
 		}
@@ -314,11 +325,11 @@ func TestRunBatchMixedWarmColdExecutesOnlyCold(t *testing.T) {
 	// Two warm settings, one cold setting submitted twice: only the distinct
 	// cold setting may simulate.
 	batch := []map[string]float64{{"dataSize": 1.2}, {"dataSize": 2.0}, {"dataSize": 0.8}, {"dataSize": 2.0}}
-	resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "terasort", Settings: batch})
+	resp, body := postJSON(t, ts.URL+"/v1/run", client.RunRequest{Workload: "terasort", Settings: batch})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: status %d body %s", resp.StatusCode, body)
 	}
-	var br RunBatchResponse
+	var br client.RunBatchResponse
 	if err := json.Unmarshal(body, &br); err != nil {
 		t.Fatal(err)
 	}
@@ -349,11 +360,11 @@ func TestRunBatchMixedWarmColdExecutesOnlyCold(t *testing.T) {
 
 	// The batch's cold execution is keyed like any other: a later legacy
 	// single request for it must coalesce with identical metrics.
-	resp, body = postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "terasort", Setting: map[string]float64{"dataSize": 2.0}})
+	resp, body = postJSON(t, ts.URL+"/v1/run", client.RunRequest{Workload: "terasort", Setting: map[string]float64{"dataSize": 2.0}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-batch single: status %d body %s", resp.StatusCode, body)
 	}
-	var rr RunResponse
+	var rr client.RunResponse
 	if err := json.Unmarshal(body, &rr); err != nil {
 		t.Fatal(err)
 	}
@@ -394,13 +405,13 @@ func TestRunBatchShedsWholeBatch(t *testing.T) {
 
 	// Warm dataSize=1 (first evalFn call does not block), then park the only
 	// slot with a cold single run.
-	resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "terasort", Setting: map[string]float64{"dataSize": 1}})
+	resp, body := postJSON(t, ts.URL+"/v1/run", client.RunRequest{Workload: "terasort", Setting: map[string]float64{"dataSize": 1}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("warmup: status %d body %s", resp.StatusCode, body)
 	}
 	parked := make(chan int, 1)
 	go func() {
-		resp, _ := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "terasort", Setting: map[string]float64{"dataSize": 2}})
+		resp, _ := postJSON(t, ts.URL+"/v1/run", client.RunRequest{Workload: "terasort", Setting: map[string]float64{"dataSize": 2}})
 		parked <- resp.StatusCode
 	}()
 	select {
@@ -409,7 +420,7 @@ func TestRunBatchShedsWholeBatch(t *testing.T) {
 		t.Fatal("parking request never started executing")
 	}
 
-	mixed := RunRequest{Workload: "terasort", Settings: []map[string]float64{{"dataSize": 1}, {"dataSize": 3}}}
+	mixed := client.RunRequest{Workload: "terasort", Settings: []map[string]float64{{"dataSize": 1}, {"dataSize": 3}}}
 	resp, body = postJSON(t, ts.URL+"/v1/run", mixed)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("mixed batch under load: status %d body %s, want 429", resp.StatusCode, body)
@@ -423,7 +434,7 @@ func TestRunBatchShedsWholeBatch(t *testing.T) {
 
 	// All-warm batches bypass admission entirely, so they still succeed while
 	// the slot is parked.
-	resp, body = postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "terasort", Settings: []map[string]float64{{"dataSize": 1}, {"dataSize": 1}}})
+	resp, body = postJSON(t, ts.URL+"/v1/run", client.RunRequest{Workload: "terasort", Settings: []map[string]float64{{"dataSize": 1}, {"dataSize": 1}}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("all-warm batch under load: status %d body %s", resp.StatusCode, body)
 	}
@@ -443,7 +454,7 @@ func TestRunBatchShedsWholeBatch(t *testing.T) {
 
 // pollJob polls GET /v1/jobs/{id} until the job leaves the queued/running
 // states.
-func pollJob(t *testing.T, baseURL, id string) Job {
+func pollJob(t *testing.T, baseURL, id string) client.JobResponse {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	for time.Now().Before(deadline) {
@@ -451,17 +462,17 @@ func pollJob(t *testing.T, baseURL, id string) Job {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("job poll: status %d body %s", resp.StatusCode, body)
 		}
-		var job Job
+		var job client.JobResponse
 		if err := json.Unmarshal(body, &job); err != nil {
 			t.Fatal(err)
 		}
-		if job.State == JobDone || job.State == JobFailed {
+		if job.State == client.JobDone || job.State == client.JobFailed {
 			return job
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
 	t.Fatal("job did not finish in time")
-	return Job{}
+	return client.JobResponse{}
 }
 
 // TestTuneJobLifecycle submits an asynchronous qualification with an
@@ -473,17 +484,18 @@ func TestTuneJobLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	// Self-target: measure the proxy itself once via the run endpoint.
-	resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "terasort"})
+	resp, body := postJSON(t, ts.URL+"/v1/run", client.RunRequest{Workload: "terasort"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("target run: status %d body %s", resp.StatusCode, body)
 	}
-	var rr RunResponse
+	var rr client.RunResponse
 	if err := json.Unmarshal(body, &rr); err != nil {
 		t.Fatal(err)
 	}
-	target := map[string]float64{"IPC": rr.Metrics.IPC, "MIPS": rr.Metrics.MIPS}
+	m := decodeMetrics(t, rr.Metrics)
+	target := map[string]float64{"IPC": m.IPC, "MIPS": m.MIPS}
 
-	resp, body = postJSON(t, ts.URL+"/v1/tune", TuneRequest{
+	resp, body = postJSON(t, ts.URL+"/v1/tune", client.TuneRequest{
 		Workload:      "terasort",
 		MaxIterations: 1,
 		Metrics:       []string{"IPC", "MIPS"},
@@ -494,16 +506,16 @@ func TestTuneJobLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("tune: status %d body %s, want 202", resp.StatusCode, body)
 	}
-	var accepted TuneResponse
+	var accepted client.TuneResponse
 	if err := json.Unmarshal(body, &accepted); err != nil {
 		t.Fatal(err)
 	}
-	if accepted.JobID == "" || accepted.State != JobQueued {
+	if accepted.JobID == "" || accepted.State != client.JobQueued {
 		t.Fatalf("tune response %+v", accepted)
 	}
 
 	job := pollJob(t, ts.URL, accepted.JobID)
-	if job.State != JobDone {
+	if job.State != client.JobDone {
 		t.Fatalf("job state %s (error %q), want done", job.State, job.Error)
 	}
 	if job.Result == nil || !job.Result.Converged {
@@ -515,7 +527,7 @@ func TestTuneJobLifecycle(t *testing.T) {
 
 	// The tuner's baseline evaluation used the default setting on the same
 	// prototype configuration, so this run must be a cache hit.
-	resp, body = postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "terasort"})
+	resp, body = postJSON(t, ts.URL+"/v1/run", client.RunRequest{Workload: "terasort"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-tune run: status %d body %s", resp.StatusCode, body)
 	}
@@ -529,7 +541,7 @@ func TestTuneJobLifecycle(t *testing.T) {
 
 func TestTuneRejectsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for name, req := range map[string]TuneRequest{
+	for name, req := range map[string]client.TuneRequest{
 		"unknown workload":      {Workload: "wordcount"},
 		"unknown arch":          {Workload: "terasort", Arch: "skylake"},
 		"unknown target metric": {Workload: "terasort", Target: map[string]float64{"ipc": 1}},
@@ -555,9 +567,9 @@ func TestTuneRejectsBadRequests(t *testing.T) {
 func TestJobStorePrunesOldestFinished(t *testing.T) {
 	js := newJobStore(2)
 	now := time.Unix(0, 0)
-	a := js.create(TuneRequest{Workload: "terasort", Arch: "westmere"}, now)
-	b := js.create(TuneRequest{Workload: "kmeans", Arch: "westmere"}, now)
-	c := js.create(TuneRequest{Workload: "pagerank", Arch: "westmere"}, now)
+	a := js.create(client.TuneRequest{Workload: "terasort", Arch: "westmere"}, now)
+	b := js.create(client.TuneRequest{Workload: "kmeans", Arch: "westmere"}, now)
+	c := js.create(client.TuneRequest{Workload: "pagerank", Arch: "westmere"}, now)
 	js.finish(a.ID, nil, nil, now)
 	if _, ok := js.get(a.ID); ok {
 		t.Fatal("oldest finished job should have been pruned at cap 2")
@@ -569,7 +581,7 @@ func TestJobStorePrunesOldestFinished(t *testing.T) {
 	}
 	js.finish(b.ID, nil, nil, now)
 	js.finish(c.ID, nil, nil, now)
-	d := js.create(TuneRequest{Workload: "alexnet", Arch: "westmere"}, now)
+	d := js.create(client.TuneRequest{Workload: "alexnet", Arch: "westmere"}, now)
 	if _, ok := js.get(b.ID); ok {
 		t.Fatal("job b should have been pruned when d arrived")
 	}
@@ -589,7 +601,7 @@ func TestTuneImplicitTargetMeasuresRealWorkload(t *testing.T) {
 		t.Skip("real-workload measurement is not a -short workload")
 	}
 	_, ts := newTestServer(t, Config{})
-	resp, body := postJSON(t, ts.URL+"/v1/tune", TuneRequest{
+	resp, body := postJSON(t, ts.URL+"/v1/tune", client.TuneRequest{
 		Workload:      "terasort",
 		MaxIterations: 2,
 		Parameters:    []string{"dataSize", "numTasks"},
@@ -599,15 +611,15 @@ func TestTuneImplicitTargetMeasuresRealWorkload(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("tune: status %d body %s", resp.StatusCode, body)
 	}
-	var accepted TuneResponse
+	var accepted client.TuneResponse
 	if err := json.Unmarshal(body, &accepted); err != nil {
 		t.Fatal(err)
 	}
 	job := pollJob(t, ts.URL, accepted.JobID)
-	if job.State != JobDone {
+	if job.State != client.JobDone {
 		t.Fatalf("job state %s (error %q), want done", job.State, job.Error)
 	}
-	if job.Result.Target.Runtime == 0 {
+	if decodeMetrics(t, job.Result.Target).Runtime == 0 {
 		t.Fatal("implicit target should carry the real workload's measured metrics")
 	}
 }
@@ -643,7 +655,7 @@ func TestTuneQueueShedsWith429(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("cache pre-claim never started")
 	}
-	tuneReq := TuneRequest{Workload: "terasort", MaxIterations: 1, Parameters: []string{"dataSize"}, ImpactFactors: []float64{1.25}, Metrics: []string{"IPC"}, Target: map[string]float64{"IPC": 1}}
+	tuneReq := client.TuneRequest{Workload: "terasort", MaxIterations: 1, Parameters: []string{"dataSize"}, ImpactFactors: []float64{1.25}, Metrics: []string{"IPC"}, Target: map[string]float64{"IPC": 1}}
 
 	// First job: dequeued by the dispatcher, which blocks on the pre-claimed
 	// baseline key.
@@ -651,14 +663,14 @@ func TestTuneQueueShedsWith429(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first tune: status %d body %s", resp.StatusCode, body)
 	}
-	var first TuneResponse
+	var first client.TuneResponse
 	if err := json.Unmarshal(body, &first); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		job, ok := s.jobs.get(first.JobID)
-		if ok && job.State == JobRunning {
+		if ok && job.State == client.JobRunning {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -682,7 +694,7 @@ func TestTuneQueueShedsWith429(t *testing.T) {
 // gauges and cache counters the issue names.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "terasort"})
+	resp, body := postJSON(t, ts.URL+"/v1/run", client.RunRequest{Workload: "terasort"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("run: status %d body %s", resp.StatusCode, body)
 	}
@@ -729,7 +741,7 @@ func TestResultCacheIsBounded(t *testing.T) {
 		})
 	}
 	for i := 1; i <= 10; i++ {
-		resp, body := postJSON(t, ts.URL+"/v1/run", RunRequest{Workload: "terasort", Setting: map[string]float64{"dataSize": float64(i)}})
+		resp, body := postJSON(t, ts.URL+"/v1/run", client.RunRequest{Workload: "terasort", Setting: map[string]float64{"dataSize": float64(i)}})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("run %d: status %d body %s", i, resp.StatusCode, body)
 		}
@@ -759,7 +771,7 @@ func TestShedTuneLeavesNoJobRecord(t *testing.T) {
 		})
 	}()
 	<-blocked
-	tuneReq := TuneRequest{Workload: "terasort", MaxIterations: 1, Parameters: []string{"dataSize"}, ImpactFactors: []float64{1.25}, Metrics: []string{"IPC"}, Target: map[string]float64{"IPC": 1}}
+	tuneReq := client.TuneRequest{Workload: "terasort", MaxIterations: 1, Parameters: []string{"dataSize"}, ImpactFactors: []float64{1.25}, Metrics: []string{"IPC"}, Target: map[string]float64{"IPC": 1}}
 	shed := 0
 	for i := 0; i < 5; i++ {
 		resp, _ := postJSON(t, ts.URL+"/v1/tune", tuneReq)

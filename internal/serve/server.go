@@ -27,7 +27,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -165,7 +164,7 @@ func (c Config) withDefaults() Config {
 // Handler, and Close it to stop the job dispatcher.
 type Server struct {
 	cfg   Config
-	mux   *http.ServeMux
+	mux   *apihttp.Mux
 	sched *scheduler
 	jobs  *jobStore
 
@@ -190,16 +189,12 @@ type Server struct {
 	// peers is the gossip manager, nil unless Config.Peers is set.
 	peers *peerManager
 
-	httpInFlight atomic.Int64
-	reqMu        sync.Mutex
-	reqCounts    map[string]int64
-
 	now func() time.Time
 }
 
 type tuneJob struct {
 	id  string
-	req TuneRequest
+	req client.TuneRequest
 }
 
 // New builds a Server: one prototype single-node cluster per stock
@@ -218,13 +213,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:       cfg,
-		mux:       http.NewServeMux(),
+		mux:       apihttp.NewMux(cfg.RequestLog, "shard", cfg.Name),
 		sched:     newScheduler(cfg.MaxInFlight, cfg.QueueDepth, cfg.MaxCacheEntries, cfg.CoalesceWindow, cfg.CoalesceLanes, protos),
 		jobs:      newJobStore(cfg.MaxJobHistory),
 		realMemo:  tuner.NewMemo(),
 		tuneQueue: make(chan tuneJob, cfg.JobQueueDepth),
 		stop:      make(chan struct{}),
-		reqCounts: make(map[string]int64),
 		now:       time.Now,
 	}
 	s.routes()
@@ -263,7 +257,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	defer cancel()
 	err := s.awaitIdle(ctx)
 	if s.state != nil {
-		if serr := s.snapshotNow(); err == nil {
+		if serr := s.SnapshotNow(); err == nil {
 			err = serr
 		}
 	}
@@ -284,7 +278,7 @@ func (s *Server) awaitIdle(ctx context.Context) error {
 	ticker := time.NewTicker(5 * time.Millisecond)
 	defer ticker.Stop()
 	for {
-		if s.sched.inFlight() == 0 && s.jobs.counts()[JobRunning] == 0 {
+		if s.sched.inFlight() == 0 && s.jobs.counts()[client.JobRunning] == 0 {
 			return nil
 		}
 		select {
@@ -297,9 +291,7 @@ func (s *Server) awaitIdle(ctx context.Context) error {
 
 // SnapshotNow writes a snapshot immediately.  It is a no-op without a state
 // directory.
-func (s *Server) SnapshotNow() error { return s.snapshotNow() }
-
-func (s *Server) snapshotNow() error {
+func (s *Server) SnapshotNow() error {
 	if s.state == nil {
 		return nil
 	}
@@ -313,156 +305,33 @@ func (s *Server) Close() {
 	s.done.Wait()
 }
 
-// Handler returns the HTTP handler serving the proxyd API.  The mux is
-// wrapped so even unmatched-route and wrong-method errors carry the /v1
-// error envelope instead of the mux's bare-text bodies.
-func (s *Server) Handler() http.Handler { return apihttp.EnvelopeFallback(s.mux) }
+// Handler returns the HTTP handler serving the proxyd API.  Every route runs
+// behind the shared apihttp middleware, so even unmatched-route and
+// wrong-method errors carry the /v1 error envelope instead of the mux's
+// bare-text bodies.
+func (s *Server) Handler() http.Handler { return s.mux }
 
 // Config returns the server's configuration with defaults resolved.
 func (s *Server) Config() Config { return s.cfg }
 
 func (s *Server) routes() {
-	s.handle("GET /healthz", s.handleHealthz)
-	s.handle("GET /readyz", s.handleReadyz)
-	s.handle("GET /metrics", s.handleMetrics)
-	s.handle("GET /v1/workloads", s.handleWorkloads)
-	s.handle("GET /v1/archs", s.handleArchs)
-	s.handle("POST /v1/run", s.handleRun)
-	s.handle("POST /v1/tune", s.handleTune)
-	s.handle("GET /v1/jobs/{id}", s.handleJob)
-	s.handle("GET /v1/cluster", s.handleCluster)
-	s.handle("POST /v1/peer/entries", s.handlePeerEntries)
+	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
+	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
+	s.mux.HandleFunc("GET /v1/archs", s.handleArchs)
+	s.mux.HandleFunc("POST /v1/run", s.handleRun)
+	s.mux.HandleFunc("POST /v1/tune", s.handleTune)
+	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
+	s.mux.HandleFunc("GET /v1/cluster", s.handleCluster)
+	s.mux.HandleFunc("POST /v1/peer/entries", s.handlePeerEntries)
 }
 
-// handle registers a route with request counting, the in-flight gauge and —
-// when Config.RequestLog is set — one structured log line per request.
-func (s *Server) handle(pattern string, h http.HandlerFunc) {
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		s.httpInFlight.Add(1)
-		defer s.httpInFlight.Add(-1)
-		s.reqMu.Lock()
-		s.reqCounts[pattern]++
-		s.reqMu.Unlock()
-		lg := s.cfg.RequestLog
-		if lg == nil {
-			h(w, r)
-			return
-		}
-		start := time.Now()
-		info := &reqLogInfo{}
-		r = r.WithContext(context.WithValue(r.Context(), ctxKeyReqLog{}, info))
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r)
-		attrs := []any{
-			"method", r.Method,
-			"route", pattern,
-			"status", sw.status,
-			"duration_ms", float64(time.Since(start).Microseconds()) / 1000,
-			"shard", s.cfg.Name,
-		}
-		if info.hasCoalesced {
-			attrs = append(attrs, "coalesced", info.coalesced)
-		}
-		lg.Info("request", attrs...)
-	})
-}
-
-// statusWriter captures the status code a handler writes, for the request
-// log.  Handlers that never call WriteHeader implicitly answer 200.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-// WriteHeader records the status before delegating.
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// reqLogInfo carries per-request annotations (today: the run handlers'
-// coalesced flag) from a handler back to the logging middleware; ctxKeyReqLog
-// keys it into the request context.
-type reqLogInfo struct {
-	coalesced    bool
-	hasCoalesced bool
-}
-
-type ctxKeyReqLog struct{}
-
-// annotateCoalesced records the run's coalesced flag for the request log; it
-// is a no-op when request logging is off.
-func annotateCoalesced(ctx context.Context, coalesced bool) {
-	if info, ok := ctx.Value(ctxKeyReqLog{}).(*reqLogInfo); ok {
-		info.coalesced = coalesced
-		info.hasCoalesced = true
-	}
-}
-
-// RunRequest is the body of POST /v1/run.
-type RunRequest struct {
-	// Workload selects the proxy benchmark by real-workload short name
-	// (one of proxy.Workloads()).
-	Workload string `json:"workload"`
-	// Arch selects the architecture profile short name ("westmere",
-	// "haswell"); empty selects "westmere".
-	Arch string `json:"arch,omitempty"`
-	// Setting holds multiplicative factors over the proxy's base parameters,
-	// keyed by core.ParameterNames (e.g. {"dataSize": 1.5}); omitted
-	// parameters default to 1.
-	Setting map[string]float64 `json:"setting,omitempty"`
-	// Settings submits a batch: one entry per setting to evaluate, each shaped
-	// like Setting (a nil entry selects the default setting).  Mutually
-	// exclusive with Setting; the response is a RunBatchResponse with one
-	// result per setting in request order.  Cold settings of the batch execute
-	// as one trace-sharing sweep and each is cached individually, so a later
-	// batch overlapping this one only simulates the genuinely new settings.
-	Settings []map[string]float64 `json:"settings,omitempty"`
-}
-
-// RunResponse is the body of a successful POST /v1/run.
-type RunResponse struct {
-	// Workload and Benchmark identify the executed proxy; Arch the profile.
-	Workload  string `json:"workload"`
-	Benchmark string `json:"benchmark"`
-	Arch      string `json:"arch"`
-	// RuntimeSeconds is the proxy's virtual execution time.
-	RuntimeSeconds float64 `json:"runtime_seconds"`
-	// Coalesced reports whether the result was served from the result cache
-	// (or an in-flight identical request) instead of a fresh simulation.
-	Coalesced bool `json:"coalesced"`
-	// Metrics is the full metric vector (perf.MetricNames keys).
-	Metrics perf.Metrics `json:"metrics"`
-}
-
-// RunResult is one per-setting outcome inside a RunBatchResponse.
-type RunResult struct {
-	// RuntimeSeconds is the proxy's virtual execution time under this setting.
-	RuntimeSeconds float64 `json:"runtime_seconds"`
-	// Coalesced reports whether this setting was served from the result cache
-	// (or batch-internal deduplication) instead of a fresh simulation.
-	Coalesced bool `json:"coalesced"`
-	// Metrics is the full metric vector (perf.MetricNames keys).
-	Metrics perf.Metrics `json:"metrics"`
-}
-
-// RunBatchResponse is the body of a successful batched POST /v1/run
-// (RunRequest.Settings): one RunResult per submitted setting, in request
-// order.
-type RunBatchResponse struct {
-	// Workload and Benchmark identify the executed proxy; Arch the profile.
-	Workload  string `json:"workload"`
-	Benchmark string `json:"benchmark"`
-	Arch      string `json:"arch"`
-	// Results holds the per-setting outcomes in request order.
-	Results []RunResult `json:"results"`
-}
-
-// handleRun serves POST /v1/run.  A legacy single-setting body ("setting", or
-// neither field) is answered with a RunResponse exactly as before; a batch
-// body ("settings") is answered with a RunBatchResponse carrying one result
-// per setting in request order.  Setting and Settings are mutually exclusive
-// and an empty Settings array is rejected, both with 400.
+// handleRun serves POST /v1/run (body client.RunRequest).  A single-setting
+// body ("setting", or neither field) is answered with a client.RunResponse;
+// a batch body ("settings") with a client.RunBatchResponse carrying one
+// result per setting in request order.  Setting and Settings are mutually
+// exclusive and an empty Settings array is rejected, both with 400.
 //
 // Shed and 429 semantics for batches are all-or-nothing.  Settings already
 // completed in the result cache are answered without admission; a batch whose
@@ -474,76 +343,98 @@ type RunBatchResponse struct {
 // cache.  Each cold setting is memoized individually, which means partial
 // cache hits on later overlapping batches skip simulation per setting.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	if err := decodeJSON(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	var req client.RunRequest
+	if _, err := apihttp.DecodeBody(w, r, &req); err != nil {
+		apihttp.Fail(w, http.StatusBadRequest, fmt.Errorf("serve: %w", err))
 		return
 	}
 	b, err := proxy.ForWorkload(req.Workload)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		apihttp.Fail(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Settings != nil {
 		s.handleRunBatch(w, r, req, b)
 		return
 	}
-	archName, setting, err := normalizeRun(req)
+	archName, err := resolveArch(req.Arch)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		apihttp.Fail(w, http.StatusBadRequest, err)
+		return
+	}
+	setting, err := resolveSetting(req.Setting)
+	if err != nil {
+		apihttp.Fail(w, http.StatusBadRequest, err)
 		return
 	}
 	metrics, coalesced, err := s.sched.run(r.Context(), archName, b, setting)
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		httpError(w, http.StatusTooManyRequests, err)
-		return
-	case err != nil:
-		httpError(w, http.StatusInternalServerError, err)
+	if err != nil {
+		runError(w, err)
 		return
 	}
-	annotateCoalesced(r.Context(), coalesced)
-	writeJSON(w, http.StatusOK, RunResponse{
+	raw, err := metrics.MarshalJSON()
+	if err != nil {
+		apihttp.Fail(w, http.StatusInternalServerError, err)
+		return
+	}
+	apihttp.Annotate(r.Context(), "coalesced", coalesced)
+	apihttp.WriteJSON(w, http.StatusOK, client.RunResponse{
 		Workload:       req.Workload,
 		Benchmark:      b.Name,
 		Arch:           archName,
 		RuntimeSeconds: metrics.Runtime,
 		Coalesced:      coalesced,
-		Metrics:        metrics,
+		Metrics:        raw,
 	})
 }
 
 // handleRunBatch answers the Settings form of POST /v1/run; see handleRun for
-// the shed/429 contract.
-func (s *Server) handleRunBatch(w http.ResponseWriter, r *http.Request, req RunRequest, b *core.Benchmark) {
-	archName, settings, err := normalizeRunBatch(req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+// the shed/429 contract.  An empty batch is an error rather than an empty
+// success: it is always a client bug.
+func (s *Server) handleRunBatch(w http.ResponseWriter, r *http.Request, req client.RunRequest, b *core.Benchmark) {
+	if req.Setting != nil {
+		apihttp.Fail(w, http.StatusBadRequest, errors.New(`serve: request must set "setting" or "settings", not both`))
 		return
+	}
+	if len(req.Settings) == 0 {
+		apihttp.Fail(w, http.StatusBadRequest, errors.New(`serve: "settings" must contain at least one setting`))
+		return
+	}
+	archName, err := resolveArch(req.Arch)
+	if err != nil {
+		apihttp.Fail(w, http.StatusBadRequest, err)
+		return
+	}
+	settings := make([]core.Setting, len(req.Settings))
+	for i, m := range req.Settings {
+		if settings[i], err = resolveSetting(m); err != nil {
+			apihttp.Fail(w, http.StatusBadRequest, fmt.Errorf("serve: settings[%d]: %w", i, err))
+			return
+		}
 	}
 	metrics := make([]perf.Metrics, len(settings))
 	coalesced := make([]bool, len(settings))
-	err = s.sched.runBatch(r.Context(), archName, b, settings, metrics, coalesced)
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		httpError(w, http.StatusTooManyRequests, err)
-		return
-	case err != nil:
-		httpError(w, http.StatusInternalServerError, err)
+	if err := s.sched.runBatch(r.Context(), archName, b, settings, metrics, coalesced); err != nil {
+		runError(w, err)
 		return
 	}
-	results := make([]RunResult, len(settings))
+	results := make([]client.RunResult, len(settings))
 	allCoalesced := true
 	for i := range settings {
-		results[i] = RunResult{
+		raw, err := metrics[i].MarshalJSON()
+		if err != nil {
+			apihttp.Fail(w, http.StatusInternalServerError, err)
+			return
+		}
+		results[i] = client.RunResult{
 			RuntimeSeconds: metrics[i].Runtime,
 			Coalesced:      coalesced[i],
-			Metrics:        metrics[i],
+			Metrics:        raw,
 		}
 		allCoalesced = allCoalesced && coalesced[i]
 	}
-	annotateCoalesced(r.Context(), allCoalesced)
-	writeJSON(w, http.StatusOK, RunBatchResponse{
+	apihttp.Annotate(r.Context(), "coalesced", allCoalesced)
+	apihttp.WriteJSON(w, http.StatusOK, client.RunBatchResponse{
 		Workload:  req.Workload,
 		Benchmark: b.Name,
 		Arch:      archName,
@@ -551,193 +442,94 @@ func (s *Server) handleRunBatch(w http.ResponseWriter, r *http.Request, req RunR
 	})
 }
 
-// normalizeRun validates the architecture and setting of a run request.
-func normalizeRun(req RunRequest) (string, core.Setting, error) {
-	archName := req.Arch
-	if archName == "" {
-		archName = "westmere"
+// runError answers a failed scheduler run: 429 when it was shed, 500
+// otherwise.
+func runError(w http.ResponseWriter, err error) {
+	if errors.Is(err, ErrOverloaded) {
+		apihttp.Fail(w, http.StatusTooManyRequests, err)
+		return
 	}
-	if _, ok := arch.Profiles()[archName]; !ok {
-		return "", nil, fmt.Errorf("serve: unknown architecture %q", archName)
+	apihttp.Fail(w, http.StatusInternalServerError, err)
+}
+
+// resolveArch applies the default architecture ("westmere") and rejects
+// unknown profiles.
+func resolveArch(name string) (string, error) {
+	if name == "" {
+		name = "westmere"
 	}
-	setting := core.Setting(req.Setting)
+	if _, ok := arch.Profiles()[name]; !ok {
+		return "", fmt.Errorf("serve: unknown architecture %q", name)
+	}
+	return name, nil
+}
+
+// resolveSetting applies the default setting to a nil one and validates it.
+func resolveSetting(m map[string]float64) (core.Setting, error) {
+	setting := core.Setting(m)
 	if setting == nil {
 		setting = core.DefaultSetting()
 	}
 	if err := setting.Validate(); err != nil {
-		return "", nil, err
+		return nil, err
 	}
-	return archName, setting, nil
+	return setting, nil
 }
 
-// normalizeRunBatch validates the architecture and every setting of a batched
-// run request.  Setting and Settings are mutually exclusive, and an empty
-// batch is an error rather than an empty success (it is always a client bug).
-func normalizeRunBatch(req RunRequest) (string, []core.Setting, error) {
-	if req.Setting != nil {
-		return "", nil, errors.New(`serve: request must set "setting" or "settings", not both`)
-	}
-	if len(req.Settings) == 0 {
-		return "", nil, errors.New(`serve: "settings" must contain at least one setting`)
-	}
-	archName := req.Arch
-	if archName == "" {
-		archName = "westmere"
-	}
-	if _, ok := arch.Profiles()[archName]; !ok {
-		return "", nil, fmt.Errorf("serve: unknown architecture %q", archName)
-	}
-	settings := make([]core.Setting, len(req.Settings))
-	for i, m := range req.Settings {
-		s := core.Setting(m)
-		if s == nil {
-			s = core.DefaultSetting()
-		}
-		if err := s.Validate(); err != nil {
-			return "", nil, fmt.Errorf("serve: settings[%d]: %w", i, err)
-		}
-		settings[i] = s
-	}
-	return archName, settings, nil
-}
-
-// TuneRequest is the body of POST /v1/tune: qualify the workload's proxy on
-// one architecture, asynchronously.
-type TuneRequest struct {
-	// Workload and Arch select the proxy and profile like RunRequest.
-	Workload string `json:"workload"`
-	Arch     string `json:"arch,omitempty"`
-	// Threshold, MaxIterations, Metrics, Parameters and ImpactFactors map
-	// onto tuner.Options; zero values select the tuner defaults.
-	Threshold     float64   `json:"threshold,omitempty"`
-	MaxIterations int       `json:"max_iterations,omitempty"`
-	Metrics       []string  `json:"metrics,omitempty"`
-	Parameters    []string  `json:"parameters,omitempty"`
-	ImpactFactors []float64 `json:"impact_factors,omitempty"`
-	// Target optionally supplies the real workload's metric vector to match
-	// (perf.MetricNames keys).  When omitted the server measures the real
-	// workload on the paper's deployment of the chosen architecture (once;
-	// repeated tunes reuse the measurement).
-	Target map[string]float64 `json:"target,omitempty"`
-}
-
-// TuneResult is the outcome of a done tuning job.
-type TuneResult struct {
-	// Setting is the qualified parameter setting (factors over the base).
-	Setting map[string]float64 `json:"setting"`
-	// Converged reports whether every metric deviation met the threshold.
-	Converged bool `json:"converged"`
-	// Iterations, Evaluations and MemoHits summarise the tuning effort.
-	Iterations  int `json:"iterations"`
-	Evaluations int `json:"evaluations"`
-	MemoHits    int `json:"memo_hits"`
-	// AverageAccuracy and WorstAccuracy/WorstMetric summarise the report.
-	AverageAccuracy float64 `json:"average_accuracy"`
-	WorstAccuracy   float64 `json:"worst_accuracy"`
-	WorstMetric     string  `json:"worst_metric"`
-	// PerMetric is the per-metric accuracy of the final setting.
-	PerMetric map[string]float64 `json:"per_metric_accuracy"`
-	// Target and ProxyMetrics are the matched and achieved metric vectors.
-	Target       perf.Metrics `json:"target"`
-	ProxyMetrics perf.Metrics `json:"proxy_metrics"`
-}
-
-// TuneResponse is the body of a successful POST /v1/tune (202 Accepted).
-type TuneResponse struct {
-	// JobID polls as GET /v1/jobs/{id}.
-	JobID string `json:"job_id"`
-	// State is the job's initial state ("queued").
-	State JobState `json:"state"`
-}
-
+// handleTune serves POST /v1/tune (body client.TuneRequest): it validates
+// the request synchronously and queues the job, answering 202 with a
+// client.TuneResponse.
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
-	var req TuneRequest
-	if err := decodeJSON(r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	var req client.TuneRequest
+	if _, err := apihttp.DecodeBody(w, r, &req); err != nil {
+		apihttp.Fail(w, http.StatusBadRequest, fmt.Errorf("serve: %w", err))
 		return
 	}
 	if _, err := proxy.ForWorkload(req.Workload); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		apihttp.Fail(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Arch == "" {
-		req.Arch = "westmere"
+	var err error
+	if req.Arch, err = resolveArch(req.Arch); err != nil {
+		apihttp.Fail(w, http.StatusBadRequest, err)
+		return
 	}
 	if err := validateTune(req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		apihttp.Fail(w, http.StatusBadRequest, err)
 		return
 	}
 	if s.draining.Load() {
-		apiError(w, http.StatusTooManyRequests, client.CodeDraining, "serve: draining", shedRetryAfter)
+		apihttp.Error(w, http.StatusTooManyRequests, client.CodeDraining, "serve: draining", apihttp.ShedRetryAfter)
 		return
 	}
 	job := s.jobs.create(req, s.now())
 	select {
 	case s.tuneQueue <- tuneJob{id: job.ID, req: req}:
-		writeJSON(w, http.StatusAccepted, TuneResponse{JobID: job.ID, State: job.State})
+		apihttp.WriteJSON(w, http.StatusAccepted, client.TuneResponse{JobID: job.ID, State: job.State})
 	default:
 		// The client is shed with 429 and never sees the ID, so drop the
 		// record instead of keeping a permanently failed job per rejection.
 		s.jobs.remove(job.ID)
-		httpError(w, http.StatusTooManyRequests, errors.New("serve: tune queue full"))
+		apihttp.Fail(w, http.StatusTooManyRequests, errors.New("serve: tune queue full"))
 	}
 }
 
-// JobResponse is the body of GET /v1/jobs/{id}: the typed projection of a
-// Job record, field-for-field byte-compatible with the raw struct the
-// endpoint historically returned (same JSON names, order and omit rules) but
-// decoupled from the store's internal record so the endpoint shape matches
-// the other typed responses the client package decodes.
-type JobResponse struct {
-	// ID is the opaque job identifier returned by POST /v1/tune.
-	ID string `json:"id"`
-	// State is the current lifecycle state.
-	State JobState `json:"state"`
-	// Workload and Arch echo the tuning request.
-	Workload string `json:"workload"`
-	Arch     string `json:"arch"`
-	// Created and Finished are wall-clock timestamps (Finished is zero until
-	// the job completes).
-	Created  time.Time `json:"created"`
-	Finished time.Time `json:"finished,omitzero"`
-	// Error holds the failure message of a failed job.
-	Error string `json:"error,omitempty"`
-	// Result holds the tuning outcome of a done job.
-	Result *TuneResult `json:"result,omitempty"`
-}
-
-// jobResponse projects a store record onto the response type.
-func jobResponse(j Job) JobResponse {
-	return JobResponse{
-		ID:       j.ID,
-		State:    j.State,
-		Workload: j.Workload,
-		Arch:     j.Arch,
-		Created:  j.Created,
-		Finished: j.Finished,
-		Error:    j.Error,
-		Result:   j.Result,
-	}
-}
-
+// handleJob serves GET /v1/jobs/{id} with the job's client.JobResponse.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("serve: unknown job %q", r.PathValue("id")))
+		apihttp.Fail(w, http.StatusNotFound, fmt.Errorf("serve: unknown job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, jobResponse(job))
+	apihttp.WriteJSON(w, http.StatusOK, job)
 }
 
 // validateTune rejects request errors synchronously — with a 400 at submit
-// time — instead of surfacing them as an asynchronously failed job: unknown
-// architecture/deployment, unknown metric or parameter names (a metric typo
+// time — instead of surfacing them as an asynchronously failed job: a
+// missing real deployment, unknown metric or parameter names (a metric typo
 // would otherwise go undetected until deep inside the tuner) and
-// non-positive option values.
-func validateTune(req TuneRequest) error {
-	if _, ok := arch.Profiles()[req.Arch]; !ok {
-		return fmt.Errorf("serve: unknown architecture %q", req.Arch)
-	}
+// non-positive option values.  The architecture is already resolved.
+func validateTune(req client.TuneRequest) error {
 	if req.Target == nil {
 		if _, err := realDeployment(req.Arch); err != nil {
 			return err
@@ -798,7 +590,7 @@ func (s *Server) dispatch() {
 // safeExecuteTune converts a panicking tune into a failed job: the
 // dispatcher goroutine must outlive any single job, because an unrecovered
 // panic there would take the whole daemon down.
-func (s *Server) safeExecuteTune(req TuneRequest) (res *TuneResult, err error) {
+func (s *Server) safeExecuteTune(req client.TuneRequest) (res *client.TuneResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("serve: tune panicked: %v", r)
@@ -810,7 +602,7 @@ func (s *Server) safeExecuteTune(req TuneRequest) (res *TuneResult, err error) {
 // executeTune resolves the tuning target and runs the auto-tuner, sharing
 // the scheduler's result memo so every proxy evaluation the tuner performs
 // lands in the same cache /v1/run answers from (and vice versa).
-func (s *Server) executeTune(req TuneRequest) (*TuneResult, error) {
+func (s *Server) executeTune(req client.TuneRequest) (*client.TuneResult, error) {
 	if err := faultinject.Fire("serve.tune"); err != nil {
 		return nil, err
 	}
@@ -844,8 +636,16 @@ func (s *Server) executeTune(req TuneRequest) (*TuneResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	targetJSON, err := target.MarshalJSON()
+	if err != nil {
+		return nil, err
+	}
+	proxyJSON, err := res.ProxyMetrics.MarshalJSON()
+	if err != nil {
+		return nil, err
+	}
 	worstMetric, worstAcc := res.Report.Worst()
-	return &TuneResult{
+	return &client.TuneResult{
 		Setting:         res.Setting,
 		Converged:       res.Converged,
 		Iterations:      res.Iterations,
@@ -855,8 +655,8 @@ func (s *Server) executeTune(req TuneRequest) (*TuneResult, error) {
 		WorstAccuracy:   worstAcc,
 		WorstMetric:     worstMetric,
 		PerMetric:       res.Report.PerMetric,
-		Target:          target,
-		ProxyMetrics:    res.ProxyMetrics,
+		Target:          targetJSON,
+		ProxyMetrics:    proxyJSON,
 	}, nil
 }
 
@@ -864,7 +664,7 @@ func (s *Server) executeTune(req TuneRequest) (*TuneResult, error) {
 // request target if given, otherwise the real workload measured on the
 // paper's deployment of the requested architecture (singleflighted in
 // realMemo so the paper-scale simulation runs at most once per pair).
-func (s *Server) resolveTarget(req TuneRequest) (perf.Metrics, error) {
+func (s *Server) resolveTarget(req client.TuneRequest) (perf.Metrics, error) {
 	if req.Target != nil {
 		var m perf.Metrics
 		for name, v := range req.Target {
@@ -909,33 +709,19 @@ func realDeployment(archName string) (sim.ClusterConfig, error) {
 	return sim.ClusterConfig{}, fmt.Errorf("serve: no real deployment for architecture %q", archName)
 }
 
-// WorkloadInfo describes one servable proxy benchmark (GET /v1/workloads).
-type WorkloadInfo struct {
-	// Workload is the short name accepted by /v1/run and /v1/tune.
-	Workload string `json:"workload"`
-	// Benchmark is the proxy benchmark's display name.
-	Benchmark string `json:"benchmark"`
-	// Motifs lists the distinct data-motif implementations of the DAG.
-	Motifs []string `json:"motifs"`
-}
-
+// handleWorkloads serves GET /v1/workloads: one client.WorkloadInfo per
+// servable proxy benchmark.
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	all := proxy.All()
-	out := make([]WorkloadInfo, len(all))
+	out := make([]client.WorkloadInfo, len(all))
 	for i, b := range all {
-		out[i] = WorkloadInfo{Workload: b.Workload, Benchmark: b.Name, Motifs: b.Motifs()}
+		out[i] = client.WorkloadInfo{Workload: b.Workload, Benchmark: b.Name, Motifs: b.Motifs()}
 	}
-	writeJSON(w, http.StatusOK, out)
+	apihttp.WriteJSON(w, http.StatusOK, out)
 }
 
-// ArchInfo describes one servable architecture profile (GET /v1/archs).
-type ArchInfo struct {
-	// Arch is the short name accepted by /v1/run and /v1/tune.
-	Arch string `json:"arch"`
-	// Profile is the processor profile's display name.
-	Profile string `json:"profile"`
-}
-
+// handleArchs serves GET /v1/archs: one client.ArchInfo per architecture
+// profile, sorted by name.
 func (s *Server) handleArchs(w http.ResponseWriter, r *http.Request) {
 	profiles := arch.Profiles()
 	names := make([]string, 0, len(profiles))
@@ -943,18 +729,18 @@ func (s *Server) handleArchs(w http.ResponseWriter, r *http.Request) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	out := make([]ArchInfo, len(names))
+	out := make([]client.ArchInfo, len(names))
 	for i, name := range names {
-		out[i] = ArchInfo{Arch: name, Profile: profiles[name].Name}
+		out[i] = client.ArchInfo{Arch: name, Profile: profiles[name].Name}
 	}
-	writeJSON(w, http.StatusOK, out)
+	apihttp.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleHealthz is pure liveness: the process is up and serving HTTP.  It
 // deliberately never looks at restore or drain state — an orchestrator must
 // not kill a pod for being mid-drain.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	apihttp.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz is readiness: 200 only when startup restore has completed and
@@ -963,11 +749,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case !s.ready.Load():
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "restoring"})
+		apihttp.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "restoring"})
 	case s.draining.Load():
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		apihttp.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 	default:
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		apihttp.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	}
 }
 
@@ -976,17 +762,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // and job states.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.reqMu.Lock()
-	routes := make([]string, 0, len(s.reqCounts))
-	for route := range s.reqCounts {
-		routes = append(routes, route)
-	}
-	sort.Strings(routes)
-	for _, route := range routes {
-		fmt.Fprintf(w, "proxyd_http_requests_total{route=%q} %d\n", route, s.reqCounts[route])
-	}
-	s.reqMu.Unlock()
-	fmt.Fprintf(w, "proxyd_http_in_flight %d\n", s.httpInFlight.Load())
+	s.mux.WriteMetrics(w, "proxyd")
 	fmt.Fprintf(w, "proxyd_run_executed_total %d\n", s.sched.executed.Load())
 	fmt.Fprintf(w, "proxyd_run_coalesced_total %d\n", s.sched.coalesced.Load())
 	fmt.Fprintf(w, "proxyd_run_shed_total %d\n", s.sched.shed.Load())
@@ -997,7 +773,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.sched.laneHist.write(w, "proxyd_coalesce_lanes_per_sweep")
 	s.sched.waitHist.write(w, "proxyd_coalesce_window_wait_seconds")
 	counts := s.jobs.counts()
-	for _, state := range []JobState{JobQueued, JobRunning, JobDone, JobFailed} {
+	for _, state := range []string{client.JobQueued, client.JobRunning, client.JobDone, client.JobFailed} {
 		fmt.Fprintf(w, "proxyd_jobs{state=%q} %d\n", state, counts[state])
 	}
 	fmt.Fprintf(w, "proxyd_ready %d\n", boolGauge(s.ready.Load()))
@@ -1040,20 +816,4 @@ func boolGauge(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// decodeJSON decodes the request body strictly: unknown fields are errors so
-// typos in requests fail loudly instead of silently selecting defaults.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("serve: decoding request: %w", err)
-	}
-	return nil
-}
-
-// writeJSON writes v as indent-2 JSON (the shared apihttp encoding).
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	apihttp.WriteJSON(w, status, v)
 }

@@ -28,14 +28,6 @@ const (
 // snapshotFile is the snapshot's name inside the state directory.
 const snapshotFile = "state.snap"
 
-// persistedJob is the wire form of one job record inside a snapshot: the
-// public Job body plus the original TuneRequest (which the JSON API hides)
-// so an unfinished job can be re-driven after a restart.
-type persistedJob struct {
-	Job     Job         `json:"job"`
-	Request TuneRequest `json:"request"`
-}
-
 // stateManager owns proxyd's crash safety: it restores the result cache and
 // job table from the state directory at startup and re-writes them there on
 // a timer, on demand, and on graceful drain.  Every write goes through the
@@ -134,35 +126,48 @@ func (m *stateManager) restore() {
 		}
 	}
 	for _, je := range st.Jobs {
-		var pj persistedJob
-		if err := json.Unmarshal(je.Payload, &pj); err != nil {
+		var rec jobRecord
+		if err := decodeJobRecord(je.Payload, &rec); err != nil {
 			m.invalidEntries.Add(1)
 			log.Printf("proxyd: snapshot job record undecodable: %v; skipped", err)
 			continue
 		}
-		pj.Job.Request = pj.Request
-		unfinished := pj.Job.State == JobQueued || pj.Job.State == JobRunning
-		if !m.srv.jobs.restore(pj.Job) {
-			continue
-		}
-		if !unfinished {
+		if !m.srv.jobs.restore(rec) || rec.Job.IsFinished() {
 			continue
 		}
 		// Re-drive the job through the ordinary queue.  Its evaluations flow
 		// through the restored memo, so a tune that was mid-flight converges
 		// with memo hits instead of repeating finished measurements.
 		select {
-		case m.srv.tuneQueue <- tuneJob{id: pj.Job.ID, req: pj.Request}:
+		case m.srv.tuneQueue <- tuneJob{id: rec.Job.ID, req: rec.Request}:
 			m.reenqueuedJobs.Add(1)
 		default:
-			m.srv.jobs.finish(pj.Job.ID, nil,
+			m.srv.jobs.finish(rec.Job.ID, nil,
 				errors.New("serve: tune queue full at restore"), m.srv.now())
-			log.Printf("proxyd: job %s could not be re-enqueued (queue full); marked failed", pj.Job.ID)
+			log.Printf("proxyd: job %s could not be re-enqueued (queue full); marked failed", rec.Job.ID)
 		}
 	}
 	m.restoreOutcome.Store(RestoreOK)
 	log.Printf("proxyd: restored %d cache entries, re-enqueued %d jobs from %s",
 		m.restoredEntries.Load(), m.reenqueuedJobs.Load(), m.path())
+}
+
+// decodeJobRecord decodes one snapshot job payload.  A done job's result
+// vectors are raw bytes that the job body later serves verbatim, so they
+// must decode as metric vectors of known metric names.
+func decodeJobRecord(payload []byte, rec *jobRecord) error {
+	if err := json.Unmarshal(payload, rec); err != nil {
+		return err
+	}
+	if res := rec.Job.Result; res != nil {
+		for _, raw := range []json.RawMessage{res.Target, res.ProxyMetrics} {
+			var metrics perf.Metrics
+			if err := metrics.UnmarshalJSON(raw); err != nil {
+				return fmt.Errorf("job %s: %w", rec.Job.ID, err)
+			}
+		}
+	}
+	return nil
 }
 
 // collect assembles the snapshot state: the live memo's completed entries,
@@ -193,10 +198,10 @@ func (m *stateManager) collect() (*snapshot.State, error) {
 		}
 		st.MemoEntries = append(st.MemoEntries, snapshot.MemoEntry{Key: e.Key, Metrics: data})
 	}
-	for _, j := range m.srv.jobs.snapshot() {
-		payload, err := json.Marshal(persistedJob{Job: j, Request: j.Request})
+	for _, rec := range m.srv.jobs.snapshot() {
+		payload, err := json.Marshal(rec)
 		if err != nil {
-			return nil, fmt.Errorf("serve: encoding job %s: %w", j.ID, err)
+			return nil, fmt.Errorf("serve: encoding job %s: %w", rec.Job.ID, err)
 		}
 		st.Jobs = append(st.Jobs, snapshot.JobEntry{Payload: payload})
 	}

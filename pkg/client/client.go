@@ -8,7 +8,8 @@
 //
 // The package depends only on the standard library, so it is importable from
 // outside the module, and it owns the wire contract: the serving layer and
-// the router both build their cluster and error responses from these types.
+// the router both decode /v1 requests into, and build every /v1 response
+// from, these types.
 package client
 
 import (

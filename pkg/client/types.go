@@ -115,9 +115,11 @@ type TuneResult struct {
 	WorstMetric     string  `json:"worst_metric"`
 	// PerMetric is the per-metric accuracy of the final setting.
 	PerMetric map[string]float64 `json:"per_metric_accuracy"`
-	// Target and ProxyMetrics are the matched and achieved metric vectors.
-	Target       map[string]float64 `json:"target"`
-	ProxyMetrics map[string]float64 `json:"proxy_metrics"`
+	// Target and ProxyMetrics are the matched and achieved metric vectors,
+	// kept as raw JSON like RunResponse.Metrics so relaying a job body never
+	// perturbs the server's canonical metric order.
+	Target       json.RawMessage `json:"target"`
+	ProxyMetrics json.RawMessage `json:"proxy_metrics"`
 }
 
 // Job lifecycle states as reported by GET /v1/jobs/{id}.
