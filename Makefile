@@ -122,14 +122,16 @@ cover:
 	$(GO) test -short -covermode=atomic -coverprofile=coverage.out ./...
 	sh scripts/coverage-gate.sh coverage.out
 
-## lint: gofmt cleanliness, go vet, godoc coverage, markdown links and
-## Setting-literal parameter names
+## lint: gofmt cleanliness, go vet (the root module and the separate
+## perfbench module, which ./... never reaches), godoc coverage, markdown
+## links and Setting-literal parameter names
 lint: lint-docs lint-links lint-settings
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 
 ## lint-docs: every exported symbol of the audited packages (tuner, dtree,
 ## core, perf, serve, proxy, campaign, fleet, apihttp, pkg/client) has a doc

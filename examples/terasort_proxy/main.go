@@ -57,7 +57,7 @@ func main() {
 
 	// 4. Auto-tune the proxy against the real workload's metric vector.
 	fmt.Println("auto-tuning Proxy TeraSort (decision-tree tuner)...")
-	res, err := tuner.Tune(proxyCluster, bench, real.Metrics, tuner.Options{MaxIterations: 6})
+	res, err := tuner.TuneWithPool(sim.NewClusterPool(proxyCluster), bench, real.Metrics, tuner.Options{MaxIterations: 6}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -165,7 +165,7 @@ func (r *Runner) runEval(idx int, step Step) (StepRecord, error) {
 	}
 	pool := r.pools[step.Profile]
 	ev := tuner.NewEvaluator(pool, b, r.memo)
-	metrics, fresh, err := ev.EvaluateTracked(step.Settings)
+	metrics, fresh, err := ev.Evaluate(step.Settings)
 	if err != nil {
 		return StepRecord{}, err
 	}

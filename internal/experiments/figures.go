@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"dataproxy/internal/core"
 	"dataproxy/internal/parallel"
 	"dataproxy/internal/perf"
 	"dataproxy/internal/proxy"
@@ -262,7 +263,7 @@ func (s *Suite) Figure8() (Figure8Result, error) {
 	// dense variant shares the sparse default's benchmark Name, so it must
 	// not share the suite's memo (the keys would alias the sparse results);
 	// a throwaway evaluator with a private memo keeps it isolated while
-	// still going through the one Evaluator entry point.
+	// still going through the one evaluation entry point.
 	b := proxy.KMeansWithSparsity(0)
 	setting, err := s.settingFor("kmeans", b)
 	if err != nil {
@@ -272,11 +273,11 @@ func (s *Suite) Figure8() (Figure8Result, error) {
 	if err != nil {
 		return Figure8Result{}, err
 	}
-	proxDense, err := tuner.EvaluateOne(tuner.NewEvaluator(pool, b, nil), setting)
+	proxDense, _, err := tuner.NewEvaluator(pool, b, nil).Evaluate([]core.Setting{setting})
 	if err != nil {
 		return Figure8Result{}, err
 	}
-	denseRep := perf.CompareMetrics(realDense.Metrics, proxDense, nil)
+	denseRep := perf.CompareMetrics(realDense.Metrics, proxDense[0], nil)
 
 	return Figure8Result{
 		Sparse: AccuracyRow{Workload: "K-means (90% sparse input)", PerMetric: sparseRep.PerMetric, Average: sparseRep.Average()},

@@ -44,10 +44,9 @@ var WorkloadOrder = []string{"terasort", "kmeans", "pagerank", "alexnet", "incep
 // for concurrent use.
 type Suite struct {
 	// Tune enables auto-tuning of each proxy benchmark against its real
-	// workload before the accuracy figures are produced.
+	// workload, with the tuner's default options, before the accuracy
+	// figures are produced.
 	Tune bool
-	// TuneOptions configures the tuner when Tune is enabled.
-	TuneOptions tuner.Options
 	// Short selects the reduced-sampling workload configurations (fewer AI
 	// training steps, less host-side sampled compute) used by -short test
 	// runs.  Virtual results keep the paper's orders of magnitude.
@@ -187,7 +186,7 @@ func (s *Suite) proxyMemo(key clusterKey) *tuner.Memo {
 // proxyEvaluator binds benchmark b to the suite's per-generation cluster
 // pool and measurement memo for the given cluster key.  It is the suite's
 // single proxy evaluation entry point: every consumer measures through the
-// returned tuner.Evaluator, so no call site invents its own pool or memo-key
+// returned evaluator, so no call site invents its own pool or memo-key
 // discipline.
 func (s *Suite) proxyEvaluator(key clusterKey, b *core.Benchmark) (*tuner.MemoEvaluator, error) {
 	pool, err := s.proxyPool(key)
@@ -267,7 +266,8 @@ func (s *Suite) proxyMetrics(short string, key clusterKey) (perf.Metrics, error)
 	if err != nil {
 		return perf.Metrics{}, err
 	}
-	return tuner.EvaluateOne(ev, setting)
+	ms, _, err := ev.Evaluate([]core.Setting{setting})
+	return ms[0], err
 }
 
 // reportPair fetches the real report and the proxy metrics of one workload,
@@ -337,7 +337,7 @@ func (s *Suite) tuneSetting(short string, b *core.Benchmark) (core.Setting, erro
 	if err != nil {
 		return nil, err
 	}
-	res, err := tuner.TuneWithPool(pool, b, target.Metrics, s.TuneOptions, s.proxyMemo(fiveNodeWestmere))
+	res, err := tuner.TuneWithPool(pool, b, target.Metrics, tuner.Options{}, s.proxyMemo(fiveNodeWestmere))
 	if err != nil {
 		return nil, err
 	}

@@ -155,19 +155,8 @@ func (sc *scheduler) executeWindow(ctx context.Context, w *cwindow) error {
 	sc.windowBatches.Add(1)
 	sc.waitHist.observe(time.Since(w.openedAt).Seconds())
 	sc.laneHist.observe(float64(len(w.settings)))
-	pool := sc.pools[w.archName]
-	w.metrics, w.fresh, w.errs = sc.evalWindow(pool, w)
-	freshCount := 0
-	for _, f := range w.fresh {
-		if f {
-			freshCount++
-		}
-	}
-	sc.executed.Add(int64(sc.traceGroups(w.b, w.settings, w.fresh)))
-	sc.coalesced.Add(int64(len(w.settings) - freshCount))
-	if freshCount > 0 {
-		sc.maybeEvict(w.memo)
-	}
+	w.metrics, w.fresh, w.errs = sc.evalWindow(sc.pools[w.archName], w)
+	sc.recordSweep(w.b, w.memo, w.settings, w.fresh)
 	close(w.done)
 	return nil
 }

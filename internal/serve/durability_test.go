@@ -231,10 +231,10 @@ func TestRestoreSkipsInvariantViolations(t *testing.T) {
 			t.Errorf("metrics missing %q; got:\n%s", want, metrics)
 		}
 	}
-	if _, ok, _ := s.sched.currentMemo().Peek("bad"); ok {
-		t.Error("invariant-violating entry answered a Peek")
+	if _, ok, _ := s.sched.currentMemo().PeekBytes([]byte("bad")); ok {
+		t.Error("invariant-violating entry answered a PeekBytes")
 	}
-	if _, ok, _ := s.sched.currentMemo().Peek("good"); !ok {
+	if _, ok, _ := s.sched.currentMemo().PeekBytes([]byte("good")); !ok {
 		t.Error("valid entry was not restored")
 	}
 }

@@ -55,7 +55,7 @@ func TestGossipSpreadsCompletedEntries(t *testing.T) {
 
 	a.peers.gossipRound()
 	for i, k := range keys {
-		m, ok, err := b.sched.currentMemo().Peek(k)
+		m, ok, err := b.sched.currentMemo().PeekBytes([]byte(k))
 		if !ok || err != nil {
 			t.Fatalf("peer missing gossiped key %s (ok=%v err=%v)", k, ok, err)
 		}
@@ -116,7 +116,7 @@ func TestGossipNeverOverwritesLiveEntry(t *testing.T) {
 	if ex.Received != 1 || ex.Installed != 0 || ex.Skipped != 1 {
 		t.Fatalf("disposition %+v, want received=1 installed=0 skipped=1", ex)
 	}
-	m, ok, _ := b.sched.currentMemo().Peek(key)
+	m, ok, _ := b.sched.currentMemo().PeekBytes([]byte(key))
 	if !ok || m.Runtime != local.Runtime {
 		t.Fatalf("live entry was disturbed: runtime %g, want %g", m.Runtime, local.Runtime)
 	}

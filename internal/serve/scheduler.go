@@ -74,19 +74,19 @@ type scheduler struct {
 	// future coalescing, never correctness.
 	memo            atomic.Pointer[tuner.Memo]
 	maxCacheEntries int
-	// protos maps the architecture short name to the prototype single-node
-	// cluster (the paper runs each proxy benchmark on a single slave node);
-	// pools recycles reset clones of each prototype so a steady stream of
-	// requests stops allocating one cluster per execution.
-	protos map[string]*sim.Cluster
-	pools  map[string]*sim.ClusterPool
+	// pools maps the architecture short name to a pool over the prototype
+	// single-node cluster (the paper runs each proxy benchmark on a single
+	// slave node).  The pool's Proto is the cluster every cache key is
+	// fingerprinted against, and its reset clones spare a steady stream of
+	// requests one cluster allocation per execution.
+	pools map[string]*sim.ClusterPool
 
 	// keyBufs recycles the scratch buffers cache keys are built in, so a
 	// cache-answered request allocates nothing at all.
 	keyBufs sync.Pool
 
 	// evalFn measures a batch of settings through the shared memo — the
-	// tuner.Evaluator entry point every cold execution funnels through.
+	// tuner.MemoEvaluator entry point every cold execution funnels through.
 	// Tests replace it to control timing and results.  The returned fresh
 	// flags report which settings were simulated (vs answered from memo
 	// entries or batch duplicates) and errs carries each lane's own cached
@@ -130,7 +130,6 @@ func newScheduler(maxInFlight, queueDepth, maxCacheEntries int, window time.Dura
 		idleDrain:       true,
 		windows:         make(map[string]*cwindow),
 		maxCacheEntries: maxCacheEntries,
-		protos:          protos,
 		pools:           pools,
 		laneHist:        newHistogram(laneBuckets),
 		waitHist:        newHistogram(waitBuckets),
@@ -166,15 +165,6 @@ func (sc *scheduler) maybeEvict(used *tuner.Memo) {
 	}
 }
 
-// proto returns the prototype cluster for an architecture short name.
-func (sc *scheduler) proto(archName string) (*sim.Cluster, error) {
-	c := sc.protos[archName]
-	if c == nil {
-		return nil, fmt.Errorf("serve: unknown architecture %q", archName)
-	}
-	return c, nil
-}
-
 // pool returns the cluster pool for an architecture short name; tune jobs
 // borrow it so they recycle the same clusters as /v1/run executions.
 func (sc *scheduler) pool(archName string) (*sim.ClusterPool, error) {
@@ -197,12 +187,12 @@ func (sc *scheduler) pool(archName string) (*sim.ClusterPool, error) {
 // requests; with coalescing disabled it executes alone on a pooled cluster
 // (or blocks on an in-flight twin).
 func (sc *scheduler) run(ctx context.Context, archName string, b *core.Benchmark, s core.Setting) (perf.Metrics, bool, error) {
-	proto, err := sc.proto(archName)
+	pool, err := sc.pool(archName)
 	if err != nil {
 		return perf.Metrics{}, false, err
 	}
 	buf := sc.keyBufs.Get().(*[]byte)
-	keyBytes := tuner.AppendMemoKey((*buf)[:0], proto, b, s)
+	keyBytes := tuner.AppendMemoKey((*buf)[:0], pool.Proto(), b, s)
 	memo := sc.currentMemo()
 	if m, ok, err := memo.PeekBytes(keyBytes); ok {
 		*buf = keyBytes
@@ -223,26 +213,13 @@ func (sc *scheduler) run(ctx context.Context, archName string, b *core.Benchmark
 		return perf.Metrics{}, false, err
 	}
 	defer sc.releaseSlot()
-	pool := sc.pools[archName]
-	ms, fresh, errs := sc.evalFn(pool, b, memo, []core.Setting{s})
-	var m perf.Metrics
-	executed := false
-	if len(ms) == 1 {
-		m = ms[0]
+	settings := []core.Setting{s}
+	ms, fresh, errs := sc.evalFn(pool, b, memo, settings)
+	if len(ms) != 1 || len(fresh) != 1 || len(errs) != 1 {
+		return perf.Metrics{}, false, fmt.Errorf("serve: evaluator returned %d results for 1 setting", len(ms))
 	}
-	if len(fresh) == 1 {
-		executed = fresh[0]
-	}
-	if len(errs) == 1 {
-		err = errs[0]
-	}
-	if executed {
-		sc.executed.Add(1)
-		sc.maybeEvict(memo)
-	} else {
-		sc.coalesced.Add(1)
-	}
-	return m, !executed, err
+	sc.recordSweep(b, memo, settings, fresh)
+	return ms[0], !fresh[0], errs[0]
 }
 
 // runBatch executes benchmark b under a batch of settings on the named
@@ -262,7 +239,7 @@ func (sc *scheduler) run(ctx context.Context, archName string, b *core.Benchmark
 // error, matching the single-run path where cached errors are replayed.
 // Batches are already batch-shaped and do not join collection windows.
 func (sc *scheduler) runBatch(ctx context.Context, archName string, b *core.Benchmark, settings []core.Setting, metrics []perf.Metrics, coalesced []bool) error {
-	proto, err := sc.proto(archName)
+	pool, err := sc.pool(archName)
 	if err != nil {
 		return err
 	}
@@ -271,7 +248,7 @@ func (sc *scheduler) runBatch(ctx context.Context, archName string, b *core.Benc
 	keyBytes := (*buf)[:0]
 	var coldIdx []int
 	for i, s := range settings {
-		keyBytes = tuner.AppendMemoKey(keyBytes[:0], proto, b, s)
+		keyBytes = tuner.AppendMemoKey(keyBytes[:0], pool.Proto(), b, s)
 		m, ok, err := memo.PeekBytes(keyBytes)
 		if ok && err != nil {
 			*buf = keyBytes
@@ -295,11 +272,14 @@ func (sc *scheduler) runBatch(ctx context.Context, archName string, b *core.Benc
 	for j, i := range coldIdx {
 		coldSettings[j] = settings[i]
 	}
-	if err := sc.acquire(ctx); err != nil {
+	if err := sc.admit(); err != nil {
 		return err
 	}
-	defer sc.release()
-	pool := sc.pools[archName]
+	defer sc.unadmit()
+	if err := sc.acquireSlot(ctx); err != nil {
+		return err
+	}
+	defer sc.releaseSlot()
 	ms, fresh, errs := sc.evalFn(pool, b, memo, coldSettings)
 	for _, err := range errs {
 		if err != nil {
@@ -309,44 +289,45 @@ func (sc *scheduler) runBatch(ctx context.Context, archName string, b *core.Benc
 	if len(ms) != len(coldSettings) || len(fresh) != len(coldSettings) {
 		return fmt.Errorf("serve: evaluator returned %d results for %d settings", len(ms), len(coldSettings))
 	}
-	freshCount := 0
 	for j, i := range coldIdx {
 		metrics[i] = ms[j]
 		coalesced[i] = !fresh[j]
-		if fresh[j] {
-			freshCount++
-		}
 	}
-	sc.executed.Add(int64(sc.traceGroups(b, coldSettings, fresh)))
-	sc.coalesced.Add(int64(len(settings) - freshCount))
-	if freshCount > 0 {
-		sc.maybeEvict(memo)
-	}
+	sc.coalesced.Add(int64(len(settings) - len(coldIdx)))
+	sc.recordSweep(b, memo, coldSettings, fresh)
 	return nil
 }
 
-// traceGroups counts the distinct trace groups among the fresh lanes of one
-// sweep — the number of simulations core.RunBatch actually performed for it,
-// which is what the executed counter reports.  The single-fresh fast path
+// recordSweep accounts one finished sweep over settings with the fresh
+// flags evalFn returned.  Fresh lanes count in executed once per distinct
+// trace group — the simulations core.RunBatch actually performed — every
+// other lane counts in coalesced, and a sweep that simulated anything may
+// have pushed the cache it used past its cap.  The single-fresh fast path
 // avoids the map (and the key rendering) on the overwhelmingly common
 // one-cold-setting request.
-func (sc *scheduler) traceGroups(b *core.Benchmark, settings []core.Setting, fresh []bool) int {
+func (sc *scheduler) recordSweep(b *core.Benchmark, memo *tuner.Memo, settings []core.Setting, fresh []bool) {
 	n := 0
 	for _, f := range fresh {
 		if f {
 			n++
 		}
 	}
-	if n <= 1 {
-		return n
+	sc.coalesced.Add(int64(len(settings) - n))
+	if n == 0 {
+		return
 	}
-	groups := make(map[string]struct{}, n)
-	for i, f := range fresh {
-		if f {
-			groups[b.TraceKey(settings[i])] = struct{}{}
+	groups := 1
+	if n > 1 {
+		keys := make(map[string]struct{}, n)
+		for i, f := range fresh {
+			if f {
+				keys[b.TraceKey(settings[i])] = struct{}{}
+			}
 		}
+		groups = len(keys)
 	}
-	return len(groups)
+	sc.executed.Add(int64(groups))
+	sc.maybeEvict(memo)
 }
 
 // admit joins the admission queue: it reserves one of the
@@ -383,24 +364,6 @@ func (sc *scheduler) acquireSlot(ctx context.Context) error {
 
 // releaseSlot frees the execution slot taken by acquireSlot.
 func (sc *scheduler) releaseSlot() { <-sc.slots }
-
-// acquire admits the calling request and blocks until an execution slot: the
-// combined form used by the paths where one request is one execution.
-func (sc *scheduler) acquire(ctx context.Context) error {
-	if err := sc.admit(); err != nil {
-		return err
-	}
-	if err := sc.acquireSlot(ctx); err != nil {
-		sc.unadmit()
-		return err
-	}
-	return nil
-}
-
-func (sc *scheduler) release() {
-	sc.releaseSlot()
-	sc.unadmit()
-}
 
 // inFlight returns the number of requests currently holding or waiting for
 // an execution slot.

@@ -635,7 +635,7 @@ func TestTuneQueueShedsWith429(t *testing.T) {
 	defer close(release)
 	blocked := make(chan struct{})
 	go func() {
-		proto, err := s.sched.proto("westmere")
+		pool, err := s.sched.pool("westmere")
 		if err != nil {
 			panic(err)
 		}
@@ -643,7 +643,7 @@ func TestTuneQueueShedsWith429(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		key := tuner.MemoKey(proto, b, core.DefaultSetting())
+		key := tuner.MemoKey(pool.Proto(), b, core.DefaultSetting())
 		_, _, _ = s.sched.currentMemo().Measure(key, func() (perf.Metrics, error) {
 			close(blocked)
 			<-release
@@ -762,9 +762,9 @@ func TestShedTuneLeavesNoJobRecord(t *testing.T) {
 	defer close(release)
 	blocked := make(chan struct{})
 	go func() {
-		proto, _ := s.sched.proto("westmere")
+		pool, _ := s.sched.pool("westmere")
 		b, _ := proxy.ForWorkload("terasort")
-		_, _, _ = s.sched.currentMemo().Measure(tuner.MemoKey(proto, b, core.DefaultSetting()), func() (perf.Metrics, error) {
+		_, _, _ = s.sched.currentMemo().Measure(tuner.MemoKey(pool.Proto(), b, core.DefaultSetting()), func() (perf.Metrics, error) {
 			close(blocked)
 			<-release
 			return perf.Metrics{}, nil

@@ -91,7 +91,7 @@ func benchmarkTune(b *testing.B, workers int) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Tune(testutil.WestmereCluster(), proxyB, target, opts)
+		res, err := TuneWithPool(sim.NewClusterPool(testutil.WestmereCluster()), proxyB, target, opts, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

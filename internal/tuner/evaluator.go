@@ -1,44 +1,21 @@
 package tuner
 
 import (
-	"fmt"
-
 	"dataproxy/internal/core"
 	"dataproxy/internal/perf"
 	"dataproxy/internal/sim"
 )
 
-// Evaluator is the single evaluation entry point of the proxy library: it
-// measures the bound proxy benchmark under a batch of settings and returns
-// one metric vector per setting, in input order.  The tuner's impact and
-// feedback stages, the experiments suite and the serve scheduler all consume
-// this interface instead of inventing their own pool/memo discipline, and
-// implementations are expected to return results bit-identical to
-// one-at-a-time core.Run calls regardless of batch size or host worker
-// count.
-type Evaluator interface {
-	Evaluate(settings []core.Setting) ([]perf.Metrics, error)
-}
-
-// EvaluateOne adapts a batch-unaware call site to an Evaluator: it evaluates
-// the single setting as a one-lane batch.
-func EvaluateOne(ev Evaluator, s core.Setting) (perf.Metrics, error) {
-	ms, err := ev.Evaluate([]core.Setting{s})
-	if err != nil {
-		return perf.Metrics{}, err
-	}
-	if len(ms) != 1 {
-		return perf.Metrics{}, fmt.Errorf("tuner: evaluator returned %d results for 1 setting", len(ms))
-	}
-	return ms[0], nil
-}
-
-// MemoEvaluator is the standard Evaluator: it binds a proxy benchmark to a
-// cluster pool and a measurement memo.  Every setting is keyed individually
-// in the memo (MemoKey discipline: benchmark, cluster fingerprint, canonical
-// setting), so warm settings of a batch are answered from the cache while
-// the cold remainder executes as one trace-sharing core.RunBatch sweep on
-// pooled clusters.  Safe for concurrent use.
+// MemoEvaluator is the single evaluation entry point of the proxy library:
+// it binds a proxy benchmark to a cluster pool and a measurement memo, and
+// the tuner's impact and feedback stages, the experiments suite, the
+// campaign harness and the serve scheduler all measure settings through it.
+// Every setting is keyed individually in the memo (MemoKey discipline:
+// benchmark, cluster fingerprint, canonical setting), so warm settings of a
+// batch are answered from the cache while the cold remainder executes as
+// one trace-sharing core.RunBatch sweep on pooled clusters.  Results are
+// bit-identical to one-at-a-time core.Run calls regardless of batch size or
+// host worker count.  Safe for concurrent use.
 type MemoEvaluator struct {
 	pool *sim.ClusterPool
 	b    *core.Benchmark
@@ -72,18 +49,13 @@ func (ev *MemoEvaluator) WithColdHook(hook func() error) *MemoEvaluator {
 	return ev
 }
 
-// Evaluate implements Evaluator.
-func (ev *MemoEvaluator) Evaluate(settings []core.Setting) ([]perf.Metrics, error) {
-	ms, _, err := ev.EvaluateTracked(settings)
-	return ms, err
-}
-
-// EvaluateTracked is Evaluate plus the per-setting fresh flags: fresh[i] is
-// true when setting i's simulation was executed by this call rather than
-// answered from the memo (or coalesced onto another in-flight caller).
-// Callers that account evaluations vs. cache hits (the tuner's counters, the
-// serve scheduler's Prometheus counters) use this form.
-func (ev *MemoEvaluator) EvaluateTracked(settings []core.Setting) ([]perf.Metrics, []bool, error) {
+// Evaluate measures the bound benchmark under a batch of settings and
+// returns one metric vector per setting, in input order, plus the
+// per-setting fresh flags: fresh[i] is true when setting i's simulation was
+// executed by this call rather than answered from the memo (or coalesced
+// onto another in-flight caller).  The error is the first per-setting error
+// in input order.
+func (ev *MemoEvaluator) Evaluate(settings []core.Setting) ([]perf.Metrics, []bool, error) {
 	ms, fresh, errs := ev.EvaluateLanes(settings)
 	for _, err := range errs {
 		if err != nil {
@@ -93,7 +65,7 @@ func (ev *MemoEvaluator) EvaluateTracked(settings []core.Setting) ([]perf.Metric
 	return ms, fresh, nil
 }
 
-// EvaluateLanes is EvaluateTracked with per-setting error reporting
+// EvaluateLanes is Evaluate with per-setting error reporting
 // (Memo.MeasureLanes semantics): errs[i] carries setting i's own cached
 // error instead of the whole batch collapsing onto the first failure.  The
 // serve scheduler's cross-request coalescer uses it to fan one merged sweep
@@ -125,13 +97,3 @@ func (ev *MemoEvaluator) EvaluateLanes(settings []core.Setting) ([]perf.Metrics,
 		return out, nil
 	})
 }
-
-// Memo exposes the evaluator's measurement memo (e.g. so a tune can share
-// it).
-func (ev *MemoEvaluator) Memo() *Memo { return ev.memo }
-
-// Benchmark returns the bound proxy benchmark.
-func (ev *MemoEvaluator) Benchmark() *core.Benchmark { return ev.b }
-
-// Pool returns the bound cluster pool.
-func (ev *MemoEvaluator) Pool() *sim.ClusterPool { return ev.pool }

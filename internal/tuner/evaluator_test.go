@@ -7,16 +7,17 @@ import (
 	"sync"
 	"testing"
 
+	"dataproxy/internal/arch"
 	"dataproxy/internal/core"
 	"dataproxy/internal/perf"
 	"dataproxy/internal/sim"
 	"dataproxy/internal/testutil"
 )
 
-// TestMeasureBatchDeduplicatesAndCaches drives the batch memo API directly:
-// duplicate keys within one batch execute once (first occurrence fresh, the
-// rest answered from the fresh entry), and a second batch over the same keys
-// executes nothing.
+// TestMeasureBatchDeduplicatesAndCaches drives the batch memo API
+// (MeasureLanes) directly: duplicate keys within one batch execute once
+// (first occurrence fresh, the rest answered from the fresh entry), and a
+// second batch over the same keys executes nothing.
 func TestMeasureBatchDeduplicatesAndCaches(t *testing.T) {
 	m := NewMemo()
 	var mu sync.Mutex
@@ -35,8 +36,8 @@ func TestMeasureBatchDeduplicatesAndCaches(t *testing.T) {
 	}
 
 	keys := []string{"a", "bb", "a", "ccc"}
-	metrics, fresh, err := m.MeasureBatch(keys, run(keys))
-	if err != nil {
+	metrics, fresh, errs := m.MeasureLanes(keys, run(keys))
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 	if want := []bool{true, true, false, true}; !equalBools(fresh, want) {
@@ -51,11 +52,11 @@ func TestMeasureBatchDeduplicatesAndCaches(t *testing.T) {
 		}
 	}
 
-	metrics2, fresh2, err := m.MeasureBatch(keys, func(cold []int) ([]perf.Metrics, error) {
+	metrics2, fresh2, errs := m.MeasureLanes(keys, func(cold []int) ([]perf.Metrics, error) {
 		t.Errorf("warm batch re-executed cold indexes %v", cold)
 		return nil, errors.New("must not run")
 	})
-	if err != nil {
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 	for i := range keys {
@@ -84,16 +85,19 @@ func equalBools(a, b []bool) bool {
 }
 
 // TestMeasureBatchErrorCompletesAllEntries: a failing batched run must cache
-// the error on every claimed entry — concurrent waiters are woken with the
-// error instead of hanging, and retries replay it without re-simulating.
+// the error on every claimed entry — every lane reports it, concurrent
+// waiters are woken with it instead of hanging, and retries replay it
+// without re-simulating.
 func TestMeasureBatchErrorCompletesAllEntries(t *testing.T) {
 	m := NewMemo()
 	boom := errors.New("boom")
-	_, _, err := m.MeasureBatch([]string{"x", "y"}, func(cold []int) ([]perf.Metrics, error) {
+	_, _, errs := m.MeasureLanes([]string{"x", "y"}, func(cold []int) ([]perf.Metrics, error) {
 		return nil, boom
 	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("batch error %v, want boom", err)
+	for i, err := range errs {
+		if !errors.Is(err, boom) {
+			t.Fatalf("lane %d error %v, want boom", i, err)
+		}
 	}
 	for _, key := range []string{"x", "y"} {
 		_, fresh, err := m.Measure(key, func() (perf.Metrics, error) {
@@ -116,7 +120,7 @@ func TestMeasureBatchPanicCompletesAllEntries(t *testing.T) {
 				t.Error("panic did not propagate")
 			}
 		}()
-		_, _, _ = m.MeasureBatch([]string{"p", "q"}, func(cold []int) ([]perf.Metrics, error) {
+		_, _, _ = m.MeasureLanes([]string{"p", "q"}, func(cold []int) ([]perf.Metrics, error) {
 			panic("kaboom")
 		})
 	}()
@@ -135,18 +139,20 @@ func TestMeasureBatchPanicCompletesAllEntries(t *testing.T) {
 // error cached on every cold entry, not a silent partial write.
 func TestMeasureBatchLengthMismatch(t *testing.T) {
 	m := NewMemo()
-	_, _, err := m.MeasureBatch([]string{"u", "v"}, func(cold []int) ([]perf.Metrics, error) {
+	_, _, errs := m.MeasureLanes([]string{"u", "v"}, func(cold []int) ([]perf.Metrics, error) {
 		return make([]perf.Metrics, 1), nil
 	})
-	if err == nil || !strings.Contains(err.Error(), "returned 1 results for 2 settings") {
-		t.Fatalf("err %v, want length-mismatch error", err)
+	for i, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "returned 1 results for 2 settings") {
+			t.Fatalf("lane %d err %v, want length-mismatch error", i, err)
+		}
 	}
 }
 
-// TestEvaluatorMatchesCoreRun pins the Evaluator contract from the issue: the
-// single shared entry point returns metrics bit-identical to one-at-a-time
-// core.Run on fresh clusters, a repeated evaluation is answered entirely from
-// the memo, and EvaluateOne adapts single-setting call sites.
+// TestEvaluatorMatchesCoreRun pins the evaluator contract: the single shared
+// entry point returns metrics bit-identical to one-at-a-time core.Run on
+// fresh clusters, a repeated evaluation is answered entirely from the memo,
+// and a one-setting evaluation agrees with the batched one.
 func TestEvaluatorMatchesCoreRun(t *testing.T) {
 	b := testutil.SmallBenchmark()
 	pool := sim.NewClusterPool(testutil.WestmereCluster())
@@ -158,7 +164,7 @@ func TestEvaluatorMatchesCoreRun(t *testing.T) {
 		{"dataSize": 0.5}, // batch duplicate
 	}
 
-	got, fresh, err := ev.EvaluateTracked(settings)
+	got, fresh, err := ev.Evaluate(settings)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +183,7 @@ func TestEvaluatorMatchesCoreRun(t *testing.T) {
 		}
 	}
 
-	_, fresh, err = ev.EvaluateTracked(settings)
+	_, fresh, err = ev.Evaluate(settings)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,12 +193,12 @@ func TestEvaluatorMatchesCoreRun(t *testing.T) {
 		}
 	}
 
-	one, err := EvaluateOne(ev, core.Setting{"dataSize": 0.5})
+	one, _, err := ev.Evaluate([]core.Setting{{"dataSize": 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if one != got[1] {
-		t.Fatal("EvaluateOne diverges from the batched evaluation of the same setting")
+	if len(one) != 1 || one[0] != got[1] {
+		t.Fatal("a one-setting evaluation diverges from the batched evaluation of the same setting")
 	}
 }
 
@@ -202,18 +208,64 @@ func TestEvaluatorNilMemoIsPrivate(t *testing.T) {
 	b := testutil.SmallBenchmark()
 	pool := sim.NewClusterPool(testutil.WestmereCluster())
 	ev := NewEvaluator(pool, b, nil)
-	if ev.Memo() == nil {
+	if ev.memo == nil {
 		t.Fatal("nil memo should be replaced with a private one")
 	}
-	if _, err := ev.Evaluate([]core.Setting{{"dataSize": 0.5}}); err != nil {
+	if _, _, err := ev.Evaluate([]core.Setting{{"dataSize": 0.5}}); err != nil {
 		t.Fatal(err)
 	}
-	if size := ev.Memo().Size(); size != 1 {
+	if size := ev.memo.Size(); size != 1 {
 		t.Fatalf("private memo holds %d entries, want 1", size)
 	}
 	other := NewEvaluator(pool, b, nil)
-	if other.Memo() == ev.Memo() {
+	if other.memo == ev.memo {
 		t.Fatal("two nil-memo evaluators must not share a memo")
+	}
+}
+
+// TestEvaluatorColdHookErrorIsCachedPerEntry: an error raised by the cold
+// hook lands inside the memo claims, so it is cached on every entry the
+// sweep claimed — each lane reports it, a batch duplicate replays it — and
+// a warm repeat replays the cached error without running the hook again.
+func TestEvaluatorColdHookErrorIsCachedPerEntry(t *testing.T) {
+	b := testutil.SmallBenchmark()
+	memo := NewMemo()
+	boom := errors.New("injected cold-sweep failure")
+	hookRuns := 0
+	ev := NewEvaluator(testutil.Pool(arch.Westmere()), b, memo).WithColdHook(func() error {
+		hookRuns++
+		return boom
+	})
+	settings := []core.Setting{nil, {"dataSize": 0.5}, nil}
+
+	_, fresh, errs := ev.EvaluateLanes(settings)
+	if want := []bool{true, true, false}; !equalBools(fresh, want) {
+		t.Fatalf("fresh flags %v, want %v", fresh, want)
+	}
+	for i, err := range errs {
+		if !errors.Is(err, boom) {
+			t.Fatalf("lane %d error %v, want the hook's error", i, err)
+		}
+	}
+	if hookRuns != 1 {
+		t.Fatalf("hook ran %d times for one cold sweep, want 1", hookRuns)
+	}
+	proto := testutil.WestmereCluster()
+	for _, s := range settings {
+		if _, ok, err := memo.PeekBytes([]byte(MemoKey(proto, b, s))); !ok || !errors.Is(err, boom) {
+			t.Fatalf("memo entry for %v: ok=%v err=%v, want the cached hook error", s, ok, err)
+		}
+	}
+
+	_, fresh, err := ev.Evaluate(settings)
+	if !errors.Is(err, boom) {
+		t.Fatalf("warm repeat error %v, want the cached hook error", err)
+	}
+	if !equalBools(fresh, []bool{false, false, false}) {
+		t.Fatalf("warm repeat fresh flags %v, want all cached", fresh)
+	}
+	if hookRuns != 1 {
+		t.Fatalf("warm repeat re-ran the hook (%d runs)", hookRuns)
 	}
 }
 
@@ -232,7 +284,7 @@ func TestMeasureBatchConcurrentOverlap(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			batch := append([]string{}, keys[g%3:]...)
-			_, _, err := m.MeasureBatch(batch, func(cold []int) ([]perf.Metrics, error) {
+			_, _, errs := m.MeasureLanes(batch, func(cold []int) ([]perf.Metrics, error) {
 				mu.Lock()
 				for _, i := range cold {
 					executions[(g%3)+i]++
@@ -240,7 +292,7 @@ func TestMeasureBatchConcurrentOverlap(t *testing.T) {
 				mu.Unlock()
 				return make([]perf.Metrics, len(cold)), nil
 			})
-			if err != nil {
+			if err := errors.Join(errs...); err != nil {
 				t.Error(err)
 			}
 		}()

@@ -27,11 +27,11 @@ type Memo struct {
 type memoEntry struct {
 	// claimed is CAS-set by the one caller responsible for executing the
 	// measurement; everyone else waits on ready.  A claim-flag (instead of a
-	// sync.Once) lets MeasureBatch claim many entries up front, run them as
+	// sync.Once) lets MeasureLanes claim many entries up front, run them as
 	// one batched simulation, and only then complete them.
 	claimed atomic.Bool
-	// done flips to true after metrics/err are populated; Peek reads it with
-	// acquire semantics so a true observation guarantees the fields are
+	// done flips to true after metrics/err are populated; PeekBytes reads it
+	// with acquire semantics so a true observation guarantees the fields are
 	// visible without taking any lock or blocking on ready.
 	done    atomic.Bool
 	ready   chan struct{}
@@ -55,9 +55,6 @@ func NewMemo() *Memo {
 // entry returns the (created-if-missing) entry for key.
 func (m *Memo) entry(key string) *memoEntry {
 	m.mu.Lock()
-	if m.entries == nil {
-		m.entries = make(map[string]*memoEntry)
-	}
 	e := m.entries[key]
 	if e == nil {
 		e = &memoEntry{ready: make(chan struct{})}
@@ -95,58 +92,30 @@ func AppendMemoKey(dst []byte, cluster *sim.Cluster, b *core.Benchmark, s core.S
 // Measure returns the metrics for key, executing run only if the key has
 // never been measured.  fresh reports whether this call performed the
 // simulation (false: the result came from the cache or another in-flight
-// caller).  Errors are cached alongside results so a failing setting is not
-// re-simulated either.
+// caller).  It is a one-key MeasureLanes, so errors — including a panic in
+// run, which is re-raised after it is cached — are cached alongside results
+// and a failing setting is not re-simulated either.
 func (m *Memo) Measure(key string, run func() (perf.Metrics, error)) (metrics perf.Metrics, fresh bool, err error) {
-	e := m.entry(key)
-	if e.claimed.CompareAndSwap(false, true) {
-		fresh = true
-		// A panic in run still consumes the claim, so record it as the
-		// entry's cached error before re-raising: later callers then replay
-		// a real error instead of silently reading a zero Metrics with a nil
-		// error from a half-initialised entry — and waiters are still woken.
-		defer func() {
-			if r := recover(); r != nil {
-				e.err = fmt.Errorf("tuner: measurement of %q panicked: %v", key, r)
-				e.complete()
-				panic(r)
-			}
-			e.complete()
-		}()
-		e.metrics, e.err = run()
-	} else {
-		<-e.ready
-	}
-	return e.metrics, fresh, e.err
+	ms, fs, errs := m.MeasureLanes([]string{key}, func([]int) ([]perf.Metrics, error) {
+		res, err := run()
+		return []perf.Metrics{res}, err
+	})
+	return ms[0], fs[0], errs[0]
 }
 
-// MeasureBatch returns the metrics for every key of one batched evaluation,
-// in key order.  It claims all never-measured keys up front, hands their
-// positions (indexes into keys) to run as ONE batched simulation, completes
-// them, and then waits for keys other callers have in flight.  fresh[i]
-// reports whether this call executed key i's simulation; duplicate keys
-// within one batch execute once (the first occurrence is fresh, the rest are
-// memo hits).  Like Measure, errors — including panics in run — are cached
-// on every claimed entry so waiters never hang and failing settings are not
-// re-simulated.  The returned error is the first per-key error in key order.
-func (m *Memo) MeasureBatch(keys []string, run func(cold []int) ([]perf.Metrics, error)) ([]perf.Metrics, []bool, error) {
-	metrics, fresh, errs := m.MeasureLanes(keys, run)
-	for _, err := range errs {
-		if err != nil {
-			return metrics, fresh, err
-		}
-	}
-	return metrics, fresh, nil
-}
-
-// MeasureLanes is MeasureBatch with per-lane error reporting: instead of
-// collapsing the batch onto the first per-key error, errs[i] carries key i's
-// own cached error (nil on success), so a caller fanning one merged sweep
-// back to many independent waiters — the serve scheduler's cross-request
-// coalescer — can fail exactly the lanes whose settings failed and answer
-// the rest.  The claim protocol is identical: never-measured keys are
-// claimed up front and completed on success, error and panic alike, so no
-// lane's waiter ever hangs, whichever caller claimed its entry.
+// MeasureLanes returns the metrics for every key of one batched evaluation,
+// in key order, with per-lane errors.  It is the memo's one claim protocol:
+// it claims all never-measured keys up front, hands their positions
+// (indexes into keys) to run as ONE batched simulation, completes every
+// claimed entry — on success, error and panic alike, so no lane's waiter
+// ever hangs, whichever caller claimed its entry — and then waits for keys
+// other callers have in flight.  fresh[i] reports whether this call
+// executed key i's simulation; duplicate keys within one batch execute once
+// (the first occurrence is fresh, the rest are memo hits).  errs[i] carries
+// key i's own cached error (nil on success), so a caller fanning one merged
+// sweep back to many independent waiters — the serve scheduler's
+// cross-request coalescer — can fail exactly the lanes whose settings
+// failed and answer the rest.
 func (m *Memo) MeasureLanes(keys []string, run func(cold []int) ([]perf.Metrics, error)) ([]perf.Metrics, []bool, []error) {
 	entries := make([]*memoEntry, len(keys))
 	fresh := make([]bool, len(keys))
@@ -207,24 +176,13 @@ func runColdBatch(keys []string, entries []*memoEntry, cold []int, run func(cold
 	}
 }
 
-// Peek returns the completed measurement for key without blocking: ok is
-// false when the key has never been measured or its first measurement is
+// PeekBytes returns the completed measurement for key without blocking: ok
+// is false when the key has never been measured or its first measurement is
 // still in flight.  The serving layer uses it to answer repeated requests
-// from the cache before spending an admission slot on them.
-func (m *Memo) Peek(key string) (metrics perf.Metrics, ok bool, err error) {
-	m.mu.Lock()
-	e := m.entries[key]
-	m.mu.Unlock()
-	if e == nil || !e.done.Load() {
-		return perf.Metrics{}, false, nil
-	}
-	return e.metrics, true, e.err
-}
-
-// PeekBytes is Peek with the key as a byte slice.  The lookup converts the
-// key in place (the compiler elides the string copy for a map index), so
-// answering a repeated request from the cache performs zero allocations;
-// only a miss that goes on to Measure pays for materialising the string.
+// from the cache before spending an admission slot on them.  The lookup
+// converts the key in place (the compiler elides the string copy for a map
+// index), so answering a repeated request from the cache performs zero
+// allocations.
 func (m *Memo) PeekBytes(key []byte) (metrics perf.Metrics, ok bool, err error) {
 	m.mu.Lock()
 	e := m.entries[string(key)]
@@ -295,17 +253,14 @@ func (m *Memo) ExportLimited(max int, skip func(key string) bool) []ExportedEntr
 }
 
 // Restore pre-completes key with a previously exported measurement, so a
-// warm-started memo answers Peek/PeekBytes (and absorbs Measure calls as
-// hits) exactly as the memo the snapshot was taken from.  It reports
-// whether the entry was installed: a key that already exists — measured,
-// claimed or restored earlier — is left untouched, so a live measurement
-// always beats a stale import.
+// warm-started memo answers PeekBytes (and absorbs Measure calls as hits)
+// exactly as the memo the snapshot was taken from.  It reports whether the
+// entry was installed: a key that already exists — measured, claimed or
+// restored earlier — is left untouched, so a live measurement always beats
+// a stale import.
 func (m *Memo) Restore(key string, metrics perf.Metrics) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.entries == nil {
-		m.entries = make(map[string]*memoEntry)
-	}
 	if _, exists := m.entries[key]; exists {
 		return false
 	}

@@ -20,9 +20,6 @@ type Target struct {
 	Profile arch.Profile
 	// Metrics is the real workload's metric vector on this architecture.
 	Metrics perf.Metrics
-	// MemoryBytes optionally sets the proxy node's memory capacity.  Zero
-	// selects the sim.SingleNode default of 32 GiB.
-	MemoryBytes uint64
 }
 
 // ArchResult pairs one architecture profile with the tuning outcome of the
@@ -50,12 +47,12 @@ func TuneAll(b *core.Benchmark, targets []Target, opts Options) ([]ArchResult, e
 	parallel.For(len(targets), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			t := targets[i]
-			cluster, err := sim.NewCluster(sim.SingleNode(t.Profile, t.MemoryBytes))
+			cluster, err := sim.NewCluster(sim.SingleNode(t.Profile, 0))
 			if err != nil {
 				errs[i] = err
 				continue
 			}
-			res, err := TuneWithMemo(cluster, b, t.Metrics, opts, memo)
+			res, err := TuneWithPool(sim.NewClusterPool(cluster), b, t.Metrics, opts, memo)
 			results[i] = ArchResult{Profile: t.Profile, Result: res}
 			errs[i] = err
 		}

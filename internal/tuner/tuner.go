@@ -7,9 +7,9 @@
 // metric) and a feedback stage (re-measure accuracy) until every metric's
 // deviation is within the threshold or the iteration budget is exhausted.
 //
-// The pipeline is batched, parallel and memoized: every measurement goes
-// through the Evaluator interface, whose standard implementation
-// (MemoEvaluator) evaluates a whole batch of settings in one trace-sharing
+// TuneWithPool is the one tune entry point.  The pipeline is batched,
+// parallel and memoized: every measurement goes through a MemoEvaluator,
+// which evaluates a whole batch of settings in one trace-sharing
 // core.RunBatch sweep — settings differing only in extrapolation parameters
 // share their motif compute — while distinct traces fan out over the shared
 // worker pool (internal/parallel) on pooled clusters, and a singleflight
@@ -48,15 +48,17 @@ type Options struct {
 	// ImpactFactors are the multiplicative perturbations applied to each
 	// parameter during impact analysis.  Empty selects 0.6, 0.8, 1.25, 1.6.
 	ImpactFactors []float64
-	// Step is the multiplicative adjustment applied per iteration; values
-	// must exceed 1 (the reciprocal is tried too).  Zero or less selects the
-	// default 1.3.
-	Step float64
-	// MinFactor and MaxFactor clamp every parameter factor.  Zero selects
-	// the defaults 0.2 and 5.
-	MinFactor float64
-	MaxFactor float64
 }
+
+// step is the multiplicative adjustment tried per iteration (its
+// reciprocal is tried too), and minFactor/maxFactor clamp every adjusted
+// parameter factor.  step is typed so that 1/step rounds like a run-time
+// division of the float64 1.3, not like the exact constant 10/13.
+const (
+	step      float64 = 1.3
+	minFactor         = 0.2
+	maxFactor         = 5
+)
 
 func (o Options) withDefaults() Options {
 	if o.Threshold <= 0 {
@@ -73,15 +75,6 @@ func (o Options) withDefaults() Options {
 	}
 	if len(o.ImpactFactors) == 0 {
 		o.ImpactFactors = []float64{0.6, 0.8, 1.25, 1.6}
-	}
-	if o.Step <= 1 {
-		o.Step = 1.3
-	}
-	if o.MinFactor <= 0 {
-		o.MinFactor = 0.2
-	}
-	if o.MaxFactor <= o.MinFactor {
-		o.MaxFactor = 5
 	}
 	return o
 }
@@ -123,83 +116,46 @@ type Result struct {
 	MemoHits int
 }
 
-// countingEvaluator wraps the tune's MemoEvaluator with the Evaluations /
-// MemoHits accounting.  The counters are owned by the tune's driving
-// goroutine: every stage evaluates through one sequential measure/
-// measureBatch call (the batching inside the evaluator supplies the
-// parallelism), so no synchronisation is needed.
-type countingEvaluator struct {
-	ev          *MemoEvaluator
-	evaluations int
-	memoHits    int
-}
-
-// measureBatch evaluates a batch of settings through the Evaluator entry
-// point and accounts each setting's fresh flag.
-func (ce *countingEvaluator) measureBatch(settings []core.Setting) ([]perf.Metrics, error) {
-	ms, fresh, err := ce.ev.EvaluateTracked(settings)
-	for _, f := range fresh {
-		if f {
-			ce.evaluations++
-		} else {
-			ce.memoHits++
-		}
-	}
-	return ms, err
-}
-
-// measure evaluates a single setting as a one-lane batch.
-func (ce *countingEvaluator) measure(s core.Setting) (perf.Metrics, error) {
-	ms, err := ce.measureBatch([]core.Setting{s})
-	if err != nil {
-		return perf.Metrics{}, err
-	}
-	return ms[0], nil
-}
-
-// Tune runs the full auto-tuning process of the paper's Figure 3 for one
-// proxy benchmark against the target metrics measured on the real workload.
-// The cluster is used as a prototype only: every evaluation runs on a fresh
-// clone, so the passed cluster's state is never mutated and evaluations can
-// execute concurrently.
-func Tune(cluster *sim.Cluster, b *core.Benchmark, target perf.Metrics, opts Options) (Result, error) {
-	return TuneWithMemo(cluster, b, target, opts, NewMemo())
-}
-
-// TuneWithMemo is Tune with a caller-supplied measurement memo, so several
-// tunes of the same benchmark (e.g. the per-profile tunes of TuneAll, or a
-// re-tune with a tighter threshold) share simulations.  The memo keys
-// include the benchmark, cluster and architecture profile, so sharing a memo
-// across different targets is always safe.
-func TuneWithMemo(cluster *sim.Cluster, b *core.Benchmark, target perf.Metrics, opts Options, memo *Memo) (Result, error) {
-	return TuneWithPool(sim.NewClusterPool(cluster), b, target, opts, memo)
-}
-
-// TuneWithPool is TuneWithMemo drawing every executed simulation from the
-// caller's cluster pool instead of a tune-scoped one, so a long-lived
-// service running tune after tune (the proxyd dispatcher) reuses the same
-// recycled clusters across jobs instead of re-cloning per tune.  The pool's
-// prototype is only ever read.
+// TuneWithPool runs the full auto-tuning process of the paper's Figure 3
+// for one proxy benchmark against the target metrics measured on the real
+// workload.  Every executed simulation is drawn from the caller's cluster
+// pool, so a long-lived service running tune after tune (the proxyd
+// dispatcher) reuses the same recycled clusters across jobs; the pool's
+// prototype is only ever read.  memo is the measurement memo the tune
+// shares (nil: a private one), so several tunes of the same benchmark —
+// the per-profile tunes of TuneAll, or a re-tune with a tighter threshold —
+// never simulate a setting twice.  The memo keys include the benchmark,
+// cluster and architecture profile, so sharing a memo across different
+// targets is always safe.
 func TuneWithPool(pool *sim.ClusterPool, b *core.Benchmark, target perf.Metrics, opts Options, memo *Memo) (res Result, err error) {
 	opts = opts.withDefaults()
-	if memo == nil {
-		memo = NewMemo()
-	}
 	res = Result{Setting: core.DefaultSetting()}
-	ce := &countingEvaluator{ev: NewEvaluator(pool, b, memo)}
-	defer func() {
-		res.Evaluations = ce.evaluations
-		res.MemoHits = ce.memoHits
-	}()
+	ev := NewEvaluator(pool, b, memo)
+	// measure evaluates one stage's settings and accounts each fresh flag.
+	// Every stage runs sequentially on this goroutine (the batching inside
+	// the evaluator supplies the parallelism), so the counters need no
+	// synchronisation.
+	measure := func(settings ...core.Setting) ([]perf.Metrics, error) {
+		ms, fresh, err := ev.Evaluate(settings)
+		for _, f := range fresh {
+			if f {
+				res.Evaluations++
+			} else {
+				res.MemoHits++
+			}
+		}
+		return ms, err
+	}
 
 	// Baseline evaluation with the initial weights/parameters.
-	baseline, err := ce.measure(res.Setting)
+	ms, err := measure(res.Setting)
 	if err != nil {
 		return res, fmt.Errorf("tuner: baseline evaluation failed: %w", err)
 	}
+	baseline := ms[0]
 
 	// --- Impact analysis: perturb one parameter at a time.  The
-	// perturbations evaluate as one batch through the Evaluator, which
+	// perturbations evaluate as one batch through the evaluator, which
 	// shares motif compute between settings on the same trace and fans
 	// distinct traces out over the worker pool; the observations are
 	// recorded in canonical (parameter, factor) order so the decision trees
@@ -230,7 +186,7 @@ func TuneWithPool(pool *sim.ClusterPool, b *core.Benchmark, target perf.Metrics,
 		s[j.param] = j.factor
 		perturbed[i] = s
 	}
-	observations, err := ce.measureBatch(perturbed)
+	observations, err := measure(perturbed...)
 	if err != nil {
 		return res, fmt.Errorf("tuner: impact analysis failed: %w", err)
 	}
@@ -268,10 +224,11 @@ func TuneWithPool(pool *sim.ClusterPool, b *core.Benchmark, target perf.Metrics,
 		// Feedback stage: evaluate the adjusted proxy benchmark.  A
 		// candidate the loop has already visited (e.g. a re-proposed
 		// rejected move) comes straight from the memo.
-		m, err := ce.measure(candidate)
+		ms, err := measure(candidate)
 		if err != nil {
 			return res, fmt.Errorf("tuner: feedback evaluation failed: %w", err)
 		}
+		m := ms[0]
 		record(candidate, m)
 		// Refit the worst metric's tree with the new observation.
 		if t, ferr := dtree.Fit(samples[worstMetric], dtree.Config{}); ferr == nil {
@@ -346,8 +303,8 @@ func bestMove(tree *dtree.Tree, current core.Setting, target float64, opts Optio
 	bestFactor := 0.0
 	bestDist := -1.0
 	for i, p := range opts.Parameters {
-		for _, dir := range []float64{opts.Step, 1 / opts.Step} {
-			factor := perf.Clamp(current.Get(p)*dir, opts.MinFactor, opts.MaxFactor)
+		for _, dir := range []float64{step, 1 / step} {
+			factor := perf.Clamp(current.Get(p)*dir, minFactor, maxFactor)
 			if factor == current.Get(p) {
 				continue
 			}

@@ -32,6 +32,12 @@ func selfTarget(t *testing.T, setting core.Setting) perf.Metrics {
 	return rep.Metrics
 }
 
+// tuneWestmere tunes on a fresh single-node Westmere pool with a private
+// memo.
+func tuneWestmere(b *core.Benchmark, target perf.Metrics, opts Options) (Result, error) {
+	return TuneWithPool(testutil.Pool(arch.Westmere()), b, target, opts, nil)
+}
+
 func fastOptions() Options {
 	return Options{
 		MaxIterations: 4,
@@ -46,7 +52,7 @@ func TestTuneConvergesWhenTargetIsReachable(t *testing.T) {
 	// already be within the threshold, so the tuner must converge immediately
 	// without adjustments.
 	target := selfTarget(t, nil)
-	res, err := Tune(testutil.WestmereCluster(), testutil.SmallBenchmark(), target, fastOptions())
+	res, err := tuneWestmere(testutil.SmallBenchmark(), target, fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +82,7 @@ func TestTuneImprovesAccuracyTowardsShiftedTarget(t *testing.T) {
 	}
 	baseline := perf.CompareMetrics(target, baselineRep.Metrics, opts.Metrics)
 
-	res, err := Tune(testutil.WestmereCluster(), testutil.SmallBenchmark(), target, opts)
+	res, err := tuneWestmere(testutil.SmallBenchmark(), target, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +107,7 @@ func TestTuneHistoryRecordsAdjustments(t *testing.T) {
 	opts := fastOptions()
 	opts.Threshold = 0.02 // hard to satisfy -> must iterate
 	opts.MaxIterations = 3
-	res, err := Tune(testutil.WestmereCluster(), testutil.SmallBenchmark(), target, opts)
+	res, err := tuneWestmere(testutil.SmallBenchmark(), target, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +127,7 @@ func TestTuneHistoryRecordsAdjustments(t *testing.T) {
 func TestTuneFailsOnBrokenBenchmark(t *testing.T) {
 	b := testutil.SmallBenchmark()
 	b.Edges[0].Impl = "nope"
-	if _, err := Tune(testutil.WestmereCluster(), b, perf.Metrics{}, fastOptions()); err == nil {
+	if _, err := tuneWestmere(b, perf.Metrics{}, fastOptions()); err == nil {
 		t.Fatal("broken benchmark should surface an error")
 	}
 }
@@ -131,11 +137,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Threshold != 0.15 {
 		t.Fatalf("default threshold %g, want the paper's 15%%", o.Threshold)
 	}
-	if o.MaxIterations <= 0 || o.Step <= 1 || len(o.Metrics) == 0 || len(o.Parameters) == 0 {
+	if o.MaxIterations <= 0 || len(o.Metrics) == 0 || len(o.Parameters) == 0 || len(o.ImpactFactors) == 0 {
 		t.Fatalf("defaults incomplete: %+v", o)
-	}
-	if o.MinFactor <= 0 || o.MaxFactor <= o.MinFactor {
-		t.Fatal("factor clamps must be ordered")
 	}
 }
 
@@ -151,13 +154,13 @@ func TestTuneParallelMatchesSequential(t *testing.T) {
 
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
-	seq, err := Tune(testutil.WestmereCluster(), testutil.SmallBenchmark(), target, opts)
+	seq, err := tuneWestmere(testutil.SmallBenchmark(), target, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
 		parallel.SetWorkers(workers)
-		par, err := Tune(testutil.WestmereCluster(), testutil.SmallBenchmark(), target, opts)
+		par, err := tuneWestmere(testutil.SmallBenchmark(), target, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +177,7 @@ func TestTuneMemoSkipsRepeatedSettings(t *testing.T) {
 	target := selfTarget(t, nil)
 	opts := fastOptions()
 	opts.ImpactFactors = []float64{0.7, 0.7, 1.4} // one duplicated perturbation per parameter
-	res, err := Tune(testutil.WestmereCluster(), testutil.SmallBenchmark(), target, opts)
+	res, err := tuneWestmere(testutil.SmallBenchmark(), target, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,12 +232,12 @@ func TestMemoSingleflight(t *testing.T) {
 }
 
 // TestMemoPeek checks the non-blocking read path the serving layer answers
-// cached requests from: a Peek never executes anything, misses on unknown
-// and in-flight keys, and hits completed keys (errors included).
+// cached requests from: PeekBytes never executes anything, misses on
+// unknown and in-flight keys, and hits completed keys (errors included).
 func TestMemoPeek(t *testing.T) {
 	memo := NewMemo()
-	if _, ok, _ := memo.Peek("absent"); ok {
-		t.Fatal("Peek of an unknown key must miss")
+	if _, ok, _ := memo.PeekBytes([]byte("absent")); ok {
+		t.Fatal("PeekBytes of an unknown key must miss")
 	}
 
 	inFlight := make(chan struct{})
@@ -247,32 +250,32 @@ func TestMemoPeek(t *testing.T) {
 		})
 	}()
 	<-inFlight
-	if _, ok, _ := memo.Peek("slow"); ok {
-		t.Fatal("Peek of an in-flight key must miss, not block or return partial data")
+	if _, ok, _ := memo.PeekBytes([]byte("slow")); ok {
+		t.Fatal("PeekBytes of an in-flight key must miss, not block or return partial data")
 	}
 	close(release)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if m, ok, err := memo.Peek("slow"); ok {
+		if m, ok, err := memo.PeekBytes([]byte("slow")); ok {
 			if err != nil || m.IPC != 2 {
-				t.Fatalf("Peek returned %v, %v", m, err)
+				t.Fatalf("PeekBytes returned %v, %v", m, err)
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("Peek never observed the completed measurement")
+			t.Fatal("PeekBytes never observed the completed measurement")
 		}
 	}
 
 	wantErr := fmt.Errorf("setting rejected")
 	_, _, _ = memo.Measure("failing", func() (perf.Metrics, error) { return perf.Metrics{}, wantErr })
-	if _, ok, err := memo.Peek("failing"); !ok || err == nil {
-		t.Fatal("Peek must replay cached errors so failing settings are not retried")
+	if _, ok, err := memo.PeekBytes([]byte("failing")); !ok || err == nil {
+		t.Fatal("PeekBytes must replay cached errors so failing settings are not retried")
 	}
 }
 
 // TestMemoMeasurePanicCachesError checks a panicking measurement cannot
-// poison its entry: sync.Once consumes the panicked call, so the entry must
+// poison its entry: the panicked call consumes the claim, so the entry must
 // replay an error afterwards instead of a zero Metrics with a nil error.
 func TestMemoMeasurePanicCachesError(t *testing.T) {
 	memo := NewMemo()
@@ -287,8 +290,8 @@ func TestMemoMeasurePanicCachesError(t *testing.T) {
 	if _, fresh, err := memo.Measure("boom", func() (perf.Metrics, error) { return perf.Metrics{IPC: 1}, nil }); fresh || err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("later Measure got fresh=%v err=%v, want the cached panic error", fresh, err)
 	}
-	if _, ok, err := memo.Peek("boom"); !ok || err == nil {
-		t.Fatalf("Peek got ok=%v err=%v, want the cached panic error", ok, err)
+	if _, ok, err := memo.PeekBytes([]byte("boom")); !ok || err == nil {
+		t.Fatalf("PeekBytes got ok=%v err=%v, want the cached panic error", ok, err)
 	}
 }
 
@@ -359,5 +362,37 @@ func TestTuneAllQualifiesAcrossArchitectures(t *testing.T) {
 	}
 	if _, err := TuneAll(testutil.SmallBenchmark(), nil, fastOptions()); err == nil {
 		t.Fatal("TuneAll without targets should be rejected")
+	}
+
+	// Against shifted targets the adjust loop iterates, and each concurrent
+	// per-profile tune on the shared memo must still equal a lone
+	// TuneWithPool on a fresh pool of its profile, at any worker count.
+	for i, p := range profiles {
+		rep, err := core.Run(testutil.Cluster(p), testutil.SmallBenchmark(), core.Setting{"numTasks": 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets[i] = Target{Profile: p, Metrics: rep.Metrics}
+	}
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
+	for _, workers := range []int{1, 8} {
+		parallel.SetWorkers(workers)
+		results, err := TuneAll(testutil.SmallBenchmark(), targets, fastOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range profiles {
+			want, err := TuneWithPool(testutil.Pool(p), testutil.SmallBenchmark(), targets[i].Metrics, fastOptions(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Iterations == 0 {
+				t.Fatalf("%s: the shifted target did not exercise the adjust loop", p.Name)
+			}
+			if !reflect.DeepEqual(results[i].Result, want) {
+				t.Fatalf("workers=%d %s: TuneAll differs from TuneWithPool:\nall:  %+v\npool: %+v", workers, p.Name, results[i].Result, want)
+			}
+		}
 	}
 }
