@@ -14,9 +14,12 @@
 // The cache engine is the innermost loop of every simulated experiment, so
 // it is organised for speed: each cache keeps its lines in one contiguous
 // slab indexed by set*ways+way, tag/valid/dirty are packed into a single
-// word, the hierarchy is walked iteratively over a fixed level array rather
-// than by recursion, and the batched AccessRun entry point probes a
-// sequential run once per cache line instead of once per word.
+// word, and the hierarchy is walked iteratively over a fixed level array
+// rather than by recursion.  AccessLine is that walk, the one way a probe
+// moves down the hierarchy: it returns the level that hit, and its callers
+// add up the rest.  Access loops over it once for one address, and the
+// batched AccessRun once per cache line of a sequential run instead of once
+// per word.
 package arch
 
 import "fmt"
@@ -92,10 +95,16 @@ type Cache struct {
 	ways  int
 
 	// levels is this cache followed by the levels below it, fixed when the
-	// cache is built; Access and AccessRun iterate over it instead of
-	// recursing through next pointers.
+	// cache is built; AccessLine iterates over it instead of recursing
+	// through next pointers.
 	levels [maxLevels]*Cache
 	depth  int
+	// latency[l] is the summed hit latency of levels 0..l, the latency of a
+	// probe that hit at level l; latency[depth] is that of a probe that went
+	// to memory.  memLineBytes is the last level's line size, the bytes one
+	// memory access moves.
+	latency      [maxLevels + 1]uint64
+	memLineBytes uint64
 
 	hits   uint64
 	misses uint64
@@ -137,6 +146,13 @@ func NewCache(cfg CacheConfig, next *Cache) *Cache {
 		c.levels[c.depth] = lvl
 		c.depth++
 	}
+	var sum uint64
+	for i, lvl := range c.levels[:c.depth] {
+		sum += uint64(lvl.cfg.LatencyCycles)
+		c.latency[i] = sum
+	}
+	c.latency[c.depth] = sum
+	c.memLineBytes = uint64(c.levels[c.depth-1].cfg.LineBytes)
 	return c
 }
 
@@ -195,16 +211,19 @@ func (c *Cache) probe(addr uint64, write bool) bool {
 		}
 	}
 
-	// Miss: choose the LRU victim (preferring invalid ways) and refill.
+	// Miss: choose the LRU victim (the first invalid way, else the first way
+	// with the smallest stamp) and refill.  The oldest stamp stays in a local
+	// so the scan carries no reload of the current victim from one way to
+	// the next.
 	c.misses++
-	victim := 0
+	victim, oldest := 0, lines[0].lru
 	for i := range lines {
 		if lines[i].tagState&lineValid == 0 {
 			victim = i
 			break
 		}
-		if lines[i].lru < lines[victim].lru {
-			victim = i
+		if lru := lines[i].lru; lru < oldest {
+			victim, oldest = i, lru
 		}
 	}
 	if write {
@@ -231,18 +250,33 @@ type AccessResult struct {
 // write-allocate accounting).  The access is forwarded down the hierarchy on
 // a miss and the aggregated result is returned.
 func (c *Cache) Access(addr uint64, write bool) AccessResult {
-	var res AccessResult
-	for i := 0; i < c.depth; i++ {
-		lvl := c.levels[i]
-		res.Latency += lvl.cfg.LatencyCycles
-		if lvl.probe(addr, write) {
-			res.HitLevel = i + 1
-			return res
-		}
+	lvl := c.AccessLine(addr, write)
+	res := AccessResult{Latency: int(c.latency[lvl])}
+	if lvl < c.depth {
+		res.HitLevel = lvl + 1
+	} else {
+		res.MemoryBytes = int(c.memLineBytes)
 	}
-	res.MemoryBytes = c.levels[c.depth-1].cfg.LineBytes
 	return res
 }
+
+// AccessLine pushes one probe of the line holding addr through the level
+// array and returns the 0-based level that hit, or the hierarchy's depth
+// (Depth) when the probe missed every level and went to memory.  It is the
+// only walk of the hierarchy; Access and AccessRun loop over it.
+func (c *Cache) AccessLine(addr uint64, write bool) int {
+	addr &^= c.lineMask
+	for i := 0; i < c.depth; i++ {
+		if c.levels[i].probe(addr, write) {
+			return i
+		}
+	}
+	return c.depth
+}
+
+// Depth returns the number of levels from this cache down to memory, the
+// level AccessLine reports for a probe that went to memory.
+func (c *Cache) Depth() int { return c.depth }
 
 // RunResult aggregates the outcome of a batched, line-granular run of
 // accesses through the hierarchy.  All counts are in line probes, not words:
@@ -289,28 +323,20 @@ func (c *Cache) AccessRun(addr, bytes uint64, write bool) RunResult {
 	lineBytes := uint64(c.cfg.LineBytes)
 	last := (addr + bytes - 1) &^ c.lineMask
 	for a := addr &^ c.lineMask; ; a += lineBytes {
-		c.accessLine(a, write, &rr)
+		lvl := c.AccessLine(a, write)
+		rr.LineAccesses++
+		rr.LatencyCycles += c.latency[lvl]
+		if lvl < c.depth {
+			rr.LevelHits[lvl]++
+		} else {
+			rr.MemAccesses++
+			rr.MemoryBytes += c.memLineBytes
+		}
 		if a == last {
 			break
 		}
 	}
 	return rr
-}
-
-// accessLine pushes one line probe through the level array, accumulating
-// into rr.
-func (c *Cache) accessLine(addr uint64, write bool, rr *RunResult) {
-	rr.LineAccesses++
-	for i := 0; i < c.depth; i++ {
-		lvl := c.levels[i]
-		rr.LatencyCycles += uint64(lvl.cfg.LatencyCycles)
-		if lvl.probe(addr, write) {
-			rr.LevelHits[i]++
-			return
-		}
-	}
-	rr.MemAccesses++
-	rr.MemoryBytes += uint64(c.levels[c.depth-1].cfg.LineBytes)
 }
 
 // Hierarchy bundles the per-core caches plus the shared last level cache of

@@ -2,6 +2,7 @@ package arch
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -83,34 +84,55 @@ func (c *refCache) access(addr uint64, write bool, level int) AccessResult {
 	return res
 }
 
-// state returns the resident lines of every set as sorted (tag, dirty)
-// pairs, a representation that is independent of which way a line occupies.
-func (c *refCache) state() [][]uint64 {
-	out := make([][]uint64, len(c.sets))
-	for s := range c.sets {
-		for _, l := range c.sets[s] {
-			if l.valid {
-				v := l.tag << 1
-				if l.dirty {
-					v |= 1
-				}
-				out[s] = append(out[s], v)
-			}
+// refWay is one way of one set in a representation both implementations
+// can produce: tag, valid and dirty bits and the LRU stamp.
+type refWay struct {
+	tag          uint64
+	valid, dirty bool
+	lru          uint64
+}
+
+// wayState returns every way of every set, in way order.  Comparing them
+// way by way checks where a fill lands and which stamp it writes, not just
+// which lines are resident: both choices reach the bytes of AppendState,
+// and with them every checkpoint.
+func (c *refCache) wayState() [][]refWay {
+	out := make([][]refWay, len(c.sets))
+	for s, set := range c.sets {
+		for _, l := range set {
+			out[s] = append(out[s], refWay{tag: l.tag, valid: l.valid, dirty: l.dirty, lru: l.lru})
 		}
-		sort.Slice(out[s], func(i, j int) bool { return out[s][i] < out[s][j] })
 	}
 	return out
 }
 
-// state is the flat engine's counterpart of refCache.state.
-func (c *Cache) state() [][]uint64 {
+// wayState is the flat engine's counterpart of refCache.wayState.
+func (c *Cache) wayState() [][]refWay {
 	sets := len(c.lines) / c.ways
-	out := make([][]uint64, sets)
+	out := make([][]refWay, sets)
 	for s := 0; s < sets; s++ {
 		for _, l := range c.lines[s*c.ways : (s+1)*c.ways] {
-			if l.tagState&lineValid != 0 {
-				v := (l.tagState >> lineTagShift) << 1
-				if l.tagState&lineDirty != 0 {
+			out[s] = append(out[s], refWay{
+				tag:   l.tagState >> lineTagShift,
+				valid: l.tagState&lineValid != 0,
+				dirty: l.tagState&lineDirty != 0,
+				lru:   l.lru,
+			})
+		}
+	}
+	return out
+}
+
+// resident returns the resident lines of every set as sorted (tag, dirty)
+// pairs, a representation that is independent of which way a line occupies
+// and of the tick it was stamped with.
+func (c *Cache) resident() [][]uint64 {
+	out := make([][]uint64, len(c.lines)/c.ways)
+	for s, set := range c.wayState() {
+		for _, w := range set {
+			if w.valid {
+				v := w.tag << 1
+				if w.dirty {
 					v |= 1
 				}
 				out[s] = append(out[s], v)
@@ -119,23 +141,6 @@ func (c *Cache) state() [][]uint64 {
 		sort.Slice(out[s], func(i, j int) bool { return out[s][i] < out[s][j] })
 	}
 	return out
-}
-
-func equalState(a, b [][]uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // refHierarchy builds the three-level data-side chain of a profile in both
@@ -150,6 +155,8 @@ func refHierarchy(p Profile) (*Cache, *refCache) {
 	return l1, r1
 }
 
+// compareChains checks every level of the two chains: hit and miss counts,
+// and every way of every set (tag, valid, dirty, LRU stamp).
 func compareChains(t *testing.T, label string, flat *Cache, ref *refCache) {
 	t.Helper()
 	for lvl := 0; flat != nil; lvl++ {
@@ -157,11 +164,20 @@ func compareChains(t *testing.T, label string, flat *Cache, ref *refCache) {
 			t.Fatalf("%s level %d: flat hits/misses %d/%d, reference %d/%d",
 				label, lvl+1, flat.Hits(), flat.Misses(), ref.hits, ref.misses)
 		}
-		if !equalState(flat.state(), ref.state()) {
-			t.Fatalf("%s level %d: resident line state diverged (victim choices differ)", label, lvl+1)
+		if !reflect.DeepEqual(flat.wayState(), ref.wayState()) {
+			t.Fatalf("%s level %d: way contents diverged (victim choices or stamps differ)", label, lvl+1)
 		}
 		flat, ref = flat.next, ref.next
 	}
+}
+
+// accessLineLevel converts the reference's 1-based HitLevel (0 = memory)
+// into AccessLine's 0-based level (depth = memory).
+func accessLineLevel(res AccessResult, depth int) int {
+	if res.HitLevel == 0 {
+		return depth
+	}
+	return res.HitLevel - 1
 }
 
 // traceProfiles returns the machine profiles the equivalence properties run
@@ -173,74 +189,121 @@ func traceProfiles() map[string]Profile {
 // Property: on randomized word-granular traces the flat engine and the slow
 // reference model agree access-by-access on the level that hit, the latency
 // and the memory traffic, and end with identical per-level hit/miss counts
-// and resident lines (i.e. identical victim choices).
+// and way contents (i.e. identical victim choices and stamps).  The trace
+// runs once through Access and once through AccessLine.
 func TestFlatEngineMatchesReferenceOnWordTraces(t *testing.T) {
 	for name, p := range traceProfiles() {
 		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(42))
-			flat, ref := refHierarchy(p)
-			// Mix of hot reuse (small working set), streaming and random
-			// far accesses, with occasional writes.
-			for i := 0; i < 60000; i++ {
-				var addr uint64
-				switch rng.Intn(3) {
-				case 0:
-					addr = uint64(rng.Intn(32 * 1024)) // L1-sized hot set
-				case 1:
-					addr = uint64(i) * 8 // streaming
-				default:
-					addr = uint64(rng.Intn(64 * 1024 * 1024)) // far random
-				}
-				write := rng.Intn(4) == 0
-				got := flat.Access(addr, write)
-				want := ref.access(addr, write, 1)
-				if got != want {
-					t.Fatalf("access %d addr %#x write=%v: flat %+v, reference %+v", i, addr, write, got, want)
-				}
-			}
-			compareChains(t, name, flat, ref)
+			t.Run("Access", func(t *testing.T) {
+				flat, ref := refHierarchy(p)
+				wordTrace(func(i int, addr uint64, write bool) {
+					got := flat.Access(addr, write)
+					want := ref.access(addr, write, 1)
+					if got != want {
+						t.Fatalf("access %d addr %#x write=%v: flat %+v, reference %+v", i, addr, write, got, want)
+					}
+				})
+				compareChains(t, name, flat, ref)
+			})
+			t.Run("AccessLine", func(t *testing.T) {
+				flat, ref := refHierarchy(p)
+				wordTrace(func(i int, addr uint64, write bool) {
+					got := flat.AccessLine(addr, write)
+					want := accessLineLevel(ref.access(addr, write, 1), flat.Depth())
+					if got != want {
+						t.Fatalf("access %d addr %#x write=%v: flat level %d, reference level %d", i, addr, write, got, want)
+					}
+				})
+				compareChains(t, name, flat, ref)
+			})
 		})
+	}
+}
+
+// wordTrace calls access with a randomized word-granular trace: a mix of hot
+// reuse (small working set), streaming and random far accesses, with
+// occasional writes.
+func wordTrace(access func(i int, addr uint64, write bool)) {
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 60000; i++ {
+		var addr uint64
+		switch rng.Intn(3) {
+		case 0:
+			addr = uint64(rng.Intn(32 * 1024)) // L1-sized hot set
+		case 1:
+			addr = uint64(i) * 8 // streaming
+		default:
+			addr = uint64(rng.Intn(64 * 1024 * 1024)) // far random
+		}
+		access(i, addr, rng.Intn(4) == 0)
 	}
 }
 
 // Property: AccessRun is equivalent to issuing one per-line Access for every
 // line the run touches — identical per-level line hit/miss counts, latency,
-// memory traffic and replacement state — on randomized run traces.
+// memory traffic and replacement state — on randomized run traces.  The
+// same runs driven line by line through AccessLine report the reference's
+// level for every line and leave the same state.
 func TestAccessRunMatchesPerLineAccesses(t *testing.T) {
 	for name, p := range traceProfiles() {
+		lineBytes := uint64(p.L1D.LineBytes)
 		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			flat, ref := refHierarchy(p)
-			lineBytes := uint64(p.L1D.LineBytes)
-			for i := 0; i < 4000; i++ {
-				addr := uint64(rng.Intn(16 * 1024 * 1024))
-				bytes := uint64(1 + rng.Intn(8*1024))
-				write := rng.Intn(4) == 0
+			t.Run("AccessRun", func(t *testing.T) {
+				flat, ref := refHierarchy(p)
+				runTrace(func(i int, addr, bytes uint64, write bool) {
+					rr := flat.AccessRun(addr, bytes, write)
 
-				rr := flat.AccessRun(addr, bytes, write)
-
-				var want RunResult
-				last := (addr + bytes - 1) &^ (lineBytes - 1)
-				for a := addr &^ (lineBytes - 1); ; a += lineBytes {
-					res := ref.access(a, write, 1)
-					want.LineAccesses++
-					want.LatencyCycles += uint64(res.Latency)
-					if res.HitLevel > 0 {
-						want.LevelHits[res.HitLevel-1]++
-					} else {
-						want.MemAccesses++
-						want.MemoryBytes += uint64(res.MemoryBytes)
+					var want RunResult
+					last := (addr + bytes - 1) &^ (lineBytes - 1)
+					for a := addr &^ (lineBytes - 1); ; a += lineBytes {
+						res := ref.access(a, write, 1)
+						want.LineAccesses++
+						want.LatencyCycles += uint64(res.Latency)
+						if res.HitLevel > 0 {
+							want.LevelHits[res.HitLevel-1]++
+						} else {
+							want.MemAccesses++
+							want.MemoryBytes += uint64(res.MemoryBytes)
+						}
+						if a == last {
+							break
+						}
 					}
-					if a == last {
-						break
+					if rr != want {
+						t.Fatalf("run %d addr %#x bytes %d write=%v: flat %+v, reference %+v", i, addr, bytes, write, rr, want)
 					}
-				}
-				if rr != want {
-					t.Fatalf("run %d addr %#x bytes %d write=%v: flat %+v, reference %+v", i, addr, bytes, write, rr, want)
-				}
-			}
-			compareChains(t, name, flat, ref)
+				})
+				compareChains(t, name, flat, ref)
+			})
+			t.Run("AccessLine", func(t *testing.T) {
+				flat, ref := refHierarchy(p)
+				runTrace(func(i int, addr, bytes uint64, write bool) {
+					last := (addr + bytes - 1) &^ (lineBytes - 1)
+					for a := addr &^ (lineBytes - 1); ; a += lineBytes {
+						got := flat.AccessLine(a, write)
+						want := accessLineLevel(ref.access(a, write, 1), flat.Depth())
+						if got != want {
+							t.Fatalf("run %d line %#x write=%v: flat level %d, reference level %d", i, a, write, got, want)
+						}
+						if a == last {
+							break
+						}
+					}
+				})
+				compareChains(t, name, flat, ref)
+			})
 		})
+	}
+}
+
+// runTrace calls run with randomized sequential runs of 1 byte to 8 KiB at
+// random addresses, with occasional writes.
+func runTrace(run func(i int, addr, bytes uint64, write bool)) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 4000; i++ {
+		addr := uint64(rng.Intn(16 * 1024 * 1024))
+		bytes := uint64(1 + rng.Intn(8*1024))
+		run(i, addr, bytes, rng.Intn(4) == 0)
 	}
 }
 
@@ -266,7 +329,7 @@ func TestBatchedAndPerWordReplacementEquivalence(t *testing.T) {
 				}
 			}
 			for b, w := batched, perWord; b != nil; b, w = b.next, w.next {
-				if !equalState(b.state(), w.state()) {
+				if !reflect.DeepEqual(b.resident(), w.resident()) {
 					t.Fatalf("%s: batched and per-word replacement state diverged", name)
 				}
 			}

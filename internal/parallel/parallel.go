@@ -3,15 +3,19 @@
 // the sim cluster's per-node task groups) and by the experiment harness.
 //
 // The engine bounds the total host concurrency of the whole process with one
-// global token pool: a call to For or Do always executes on the calling
-// goroutine and additionally recruits helper goroutines only while pool
-// tokens are available.  Nested parallelism (a parallel kernel inside a
-// parallel cluster stage inside a parallel table generation) therefore
-// degrades gracefully to sequential execution instead of oversubscribing the
-// machine.  With a single worker (the default on a one-CPU host) every call
-// runs inline, so sequential behaviour is the natural fallback, and results
-// are bit-identical between the sequential and parallel paths because work
-// items only ever write disjoint outputs.
+// global pool of Workers()-1 helper goroutines, started when the worker
+// count is set and parked until work arrives.  A call to For or Do always
+// executes on the calling goroutine and additionally hands its job to
+// helpers only while some are idle: an idle helper is a free slot, and a
+// dispatch never waits for one.  Nested parallelism (a parallel kernel
+// inside a parallel cluster stage inside a parallel table generation)
+// therefore degrades gracefully to sequential execution instead of
+// oversubscribing the machine.  Because the helpers outlive every dispatch,
+// recruiting one starts no goroutine and allocates nothing.  With a single
+// worker (the default on a one-CPU host) there are no helpers and every
+// call runs inline, so sequential behaviour is the natural fallback, and
+// results are bit-identical between the sequential and parallel paths
+// because work items only ever write disjoint outputs.
 package parallel
 
 import (
@@ -20,13 +24,18 @@ import (
 	"sync/atomic"
 )
 
-// pool holds the helper tokens: Workers()-1 tokens, because the calling
+// pool is the current helper pool: Workers()-1 helpers, because the calling
 // goroutine always counts as the first worker.
 var pool atomic.Pointer[poolState]
 
 type poolState struct {
 	workers int
-	tokens  chan struct{}
+	// jobs is unbuffered: a dispatch's non-blocking send succeeds only
+	// while a helper is parked on the receive, that is, idle.
+	jobs chan *forJob
+	// retire is closed when SetWorkers replaces the pool, so its helpers
+	// exit once they are idle.
+	retire chan struct{}
 }
 
 func init() {
@@ -34,11 +43,25 @@ func init() {
 }
 
 func newPool(workers int) *poolState {
-	p := &poolState{workers: workers, tokens: make(chan struct{}, workers-1)}
+	p := &poolState{workers: workers, jobs: make(chan *forJob), retire: make(chan struct{})}
 	for i := 0; i < workers-1; i++ {
-		p.tokens <- struct{}{}
+		go p.helper()
 	}
 	return p
+}
+
+// helper is the body of one pool helper: it works on every job it is
+// handed until the pool is retired.
+func (p *poolState) helper() {
+	for {
+		select {
+		case j := <-p.jobs:
+			j.work()
+			j.wg.Done()
+		case <-p.retire:
+			return
+		}
+	}
 }
 
 // Workers returns the configured worker count (≥ 1).
@@ -46,9 +69,12 @@ func Workers() int { return pool.Load().workers }
 
 // SetWorkers fixes the engine's worker count and returns the previous value.
 // n <= 0 selects runtime.GOMAXPROCS(0) (which follows runtime.NumCPU unless
-// overridden).  SetWorkers is intended for process start-up (flag parsing,
-// TestMain, benchmark set-up); calls racing with in-flight For/Do work leave
-// that work on the pool it started with.
+// overridden).  The previous pool's helpers exit once they are idle;
+// SetWorkers does not wait for them, because a helper finishes the job it
+// holds first and that job may be the one calling SetWorkers.  SetWorkers
+// is intended for process start-up (flag parsing, TestMain, benchmark
+// set-up); calls racing with in-flight For/Do work leave that work on the
+// pool it started with.
 func SetWorkers(n int) int {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -57,6 +83,7 @@ func SetWorkers(n int) int {
 	if prev == nil {
 		return 0
 	}
+	close(prev.retire)
 	return prev.workers
 }
 
@@ -116,34 +143,48 @@ func ForRunner(n, minGrain int, r Runner) {
 		return
 	}
 
-	j := jobPool.Get().(*forJob)
-	j.r, j.n, j.chunks, j.p = r, n, chunks, p
+	var j *forJob
+	select {
+	case j = <-freeJobs:
+	default:
+		j = new(forJob)
+	}
+	j.r, j.n, j.chunks = r, n, chunks
 	j.next = 0
 	j.panicked.Store(nil)
 recruit:
 	for helpers := 0; helpers < chunks-1; helpers++ {
+		j.wg.Add(1)
 		select {
-		case <-p.tokens:
-			j.wg.Add(1)
-			go j.helper()
+		case p.jobs <- j:
 		default:
-			break recruit // no spare capacity; the caller runs the rest inline
+			j.wg.Done()
+			break recruit // no idle helper; the caller runs the rest inline
 		}
 	}
 	j.work()
 	j.wg.Wait()
 	rec := j.panicked.Load()
-	j.r, j.p = nil, nil
-	jobPool.Put(j)
+	j.r = nil
+	select {
+	case freeJobs <- j:
+	default:
+	}
 	if rec != nil {
 		panic(rec.value)
 	}
 }
 
-// jobPool recycles the per-call dispatch state of ForRunner's parallel
-// path; after wg.Wait no helper references the job any more, so it can be
-// reused by the next call without a fresh heap allocation.
-var jobPool = sync.Pool{New: func() any { return new(forJob) }}
+// freeJobs recycles the per-call dispatch state of ForRunner's parallel
+// path; a helper touches a job only before its wg.Done, so after wg.Wait
+// the job can be reused by the next call without a fresh heap allocation.
+// It is a channel rather than a sync.Pool because a sync.Pool allocates
+// whenever jobs taken on one P are returned on another, which a dispatch
+// that waits for its helpers does all the time.  The capacity bounds only
+// the idle jobs kept: each goroutine inside a dispatch holds one job, and
+// 64 covers the three-deep nests (kernel in cluster stage in fan-out) at
+// tens of workers; a job returned to a full list is left to the collector.
+var freeJobs = make(chan *forJob, 64)
 
 // forJob is the shared state of one ForRunner dispatch: the runner, the
 // chunk cursor, the first recovered panic, and the helper bookkeeping.
@@ -153,7 +194,6 @@ type forJob struct {
 	next      int64
 	panicked  atomic.Pointer[recovered]
 	wg        sync.WaitGroup
-	p         *poolState
 }
 
 // work claims chunks off the shared cursor until none remain.
@@ -177,15 +217,6 @@ func (j *forJob) runChunk(lo, hi int) {
 	}()
 	j.r.Run(lo, hi)
 }
-
-// helper is the body of one recruited helper goroutine.
-func (j *forJob) helper() {
-	defer j.wg.Done()
-	defer j.releaseToken()
-	j.work()
-}
-
-func (j *forJob) releaseToken() { j.p.tokens <- struct{}{} }
 
 type recovered struct{ value any }
 

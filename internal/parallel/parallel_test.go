@@ -1,8 +1,10 @@
 package parallel
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForCoversRangeExactlyOnce(t *testing.T) {
@@ -135,5 +137,46 @@ func TestNestedForDoesNotDeadlock(t *testing.T) {
 	})
 	if total != 64 {
 		t.Fatalf("nested loops covered %d items, want 64", total)
+	}
+}
+
+// countRunner is a pointer Runner, the allocation-free way to dispatch.
+type countRunner struct{ items atomic.Int64 }
+
+func (c *countRunner) Run(lo, hi int) { c.items.Add(int64(hi - lo)) }
+
+// Recruiting helpers allocates nothing: they outlive every dispatch.  The
+// worker count is set explicitly, so helpers engage even on one CPU.
+func TestForRunnerDispatchDoesNotAllocate(t *testing.T) {
+	prev := SetWorkers(4)
+	defer SetWorkers(prev)
+	r := &countRunner{}
+	allocs := testing.AllocsPerRun(200, func() { ForRunner(64, 1, r) })
+	if allocs != 0 {
+		t.Fatalf("ForRunner allocated %.2f times per dispatch, want 0", allocs)
+	}
+	if got := r.items.Load(); got != 201*64 {
+		t.Fatalf("runner covered %d items, want %d", got, 201*64)
+	}
+}
+
+// Replacing the pool retires the old pool's helpers, so repeated SetWorkers
+// calls do not leak goroutines.
+func TestSetWorkersRetiresHelpers(t *testing.T) {
+	prev := SetWorkers(4)
+	defer SetWorkers(prev)
+	r := &countRunner{}
+	ForRunner(64, 1, r)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		SetWorkers(4)
+		ForRunner(64, 1, r)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines grew from %d to %d across 50 SetWorkers calls", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

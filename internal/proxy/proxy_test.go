@@ -1,6 +1,8 @@
 package proxy
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"dataproxy/internal/arch"
@@ -93,6 +95,20 @@ func TestTableIIICompositions(t *testing.T) {
 	}
 }
 
+// simulatedMetricsSHA256 pins the SHA-256 of each proxy's canonical metric
+// bytes (perf.Metrics.MarshalJSON) at its default setting on one Westmere
+// node.  Any change to what the models simulate moves these hashes.  A
+// change that means to alter the model (a new instruction-fetch model, a
+// fixed L3 set index) updates them and says so; a refactor or speed-up of
+// the models must leave them alone.
+var simulatedMetricsSHA256 = map[string]string{
+	"terasort":  "f01c3d1610c6668692dbe93b7b7fbb5a7864435378953d17575fefa6e1090af6",
+	"kmeans":    "dd7db2778e01c150c6bf065a4cb032965f226b8d5fb3f2c88376fa91d2ef191a",
+	"pagerank":  "d2d18717d59719d6d04ac04e9a4a575a5d0e163d8a66a2a9bba10f4da6d2143f",
+	"alexnet":   "26098822081772e09fc927bc8f512f69c4f853fec4d18de240d77fcdc630df03",
+	"inception": "29ecf56d528857646fdb4b9317907028fac12f52d2c5fece3b1b654d711cf5aa",
+}
+
 func TestProxiesRunOnSingleNode(t *testing.T) {
 	for _, b := range All() {
 		b := b
@@ -115,6 +131,13 @@ func TestProxiesRunOnSingleNode(t *testing.T) {
 			}
 			if rep.Aggregate.Instructions() == 0 {
 				t.Fatal("proxy executed no instructions")
+			}
+			js, err := rep.Metrics.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := fmt.Sprintf("%x", sha256.Sum256(js)), simulatedMetricsSHA256[b.Workload]; got != want {
+				t.Fatalf("simulated metrics moved: sha256 %s, pinned %s\n%s", got, want, js)
 			}
 		})
 	}

@@ -115,7 +115,7 @@ func newPeerManager(s *Server, peers []Peer, interval time.Duration, batch int) 
 
 // gossipLoop runs until the server stops: one bounded exchange per peer per
 // tick.  Like the snapshot loop it is a single long-lived goroutine and
-// never touches a request goroutine or the token pool.
+// never touches a request goroutine or the helper pool.
 func (pm *peerManager) gossipLoop() {
 	defer pm.srv.done.Done()
 	ticker := time.NewTicker(pm.interval)

@@ -23,7 +23,7 @@ var ErrOverloaded = errors.New("serve: admission queue full")
 // admission policy: at most maxInFlight simulations execute concurrently, at
 // most queueDepth admitted requests wait for a slot, and everything beyond
 // that is shed with ErrOverloaded instead of oversubscribing the host.  The
-// simulations themselves fan out on the shared internal/parallel token pool
+// simulations themselves fan out on the shared internal/parallel helper pool
 // (inside core.Run), so the scheduler adds no goroutines of its own: every
 // execution runs on the goroutine of the request that admitted it.
 //

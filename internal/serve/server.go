@@ -16,7 +16,7 @@
 // degrade to a cold start, never to a crash.
 //
 // The layer reuses the repository's load-bearing contracts rather than
-// inventing new ones: all compute fans out on the internal/parallel token
+// inventing new ones: all compute fans out on the internal/parallel helper
 // pool (the scheduler itself adds no goroutines beyond one long-lived job
 // dispatcher), identical /v1/run requests coalesce through a singleflight
 // tuner.Memo keyed bit-exactly like the auto-tuner's measurement memo, each
@@ -54,7 +54,7 @@ import (
 type Config struct {
 	// MaxInFlight bounds how many proxy simulations execute concurrently.
 	// Zero selects parallel.Workers(): one admitted simulation per host
-	// worker, leaving the intra-simulation fan-out to the token pool.
+	// worker, leaving the intra-simulation fan-out to the helper pool.
 	MaxInFlight int
 	// QueueDepth is how many admitted /v1/run requests may wait for an
 	// execution slot; requests beyond MaxInFlight+QueueDepth are shed with
@@ -200,7 +200,7 @@ type tuneJob struct {
 // New builds a Server: one prototype single-node cluster per stock
 // architecture profile, a scheduler with the configured admission policy,
 // and the asynchronous tune-job dispatcher (one long-lived goroutine; the
-// tuning pipeline itself fans out on the shared token pool).
+// tuning pipeline itself fans out on the shared helper pool).
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	protos := make(map[string]*sim.Cluster)
@@ -566,7 +566,7 @@ func validateTune(req client.TuneRequest) error {
 
 // dispatch is the single long-lived job worker: tuning jobs run one at a
 // time in submission order, and each job's pipeline fans out on the shared
-// token pool (impact analysis, tree fits, feedback evaluations).
+// helper pool (impact analysis, tree fits, feedback evaluations).
 func (s *Server) dispatch() {
 	defer s.done.Done()
 	for {

@@ -30,6 +30,11 @@ type Exec struct {
 	// differ.
 	data  sampleStats
 	instr sampleStats
+	// memLevel is the level arch.Cache.AccessLine reports for a probe that
+	// went to memory, and memLineBytes the bytes such a probe moves
+	// (probeLine).
+	memLevel     int
+	memLineBytes uint64
 
 	sampledBranches   uint64
 	sampledBranchMiss uint64
@@ -42,10 +47,10 @@ type Exec struct {
 }
 
 // sampleStats aggregates the outcome of the accesses actually pushed through
-// the cache hierarchy.  The engine probes at line granularity (arch.RunResult)
-// while the counters it extrapolates to are word granular, so each recorded
-// run carries both the line-probe outcomes and the number of word ops the
-// probes stand for.
+// the cache hierarchy.  The engine probes at line granularity (probeLine for
+// one line, an arch.RunResult for a multi-line run) while the counters it
+// extrapolates to are word granular, so each recorded probe or run carries
+// both the line-probe outcomes and the number of word ops they stand for.
 type sampleStats struct {
 	accesses uint64 // word ops the modelled probes stand for
 	l1Miss   uint64
@@ -109,6 +114,9 @@ func newExec(n *Node, coreSlot int, scale float64) *Exec {
 		fetchInterval: uint64(opsPerFetch * cfg.EventSampleRate),
 		rng:           uint64(coreSlot)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03,
 	}
+	// Both L1 chains end at the shared L3 (arch.NewHierarchy).
+	e.memLevel = e.core.Caches.L1D.Depth()
+	e.memLineBytes = uint64(e.core.Caches.L3.Config().LineBytes)
 	e.codeRegion = n.Alloc(DefaultCodeFootprintBytes)
 	return e
 }
@@ -188,9 +196,34 @@ func (e *Exec) modelFetch(skip uint64) {
 	} else {
 		e.codePtr += 64 * skip
 	}
-	addr := e.codeRegion.Addr(e.codePtr)
-	rr := e.core.Caches.L1I.AccessRun(addr, 1, false)
-	e.instr.recordRun(rr, 1, false)
+	e.instr.accesses++
+	e.probeLine(&e.instr, e.core.Caches.L1I, e.codeRegion.Addr(e.codePtr), false)
+}
+
+// probeLine pushes one probe of addr's line through the hierarchy under l1
+// and folds the level it resolved at into s, counting exactly what
+// recordRun counts for a one-probe run; the caller adds the word ops the
+// probe stands for.
+func (e *Exec) probeLine(s *sampleStats, l1 *arch.Cache, addr uint64, write bool) {
+	lvl := l1.AccessLine(addr, write)
+	if lvl == 0 {
+		return
+	}
+	s.l1Miss++
+	s.l2Acc++
+	if lvl == 1 {
+		return
+	}
+	s.l2Miss++
+	s.l3Acc++
+	if lvl < e.memLevel {
+		return
+	}
+	s.l3Miss++
+	s.memRead += e.memLineBytes
+	if write {
+		s.memWrite += e.memLineBytes
+	}
 }
 
 // Int records n integer ALU instructions.
@@ -270,19 +303,21 @@ func (e *Exec) access(r Region, off, size uint64, write bool) {
 	e.counters.L1DAccesses += ops
 	e.countInstr(ops)
 
+	l1 := e.core.Caches.L1D
 	lineBytes := uint64(e.cfg.Profile.L1D.LineBytes)
 	lines := (size + lineBytes - 1) / lineBytes
 	if lines == 0 {
 		lines = 1
 	}
-	var rr arch.RunResult
-	covered := ops
 	if r.size == 0 {
 		// A zero-size region pins every offset to its base, so the whole
 		// run is one line re-touched; probe it once and let extrapolation
 		// account for the rest.
-		rr = e.core.Caches.L1D.AccessRun(r.base, 1, write)
-	} else if limit := uint64(e.cfg.MaxModelOpsPerCall); lines > limit {
+		e.data.accesses += ops
+		e.probeLine(&e.data, l1, r.base, write)
+		return
+	}
+	if limit := uint64(e.cfg.MaxModelOpsPerCall); lines > limit {
 		// Capped call: model `limit` lines spread evenly across the run so
 		// capacity effects of large runs stay visible; the unmodelled
 		// remainder is extrapolated at Finish.  The cap counts lines, not
@@ -291,13 +326,26 @@ func (e *Exec) access(r Region, off, size uint64, write bool) {
 		// is not a multiple of the cap.
 		for i := uint64(0); i < limit; i++ {
 			line := i * lines / limit
-			rr.Add(e.core.Caches.L1D.AccessRun(r.Addr(off+line*lineBytes), 1, write))
+			e.probeLine(&e.data, l1, r.Addr(off+line*lineBytes), write)
 		}
-		covered = ops * limit / lines
-	} else if size <= r.size-off%r.size {
-		// Common case: the run is contiguous inside the region, one batched
-		// walk probes each touched line exactly once.
-		rr = e.core.Caches.L1D.AccessRun(r.Addr(off), size, write)
+		// As in recordRun, the sample never stands for fewer word ops
+		// than it has probes.
+		e.data.accesses += max(ops*limit/lines, limit)
+		return
+	}
+	var rr arch.RunResult
+	covered := ops
+	if size <= r.size-off%r.size {
+		// Common case: the run is contiguous inside the region.  A run
+		// inside one line (every aligned word access) is one probe;
+		// otherwise one batched walk probes each touched line exactly once.
+		addr := r.Addr(off)
+		if size > 0 && addr&(lineBytes-1)+size <= lineBytes {
+			e.data.accesses += ops
+			e.probeLine(&e.data, l1, addr, write)
+			return
+		}
+		rr = l1.AccessRun(addr, size, write)
 	} else {
 		// The run wraps around the region; walk it in contiguous chunks the
 		// way the per-word engine's wrapping addresses did.  A sub-line
@@ -311,7 +359,7 @@ func (e *Exec) access(r Region, off, size uint64, write bool) {
 			if chunk > remaining {
 				chunk = remaining
 			}
-			rr.Add(e.core.Caches.L1D.AccessRun(r.Addr(off), chunk, write))
+			rr.Add(l1.AccessRun(r.Addr(off), chunk, write))
 			off += chunk
 			walked += chunk
 			remaining -= chunk

@@ -78,6 +78,30 @@ func benchmarkExecLoadTrace(b *testing.B, regionBytes uint64, load func(e *Exec,
 	}
 }
 
+// The column trace is the per-output work of PageRank's matrix multiply
+// (motif.runMatrixMultiplication at n = 512): 64 word touches down one
+// column of a 2 MiB matrix at a 32 KiB stride, the 2n floating-point
+// instructions of the dot product and the 8-byte store of the output
+// element.  Every data probe and every modelled instruction fetch of it is
+// a single-line probe.
+func benchmarkExecColumn(b *testing.B) {
+	const n = 512
+	e := benchExec(b)
+	ra := e.node.Alloc(n * n * wordBytes)
+	rc := e.node.Alloc(n * n * wordBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out := uint64(i % (n * n))
+		col := out % n
+		for k := uint64(0); k < n; k += 8 {
+			e.Touch(ra, (k*n+col)*wordBytes, false)
+		}
+		e.Float(2 * n)
+		e.Store(rc, out*wordBytes, wordBytes)
+	}
+}
+
 func BenchmarkExecLoad(b *testing.B) {
 	perword := func(e *Exec, r Region, off, size uint64) { e.accessPerWord(r, off, size, false) }
 	batched := func(e *Exec, r Region, off, size uint64) { e.Load(r, off, size) }
@@ -95,4 +119,5 @@ func BenchmarkExecLoad(b *testing.B) {
 			benchmarkExecLoadTrace(b, trace.regionBytes, batched)
 		})
 	}
+	b.Run("column", benchmarkExecColumn)
 }
