@@ -36,12 +36,15 @@ test-sim-import-export:
 ## test-sim-multi-seed: the nightly campaign sweep — 25 consecutive seeds of
 ## the full default campaign config with the per-measurement model-invariant
 ## checks armed, run as two separate processes whose per-seed digest lists
-## must be byte-identical (cross-process determinism at scale)
+## must be byte-identical (cross-process determinism at scale) and equal to
+## the committed list in internal/campaign/testdata/multi-seed-digests.txt
+## (a change that means to alter the model regenerates that file and says so)
 test-sim-multi-seed:
 	$(GO) build -o /tmp/dataproxy-campaign ./cmd/campaign
 	/tmp/dataproxy-campaign -seed 1 -seeds 25 -invariants > /tmp/dataproxy-sweep-a.txt
 	/tmp/dataproxy-campaign -seed 1 -seeds 25 -invariants > /tmp/dataproxy-sweep-b.txt
 	cmp /tmp/dataproxy-sweep-a.txt /tmp/dataproxy-sweep-b.txt
+	cmp /tmp/dataproxy-sweep-a.txt internal/campaign/testdata/multi-seed-digests.txt
 	@cat /tmp/dataproxy-sweep-a.txt
 	@rm -f /tmp/dataproxy-campaign /tmp/dataproxy-sweep-a.txt /tmp/dataproxy-sweep-b.txt
 

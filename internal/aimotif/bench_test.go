@@ -28,11 +28,11 @@ func benchmarkConv(b *testing.B, workers int) {
 	cluster := sim.MustNewCluster(sim.SingleNode(arch.Westmere(), 0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cluster.Run("conv", []sim.Task{{Node: -1, Fn: func(ex *sim.Exec) {
+		cluster.RunStage("conv", []sim.Task{{Node: -1, Fn: func(ex *sim.Exec) {
 			if _, err := Conv2D(ex, nil, in, filters, ConvConfig{Stride: 1, Padding: 1}); err != nil {
 				b.Fatal(err)
 			}
-		}}})
+		}}}, 0)
 	}
 }
 

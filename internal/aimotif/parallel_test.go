@@ -29,9 +29,9 @@ func runKernel(t *testing.T, fn func(ex *sim.Exec) *tensor.Tensor) (*tensor.Tens
 	t.Helper()
 	cluster := sim.MustNewCluster(sim.SingleNode(arch.Westmere(), 0))
 	var out *tensor.Tensor
-	cluster.Run("kernel", []sim.Task{{Node: -1, Fn: func(ex *sim.Exec) {
+	cluster.RunStage("kernel", []sim.Task{{Node: -1, Fn: func(ex *sim.Exec) {
 		out = fn(ex)
-	}}})
+	}}}, 0)
 	cnt := cluster.Nodes()[0].Counters()
 	return out, cnt.Instructions(), cnt.Cycles
 }

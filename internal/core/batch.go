@@ -10,8 +10,8 @@ import (
 
 // RunBatch evaluates the proxy benchmark under K settings in one sweep and
 // returns one report per setting, in input order, each bit-identical
-// (runtime, counters, metrics, stages) to what Run would have returned for
-// that setting alone.
+// (runtime, counters, metrics, stages) to what Run, a one-lane batch,
+// returns for that setting alone.
 //
 // Settings whose effective parameters drive the same execution trace — same
 // sampled input, chunking and task split, differing only in the pure
@@ -118,7 +118,8 @@ func (b *Benchmark) traceKey(s Setting) string {
 // runGroup executes one trace group on the given cluster: the shared trace
 // (input generation, motif compute, chunking) runs once, and a sim.Batch
 // accounts it into one lane per setting with that setting's extrapolation
-// factors.  It mirrors Run stage for stage.
+// factors.  The input is generated as a lightly-accounted stage of its
+// own, then each edge runs in topological order.
 func (b *Benchmark) runGroup(cluster *sim.Cluster, settings []Setting) ([]sim.Report, error) {
 	k := len(settings)
 	ps := make([]Params, k)
@@ -144,6 +145,11 @@ func (b *Benchmark) runGroup(cluster *sim.Cluster, settings []Setting) ([]sim.Re
 		return nil, err
 	}
 
+	// The sampled input carries the original workload's data type and
+	// distribution.  Big data proxies stream their whole configured input
+	// volume from disk, so the sampled read is extrapolated to DataSize
+	// bytes; AI proxies only read the sampled batch (the paper measures
+	// near-zero disk traffic for the AI workloads).
 	inputScales := make([]float64, k)
 	for i, p := range ps {
 		inputScales[i] = 1
@@ -176,11 +182,11 @@ func (b *Benchmark) runGroup(cluster *sim.Cluster, settings []Setting) ([]sim.Re
 	return batch.Reports(b.Name), nil
 }
 
-// runEdgeBatch is runEdge for a trace group: the chunked motif compute runs
-// once over the shared sample while each lane's extrapolation factor is
-// derived from that lane's own dataSize and weight, with the same
-// floating-point operations (and the same task-scale spreading rule) as the
-// solo path.
+// runEdgeBatch executes one motif edge for a trace group: the input sample
+// is split into chunks of at most ChunkSize bytes, distributed over
+// NumTasks worker tasks, and run once; each lane's counters are then
+// extrapolated so the edge represents that lane's DataSize * Weight bytes
+// of processed data.
 func (b *Benchmark) runEdgeBatch(batch *sim.Batch, node int, e Edge, in *motif.Dataset, ps []Params, settings []Setting) (*motif.Dataset, error) {
 	impl, err := motif.Lookup(e.Impl)
 	if err != nil {
@@ -214,8 +220,8 @@ func (b *Benchmark) runEdgeBatch(batch *sim.Batch, node int, e Edge, in *motif.D
 	shares := splitDataset(in, numTasks)
 	taskScales := scales
 	if len(shares) == 1 && numTasks > 1 {
-		// Unsplittable data set: spread the represented work across the
-		// would-be tasks, per lane (runEdge's rule).
+		// Unsplittable data set: every task would process the whole
+		// sample, so spread each lane's represented work across them.
 		taskScales = make([]float64, len(scales))
 		for i, s := range scales {
 			taskScales[i] = s / float64(numTasks)

@@ -121,9 +121,9 @@ func (c *Counters) Scale(f float64) {
 
 // ScaledBy returns a copy of the counters multiplied by f.  A factor of
 // exactly 1 returns the receiver unchanged: Scale rounds every counter
-// through float64, which is lossy above 2^53 even at f == 1, and batched
-// execution relies on the unscaled lane being bit-identical to a solo run
-// that never entered Scale at all.
+// through float64, which is lossy above 2^53 even at f == 1, and the
+// simulation engine relies on an unscaled lane never entering Scale at
+// all.
 func (c Counters) ScaledBy(f float64) Counters {
 	if f == 1 {
 		return c

@@ -1,10 +1,5 @@
 package sim
 
-import (
-	"dataproxy/internal/parallel"
-	"dataproxy/internal/perf"
-)
-
 // BatchTask is one unit of work of a lockstep batch stage: the task's trace
 // is executed once and accounted into every lane of the batch under that
 // lane's extrapolation factor.
@@ -15,13 +10,13 @@ type BatchTask struct {
 	// round-robin across the worker nodes, like Task.Node.
 	Node int
 	// Scales holds one extrapolation factor per lane.  A nil slice, a
-	// missing entry or a non-positive entry means 1, mirroring Task.Scale's
-	// zero-means-1 convention per lane.
+	// missing entry or an entry that is not positive means 1, Task.Scale's
+	// rule per lane.
 	Scales []float64
 }
 
-// laneScale resolves the effective extrapolation factor of one lane,
-// replicating newExec's `scale <= 0 means 1` normalisation per lane.
+// laneScale resolves the effective extrapolation factor of one lane: the
+// lane's entry when it is positive, otherwise 1.
 func laneScale(scales []float64, lane int) float64 {
 	if lane >= len(scales) {
 		return 1
@@ -32,148 +27,41 @@ func laneScale(scales []float64, lane int) float64 {
 	return 1
 }
 
-// Batch executes stages on a cluster once while accounting K settings'
-// counter lanes in lockstep.  The cluster's own nodes supply the cache
-// hierarchy, address allocator and core slots — exactly the state a solo run
-// would drive — but the per-node counters, virtual time and stage results
-// are shadowed per lane in the batch, so the cluster's accumulated state is
-// never consulted: lane reports come from Batch.Report.
+// Batch executes stages on a cluster once while accounting K settings in
+// lockstep, one ledger per lane.  The cluster's nodes supply the cache
+// hierarchy, address allocator and core slots, exactly the state a one-lane
+// run drives, while counters, virtual time and stage records go to the
+// batch's lanes; the cluster's own clock and counters stay at their reset
+// state, and lane reports come from Reports.
 //
-// Bit-identity contract: every floating-point operation of the solo path
-// (Cluster.RunStage, Exec.Finish, Cluster.Report) is replicated per lane in
-// the same order, including Finish's `scale != 1` guard, so lane i of a
-// batch is bit-identical to a solo run of setting i whenever the batched
-// tasks drive the same trace.
+// Bit-identity contract: Cluster.RunStage and Batch.RunStage run on one
+// stage executor and Cluster.Report and Reports on one report builder, so
+// lane i of a batch is bit-identical to a one-lane run of the same tasks at
+// lane i's factors.
 type Batch struct {
-	c *Cluster
-	k int
-
-	// Per node-id (node ids are the nodes' positions) per-lane accounting.
-	counters []perf.CounterBatch
-
-	elapsed []float64
-	stages  [][]StageResult
+	c     *Cluster
+	lanes []ledger
 }
 
 // NewBatch prepares a K-lane batch on the cluster and resets the cluster so
-// the shared trace starts from the same state a solo Run would.
+// the shared trace starts from its construction state.
 func NewBatch(c *Cluster, k int) *Batch {
 	if k < 1 {
 		k = 1
 	}
 	c.Reset()
-	bt := &Batch{
-		c:        c,
-		k:        k,
-		counters: make([]perf.CounterBatch, len(c.nodes)),
-		elapsed:  make([]float64, k),
-		stages:   make([][]StageResult, k),
-	}
-	for i := range bt.counters {
-		bt.counters[i] = perf.NewCounterBatch(k)
+	bt := &Batch{c: c, lanes: make([]ledger, k)}
+	for i := range bt.lanes {
+		bt.lanes[i].nodes = make([]nodeAccount, len(c.nodes))
 	}
 	return bt
 }
 
-// K returns the number of lanes.
-func (bt *Batch) K() int { return bt.k }
-
-// Cluster returns the cluster the batch executes on.
-func (bt *Batch) Cluster() *Cluster { return bt.c }
-
 // RunStage executes the tasks once and accounts the stage into every lane,
-// mirroring Cluster.RunStage: tasks group by node in first-appearance order,
-// groups run concurrently on the parallel engine while each group's tasks
-// run sequentially against the node's shared cache and allocator state, and
-// the virtual-time composition (slots, CPU seconds, I/O overlap) is applied
-// per lane with that lane's scaled totals.
+// each at its own factors; Cluster.RunStage documents the scheduling and
+// the virtual-time composition.
 func (bt *Batch) RunStage(stage string, tasks []BatchTask, parallelismPerNode int) {
-	c := bt.c
-	workers := c.Workers()
-	if len(workers) == 0 {
-		workers = c.nodes
-	}
-
-	type nodeStage struct {
-		node    *Node
-		tasks   []BatchTask
-		cycles  []uint64
-		diskSec []float64
-		netSec  []float64
-	}
-	var groups []*nodeStage
-	byNode := make(map[int]*nodeStage)
-	for i, t := range tasks {
-		node := c.nodeForTask(Task{Node: t.Node}, i, workers)
-		ns := byNode[node.id]
-		if ns == nil {
-			ns = &nodeStage{
-				node:    node,
-				cycles:  make([]uint64, bt.k),
-				diskSec: make([]float64, bt.k),
-				netSec:  make([]float64, bt.k),
-			}
-			byNode[node.id] = ns
-			groups = append(groups, ns)
-		}
-		ns.tasks = append(ns.tasks, t)
-	}
-
-	parallel.For(len(groups), 1, func(lo, hi int) {
-		for gi := lo; gi < hi; gi++ {
-			ns := groups[gi]
-			lanes := bt.counters[ns.node.id]
-			for _, t := range ns.tasks {
-				// The shared trace runs unscaled (scale 1); each lane then
-				// accounts the raw totals under its own factor below.
-				ex := newExec(ns.node, ns.node.execSeq, 1)
-				ns.node.execSeq++
-				if t.Fn != nil {
-					t.Fn(ex)
-				}
-				ex.finishRaw()
-				for lane := 0; lane < bt.k; lane++ {
-					s := laneScale(t.Scales, lane)
-					cnt := ex.counters.ScaledBy(s)
-					disk, net := ex.diskSeconds, ex.netSeconds
-					if s != 1 {
-						disk *= s
-						net *= s
-					}
-					lanes.Lane(lane).Add(cnt)
-					ns.cycles[lane] += cnt.Cycles
-					ns.diskSec[lane] += disk
-					ns.netSec[lane] += net
-				}
-			}
-		}
-	})
-
-	p := c.cfg.Profile
-	for lane := 0; lane < bt.k; lane++ {
-		res := StageResult{Name: stage, Tasks: len(tasks), PerNodeSeconds: make(map[int]float64)}
-		for _, ns := range groups {
-			slots := len(ns.tasks)
-			if parallelismPerNode > 0 {
-				slots = parallelismPerNode
-			}
-			if cores := p.TotalCores(); slots > cores {
-				slots = cores
-			}
-			if slots < 1 {
-				slots = 1
-			}
-			cpuSec := float64(ns.cycles[lane]) / p.FrequencyHz / float64(slots)
-			ioSec := ns.diskSec[lane] + ns.netSec[lane]
-			nodeSec := composeTime(cpuSec, ioSec, c.cfg.IOOverlapFactor)
-			res.PerNodeSeconds[ns.node.id] = nodeSec
-			if nodeSec > res.Seconds {
-				res.Seconds = nodeSec
-			}
-		}
-		bt.elapsed[lane] += res.Seconds
-		bt.stages[lane] = append(bt.stages[lane], res)
-	}
+	bt.c.runStage(stage, tasks, parallelismPerNode, bt.lanes)
 }
 
 // RunOnNode runs a single task pinned to the given node as its own stage,
@@ -182,40 +70,11 @@ func (bt *Batch) RunOnNode(stage string, node int, scales []float64, fn func(ex 
 	bt.RunStage(stage, []BatchTask{{Node: node, Scales: scales, Fn: fn}}, 0)
 }
 
-// Report builds lane's execution report under the given name, mirroring
-// Cluster.Report over the lane's shadowed counters and virtual time.
-func (bt *Batch) Report(name string, lane int) Report {
-	c := bt.c
-	rep := Report{
-		Name:        name,
-		ClusterName: c.cfg.Name,
-		Runtime:     bt.elapsed[lane],
-		Stages:      append([]StageResult(nil), bt.stages[lane]...),
-	}
-	workers := c.Workers()
-	active := 0
-	for _, n := range workers {
-		cnt := bt.counters[n.id][lane]
-		rep.PerNode = append(rep.PerNode, cnt)
-		rep.Aggregate.Add(cnt)
-		if !cnt.IsZero() {
-			active++
-		}
-	}
-	if active == 0 {
-		active = 1
-	}
-	avg := rep.Aggregate
-	avg.Scale(1 / float64(active))
-	rep.Metrics = perf.FromCounters(avg, rep.Runtime)
-	return rep
-}
-
 // Reports builds one report per lane under the given name.
 func (bt *Batch) Reports(name string) []Report {
-	out := make([]Report, bt.k)
-	for lane := 0; lane < bt.k; lane++ {
-		out[lane] = bt.Report(name, lane)
+	out := make([]Report, len(bt.lanes))
+	for i := range bt.lanes {
+		out[i] = bt.c.report(name, &bt.lanes[i])
 	}
 	return out
 }

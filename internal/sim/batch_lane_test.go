@@ -10,8 +10,9 @@ import (
 
 // TestBatchLanesMatchSoloRuns drives the lockstep Batch directly at the sim
 // layer: each lane of a K-lane batch must be bit-identical — counters,
-// virtual time, stages, derived metrics — to a solo run of the same trace at
-// that lane's extrapolation factor, on both architecture profiles.
+// virtual time, stages, derived metrics — to a Cluster run (the one-lane
+// case of the same stage executor) of the same trace at that lane's
+// extrapolation factor, on both architecture profiles.
 func TestBatchLanesMatchSoloRuns(t *testing.T) {
 	scales := []float64{1, 2.5, 0, 0.5} // 0 means 1, mirroring Task.Scale
 	for _, np := range testutil.Profiles() {
@@ -21,14 +22,7 @@ func TestBatchLanesMatchSoloRuns(t *testing.T) {
 				return func(ex *sim.Exec) { testutil.DriveRandomTrace(ex, 90+int64(stage)) }
 			}
 
-			bc := testutil.Cluster(np.Profile)
-			bt := sim.NewBatch(bc, len(scales))
-			if bt.K() != len(scales) {
-				t.Fatalf("K() = %d, want %d", bt.K(), len(scales))
-			}
-			if bt.Cluster() != bc {
-				t.Fatal("Cluster() does not return the batch's cluster")
-			}
+			bt := sim.NewBatch(testutil.Cluster(np.Profile), len(scales))
 			bt.RunOnNode("stage-0", 0, scales, drive(0))
 			bt.RunStage("stage-1", []sim.BatchTask{
 				{Node: -1, Scales: scales, Fn: drive(1)},
@@ -56,11 +50,12 @@ func TestBatchLanesMatchSoloRuns(t *testing.T) {
 // TestNewBatchClampsLaneCount pins NewBatch's k<1 normalisation.
 func TestNewBatchClampsLaneCount(t *testing.T) {
 	bt := sim.NewBatch(testutil.WestmereCluster(), 0)
-	if bt.K() != 1 {
-		t.Fatalf("NewBatch(c, 0).K() = %d, want 1", bt.K())
-	}
 	bt.RunOnNode("only", 0, nil, func(ex *sim.Exec) { ex.Int(100) })
-	if rep := bt.Report("only", 0); rep.Runtime <= 0 {
-		t.Fatalf("clamped batch accumulated no virtual time: %+v", rep)
+	reps := bt.Reports("only")
+	if len(reps) != 1 {
+		t.Fatalf("NewBatch(c, 0) built %d lanes, want 1", len(reps))
+	}
+	if reps[0].Runtime <= 0 {
+		t.Fatalf("clamped batch accumulated no virtual time: %+v", reps[0])
 	}
 }

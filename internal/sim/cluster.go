@@ -17,7 +17,8 @@ type Task struct {
 	Node int
 	// Scale extrapolates the task's counters and I/O time by this factor,
 	// used when the task processes only a sample of its configured data.
-	// Zero means 1 (no extrapolation).
+	// A factor that is not positive (zero, negative or NaN) means 1 (no
+	// extrapolation).
 	Scale float64
 }
 
@@ -34,8 +35,31 @@ type Cluster struct {
 	cfg         ClusterConfig
 	fingerprint string
 	nodes       []*Node
-	elapsed     float64
-	stages      []StageResult
+	// own is the cluster's one accounting lane: the clock, stage records
+	// and node accounts RunStage, AdvanceTime, Report and the state export
+	// use.  It is an array so RunStage hands the stage executor a one-lane
+	// slice without allocating; a Batch accounts into lanes of its own.
+	own [1]ledger
+}
+
+// ledger is one accounting lane of a run: its virtual clock, its stage
+// records and, per node id, what that node's tasks accumulated under the
+// lane's extrapolation factors.  A Cluster keeps one; a Batch keeps one per
+// lane.
+type ledger struct {
+	elapsed float64
+	stages  []StageResult
+	nodes   []nodeAccount
+}
+
+// nodeAccount is one node's entry of a ledger.
+type nodeAccount struct {
+	counters perf.Counters
+
+	// Virtual time accumulated on the node, split by resource.
+	cpuSeconds  float64
+	diskSeconds float64
+	netSeconds  float64
 }
 
 // NewCluster builds a cluster from its configuration.
@@ -45,6 +69,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	cfg = cfg.withDefaults()
 	c := &Cluster{cfg: cfg, fingerprint: fmt.Sprintf("%+v", cfg)}
+	c.own[0].nodes = make([]nodeAccount, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		m, err := arch.NewMachine(cfg.Profile)
 		if err != nil {
@@ -104,10 +129,10 @@ func (c *Cluster) Workers() []*Node {
 }
 
 // Elapsed returns the virtual time in seconds accumulated so far.
-func (c *Cluster) Elapsed() float64 { return c.elapsed }
+func (c *Cluster) Elapsed() float64 { return c.own[0].elapsed }
 
 // Stages returns the per-stage results recorded so far.
-func (c *Cluster) Stages() []StageResult { return c.stages }
+func (c *Cluster) Stages() []StageResult { return c.own[0].stages }
 
 // AdvanceTime adds fixed virtual time (framework startup, coordination
 // barriers, heartbeat intervals) to the cluster clock.
@@ -115,8 +140,9 @@ func (c *Cluster) AdvanceTime(name string, seconds float64) {
 	if seconds <= 0 {
 		return
 	}
-	c.elapsed += seconds
-	c.stages = append(c.stages, StageResult{Name: name, Seconds: seconds})
+	l := &c.own[0]
+	l.elapsed += seconds
+	l.stages = append(l.stages, StageResult{Name: name, Seconds: seconds})
 }
 
 // Reset restores the cluster to its construction state: zero elapsed time,
@@ -127,59 +153,79 @@ func (c *Cluster) AdvanceTime(name string, seconds float64) {
 // allocation (cache line slabs, predictor tables, node structs) alive for
 // reuse; only the stage-result slice is truncated in place.
 func (c *Cluster) Reset() {
-	c.elapsed = 0
-	c.stages = c.stages[:0]
+	c.own[0].elapsed = 0
+	c.own[0].stages = c.own[0].stages[:0]
 	for _, n := range c.nodes {
 		n.Reset()
 	}
 }
 
-// Run executes the tasks, distributing unpinned tasks round-robin across the
-// worker nodes, and advances the cluster clock by the stage's virtual
-// duration (the slowest node's time, with CPU and I/O partially overlapped).
-// Tasks execute deterministically; concurrency is modelled in virtual time,
-// while in host time independent nodes' task groups run concurrently on the
-// parallel engine.
-func (c *Cluster) Run(stage string, tasks []Task) StageResult {
-	return c.RunStage(stage, tasks, 0)
+// RunStage executes the tasks, distributing unpinned tasks round-robin
+// across the worker nodes, and advances the cluster clock by the stage's
+// virtual duration (the slowest node's time, with CPU and I/O partially
+// overlapped).  Tasks execute deterministically; concurrency is modelled in
+// virtual time, while in host time independent nodes' task groups run
+// concurrently on the parallel engine.  It is the one-lane case of the
+// stage executor Batch.RunStage also runs on.
+//
+// parallelismPerNode is the per-node parallelism of the virtual-time
+// composition.  It matters when the executed tasks are a scaled-up sample
+// of a larger real task population (e.g. eight sampled map tasks standing
+// in for eight hundred): the counters extrapolate through the task Scale
+// factors, while parallelismPerNode describes how many real tasks would
+// have run concurrently on each node.  Zero derives the parallelism from
+// the number of sampled tasks per node, which is the right default when
+// tasks are not scaled.
+func (c *Cluster) RunStage(stage string, tasks []Task, parallelismPerNode int) StageResult {
+	scales := make([]float64, len(tasks))
+	oneLane := make([]BatchTask, len(tasks))
+	for i, t := range tasks {
+		scales[i] = t.Scale
+		oneLane[i] = BatchTask{Fn: t.Fn, Node: t.Node, Scales: scales[i : i+1]}
+	}
+	c.runStage(stage, oneLane, parallelismPerNode, c.own[:])
+	l := &c.own[0]
+	return l.stages[len(l.stages)-1]
 }
 
-// RunStage is like Run but takes an explicit per-node parallelism for the
-// virtual-time composition.  It is used when the executed tasks are a
-// scaled-up sample of a larger real task population (e.g. eight sampled map
-// tasks standing in for eight hundred): the counters extrapolate through the
-// task Scale factors, while parallelismPerNode describes how many real tasks
-// would have run concurrently on each node.  A value of zero derives the
-// parallelism from the number of sampled tasks per node, which is the right
-// default when tasks are not scaled.
-func (c *Cluster) RunStage(stage string, tasks []Task, parallelismPerNode int) StageResult {
+// runStage is the one stage executor, behind Cluster.RunStage and
+// Batch.RunStage.  It groups the tasks by the node they resolve to, in
+// first-appearance order, and runs each node's tasks in order.  One node's
+// Execs share its cache hierarchy, address allocator and core slots, so
+// they run sequentially on one host goroutine; independent nodes run
+// concurrently on the parallel engine.  Every node sees exactly the task
+// sequence it would see under fully sequential execution, so stage results
+// are independent of the host worker count.
+//
+// Each task runs and finishes once, unscaled.  Its totals are then
+// accounted into every lane under that lane's factor (laneScale): counters
+// through perf.Counters.ScaledBy and I/O seconds multiplied only when the
+// factor is not 1, so an unscaled lane never rounds through a float.  A
+// node's counters and I/O seconds grow task by task, in task order, and its
+// CPU seconds once per stage; the stage's virtual duration (slots, CPU
+// seconds, I/O overlap) is composed once per lane.
+func (c *Cluster) runStage(stage string, tasks []BatchTask, parallelismPerNode int, lanes []ledger) {
 	workers := c.Workers()
 	if len(workers) == 0 {
 		workers = c.nodes
 	}
-
-	// Group the tasks by the node they resolve to, preserving the per-node
-	// task order of the round-robin distribution.  Each group executes
-	// sequentially on one host goroutine, because its Execs share the node's
-	// cache hierarchy, address allocator and counters; independent nodes run
-	// concurrently on the parallel engine.  Every node sees exactly the task
-	// sequence (and therefore the allocation and cache-access sequence) it
-	// would see under fully sequential execution, so stage results are
-	// independent of the host worker count.
+	// stageTotals is one lane's sums over one node's tasks of this stage.
+	type stageTotals struct {
+		cycles          uint64
+		diskSec, netSec float64
+	}
 	type nodeStage struct {
-		node    *Node
-		tasks   []Task
-		cycles  uint64
-		diskSec float64
-		netSec  float64
+		node   *Node
+		tasks  []BatchTask
+		totals []stageTotals // per lane
 	}
 	var groups []*nodeStage
 	byNode := make(map[int]*nodeStage)
 	for i, t := range tasks {
-		node := c.nodeForTask(t, i, workers)
+		node := c.nodeForTask(t.Node, i, workers)
 		ns := byNode[node.id]
 		if ns == nil {
-			ns = &nodeStage{node: node}
+			ns = &nodeStage{node: node, totals: make([]stageTotals, len(lanes))}
 			byNode[node.id] = ns
 			groups = append(groups, ns)
 		}
@@ -190,50 +236,67 @@ func (c *Cluster) RunStage(stage string, tasks []Task, parallelismPerNode int) S
 		for gi := lo; gi < hi; gi++ {
 			ns := groups[gi]
 			for _, t := range ns.tasks {
-				ex := newExec(ns.node, ns.node.execSeq, t.Scale)
+				ex := newExec(ns.node, ns.node.execSeq)
 				ns.node.execSeq++
 				if t.Fn != nil {
 					t.Fn(ex)
 				}
-				ex.Finish()
-				ns.cycles += ex.counters.Cycles
-				ns.diskSec += ex.diskSeconds
-				ns.netSec += ex.netSeconds
+				ex.finish()
+				for lane := range lanes {
+					s := laneScale(t.Scales, lane)
+					cnt := ex.counters.ScaledBy(s)
+					disk, net := ex.diskSeconds, ex.netSeconds
+					if s != 1 {
+						disk *= s
+						net *= s
+					}
+					acct := &lanes[lane].nodes[ns.node.id]
+					acct.counters.Add(cnt)
+					acct.diskSeconds += disk
+					acct.netSeconds += net
+					tot := &ns.totals[lane]
+					tot.cycles += cnt.Cycles
+					tot.diskSec += disk
+					tot.netSec += net
+				}
 			}
 		}
 	})
 
-	res := StageResult{Name: stage, Tasks: len(tasks), PerNodeSeconds: make(map[int]float64)}
 	p := c.cfg.Profile
-	for _, ns := range groups {
-		slots := len(ns.tasks)
-		if parallelismPerNode > 0 {
-			slots = parallelismPerNode
+	for lane := range lanes {
+		l := &lanes[lane]
+		res := StageResult{Name: stage, Tasks: len(tasks), PerNodeSeconds: make(map[int]float64)}
+		for _, ns := range groups {
+			slots := len(ns.tasks)
+			if parallelismPerNode > 0 {
+				slots = parallelismPerNode
+			}
+			if cores := p.TotalCores(); slots > cores {
+				slots = cores
+			}
+			if slots < 1 {
+				slots = 1
+			}
+			tot := ns.totals[lane]
+			cpuSec := float64(tot.cycles) / p.FrequencyHz / float64(slots)
+			nodeSec := composeTime(cpuSec, tot.diskSec+tot.netSec, c.cfg.IOOverlapFactor)
+			res.PerNodeSeconds[ns.node.id] = nodeSec
+			if nodeSec > res.Seconds {
+				res.Seconds = nodeSec
+			}
+			l.nodes[ns.node.id].cpuSeconds += cpuSec
 		}
-		if cores := p.TotalCores(); slots > cores {
-			slots = cores
-		}
-		if slots < 1 {
-			slots = 1
-		}
-		cpuSec := float64(ns.cycles) / p.FrequencyHz / float64(slots)
-		ioSec := ns.diskSec + ns.netSec
-		nodeSec := composeTime(cpuSec, ioSec, c.cfg.IOOverlapFactor)
-		res.PerNodeSeconds[ns.node.id] = nodeSec
-		if nodeSec > res.Seconds {
-			res.Seconds = nodeSec
-		}
-		ns.node.cpuSeconds += cpuSec
+		l.elapsed += res.Seconds
+		l.stages = append(l.stages, res)
 	}
-	c.elapsed += res.Seconds
-	c.stages = append(c.stages, res)
-	return res
 }
 
-// nodeForTask resolves the node a task runs on.
-func (c *Cluster) nodeForTask(t Task, i int, workers []*Node) *Node {
-	if t.Node >= 0 && t.Node < len(c.nodes) {
-		return c.nodes[t.Node]
+// nodeForTask resolves the node the i-th task of a stage runs on: the node
+// it is pinned to, or the next worker round-robin.
+func (c *Cluster) nodeForTask(pin, i int, workers []*Node) *Node {
+	if pin >= 0 && pin < len(c.nodes) {
+		return c.nodes[pin]
 	}
 	return workers[i%len(workers)]
 }
@@ -255,12 +318,12 @@ func (c *Cluster) RunTasks(stage string, n int, scale float64, fn func(i int, ex
 		i := i
 		tasks[i] = Task{Node: -1, Scale: scale, Fn: func(ex *Exec) { fn(i, ex) }}
 	}
-	return c.Run(stage, tasks)
+	return c.RunStage(stage, tasks, 0)
 }
 
 // RunOnNode runs a single task pinned to the given node as its own stage.
 func (c *Cluster) RunOnNode(stage string, node int, scale float64, fn func(ex *Exec)) StageResult {
-	return c.Run(stage, []Task{{Node: node, Scale: scale, Fn: fn}})
+	return c.RunStage(stage, []Task{{Node: node, Scale: scale, Fn: fn}}, 0)
 }
 
 // Report summarises the execution observed so far: total virtual runtime,
@@ -277,18 +340,22 @@ type Report struct {
 	Stages      []StageResult
 }
 
-// Report builds the execution report under the given name.
-func (c *Cluster) Report(name string) Report {
+// Report builds the execution report of the cluster's own stages under
+// the given name.
+func (c *Cluster) Report(name string) Report { return c.report(name, &c.own[0]) }
+
+// report is the one report builder, for the cluster's own ledger and for
+// every lane of a Batch.
+func (c *Cluster) report(name string, l *ledger) Report {
 	rep := Report{
 		Name:        name,
 		ClusterName: c.cfg.Name,
-		Runtime:     c.elapsed,
-		Stages:      append([]StageResult(nil), c.stages...),
+		Runtime:     l.elapsed,
+		Stages:      append([]StageResult(nil), l.stages...),
 	}
-	workers := c.Workers()
 	active := 0
-	for _, n := range workers {
-		cnt := n.Counters()
+	for _, n := range c.Workers() {
+		cnt := l.nodes[n.id].counters
 		rep.PerNode = append(rep.PerNode, cnt)
 		rep.Aggregate.Add(cnt)
 		if !cnt.IsZero() {

@@ -47,10 +47,10 @@ type ClusterConfig struct {
 	// hierarchy for one bulk Load/Store call.  The engine simulates runs at
 	// line granularity (arch.Cache.AccessRun): a capped call spreads its
 	// modelled lines evenly across the run and the remainder of the call is
-	// extrapolated at Finish.  Intra-line word accesses are never probed —
-	// they are L1 hits by construction and are accounted arithmetically —
-	// so one unit of this budget covers a full line's worth of words.
-	// Zero selects the default.
+	// extrapolated when the task finishes.  Intra-line word accesses are
+	// never probed — they are L1 hits by construction and are accounted
+	// arithmetically — so one unit of this budget covers a full line's
+	// worth of words.  Zero selects the default.
 	MaxModelOpsPerCall int
 
 	// MaxModelFetchesPerCall caps the number of instruction fetches (line
@@ -58,8 +58,8 @@ type ClusterConfig struct {
 	// Int/Float/Load/Store call, mirroring MaxModelOpsPerCall on the
 	// instruction side: a bulk-counted block of instructions (e.g. the
 	// parameter server streaming millions of gradient updates) is sampled up
-	// to this cap and the rest is extrapolated at Finish.  Zero selects the
-	// default.
+	// to this cap and the rest is extrapolated when the task finishes.  Zero
+	// selects the default.
 	MaxModelFetchesPerCall int
 
 	// IOOverlapFactor in [0,1] controls how much of the smaller of CPU time

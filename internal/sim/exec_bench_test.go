@@ -13,7 +13,7 @@ func benchExec(b *testing.B) *Exec {
 		b.Fatal(err)
 	}
 	n := c.Nodes()[0]
-	return newExec(n, 0, 1)
+	return newExec(n, 0)
 }
 
 // accessPerWord replicates the pre-batching Exec.access hot path — one

@@ -7,20 +7,13 @@ import (
 	"dataproxy/internal/perf"
 )
 
-// Node is one machine of the simulated cluster.  It owns an arch.Machine,
-// an address space from which Regions are allocated, and the performance
-// counters accumulated by every Exec that ran on it.
+// Node is one machine of the simulated cluster.  It owns an arch.Machine
+// and an address space from which Regions are allocated; the counters and
+// virtual time its Execs accumulate live in its entry of a ledger.
 type Node struct {
 	id      int
 	cluster *Cluster
 	machine *arch.Machine
-
-	counters perf.Counters
-
-	// Virtual time accumulated on this node, split by resource.
-	cpuSeconds  float64
-	diskSeconds float64
-	netSeconds  float64
 
 	// Address space allocation for synthetic data regions.
 	nextRegionBase uint64
@@ -37,8 +30,12 @@ func (n *Node) ID() int { return n.id }
 // Machine returns the node's micro-architectural model.
 func (n *Node) Machine() *arch.Machine { return n.machine }
 
-// Counters returns a copy of the counters accumulated on this node.
-func (n *Node) Counters() perf.Counters { return n.counters }
+// account is the node's entry in its cluster's own ledger.
+func (n *Node) account() *nodeAccount { return &n.cluster.own[0].nodes[n.id] }
+
+// Counters returns a copy of the counters the cluster's own stages
+// accumulated on this node.
+func (n *Node) Counters() perf.Counters { return n.account().counters }
 
 // MemoryBytes returns the node's configured memory capacity.
 func (n *Node) MemoryBytes() uint64 { return n.cluster.cfg.MemoryPerNodeBytes }
@@ -47,13 +44,13 @@ func (n *Node) MemoryBytes() uint64 { return n.cluster.cfg.MemoryPerNodeBytes }
 func (n *Node) AllocatedBytes() uint64 { return n.allocatedBytes }
 
 // CPUSeconds returns the accumulated virtual CPU time of this node.
-func (n *Node) CPUSeconds() float64 { return n.cpuSeconds }
+func (n *Node) CPUSeconds() float64 { return n.account().cpuSeconds }
 
 // DiskSeconds returns the accumulated virtual disk time of this node.
-func (n *Node) DiskSeconds() float64 { return n.diskSeconds }
+func (n *Node) DiskSeconds() float64 { return n.account().diskSeconds }
 
 // NetSeconds returns the accumulated virtual network time of this node.
-func (n *Node) NetSeconds() float64 { return n.netSeconds }
+func (n *Node) NetSeconds() float64 { return n.account().netSeconds }
 
 // Region is a contiguous range of the node's synthetic address space.  It is
 // used to generate deterministic addresses for the cache models without any
@@ -94,8 +91,7 @@ func (n *Node) Alloc(size uint64) Region {
 // Reset clears counters, virtual time and the address allocator, and resets
 // the machine's cache and predictor state.
 func (n *Node) Reset() {
-	n.counters = perf.Counters{}
-	n.cpuSeconds, n.diskSeconds, n.netSeconds = 0, 0, 0
+	*n.account() = nodeAccount{}
 	n.nextRegionBase = 0
 	n.allocatedBytes = 0
 	n.execSeq = 0
@@ -105,11 +101,4 @@ func (n *Node) Reset() {
 // String identifies the node.
 func (n *Node) String() string {
 	return fmt.Sprintf("node%d(%s)", n.id, n.machine.Profile().Name)
-}
-
-// absorb merges a finished Exec into the node's counters and virtual time.
-func (n *Node) absorb(e *Exec) {
-	n.counters.Add(e.counters)
-	n.diskSeconds += e.diskSeconds
-	n.netSeconds += e.netSeconds
 }

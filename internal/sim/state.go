@@ -34,9 +34,10 @@ const clusterStateMagic = "DPXCLST1"
 func (c *Cluster) ExportState() []byte {
 	dst := []byte(clusterStateMagic)
 	dst = appendStateString(dst, c.fingerprint)
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.elapsed))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(c.stages)))
-	for _, s := range c.stages {
+	l := &c.own[0]
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(l.elapsed))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(l.stages)))
+	for _, s := range l.stages {
 		dst = appendStageResult(dst, s)
 	}
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(c.nodes)))
@@ -90,8 +91,8 @@ func (c *Cluster) ImportState(src []byte) error {
 		return fail(fmt.Errorf("sim: cluster state carries %d nodes, this cluster has %d", nNodes, len(c.nodes)))
 	}
 	c.Reset()
-	c.elapsed = elapsed
-	c.stages = append(c.stages[:0], stages...)
+	c.own[0].elapsed = elapsed
+	c.own[0].stages = append(c.own[0].stages[:0], stages...)
 	buf := r.buf
 	for _, n := range c.nodes {
 		if buf, err = n.loadState(buf); err != nil {
@@ -107,10 +108,11 @@ func (c *Cluster) ImportState(src []byte) error {
 // appendState serializes one node: counters, virtual-time accounts, the
 // address allocator, the exec sequence and the machine models.
 func (n *Node) appendState(dst []byte) []byte {
-	dst = n.counters.AppendBinary(dst)
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(n.cpuSeconds))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(n.diskSeconds))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(n.netSeconds))
+	acct := n.account()
+	dst = acct.counters.AppendBinary(dst)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(acct.cpuSeconds))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(acct.diskSeconds))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(acct.netSeconds))
 	dst = binary.LittleEndian.AppendUint64(dst, n.nextRegionBase)
 	dst = binary.LittleEndian.AppendUint64(dst, n.allocatedBytes)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(n.execSeq))
@@ -138,8 +140,7 @@ func (n *Node) loadState(src []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.counters = cnt
-	n.cpuSeconds, n.diskSeconds, n.netSeconds = cpu, disk, net
+	*n.account() = nodeAccount{counters: cnt, cpuSeconds: cpu, diskSeconds: disk, netSeconds: net}
 	n.nextRegionBase = regionBase
 	n.allocatedBytes = allocated
 	n.execSeq = int(execSeq)

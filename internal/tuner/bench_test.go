@@ -40,14 +40,15 @@ func sweepSettings() []core.Setting {
 }
 
 // BenchmarkTuneBatched measures the batched evaluation engine head to head:
-// the same 36-setting sweep evaluated one core.Run at a time versus as one
-// lockstep core.RunBatch.  The batch groups settings by trace key, simulates
-// each of the 9 distinct traces once — every input record generated and every
-// weight cache line streamed a single time for all lanes — and carries the
-// per-setting extrapolations through parallel counter sets, so `batched` must
-// land well above the 3x throughput target over `oneatatime` at bit-identical
-// results (TestRunBatchMatchesSequential in internal/core).  Tracked by
-// `make bench-json`.
+// the same 36-setting sweep evaluated as `oneatatime`, one core.Run (a
+// one-lane batch) per setting, versus as one lockstep core.RunBatch.  The
+// batch groups settings by trace key, simulates each of the 9 distinct
+// traces once — every input record generated and every weight cache line
+// streamed a single time for all lanes — and carries the per-setting
+// extrapolations in one ledger per lane, so `batched` must land well above
+// the 3x throughput target over `oneatatime` at bit-identical results (the
+// lane-invariance property, TestRunBatchMatchesSequential in
+// internal/core).  Tracked by `make bench-json`.
 func BenchmarkTuneBatched(b *testing.B) {
 	proxyB := testutil.SmallBenchmark()
 	settings := sweepSettings()

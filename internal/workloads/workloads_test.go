@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"dataproxy/internal/perf"
@@ -10,7 +12,13 @@ import (
 // runOn executes one workload spec on a fresh cluster and returns the report.
 func runOn(t *testing.T, spec Spec, cfg sim.ClusterConfig) sim.Report {
 	t.Helper()
-	cluster := sim.MustNewCluster(cfg)
+	return runOnCluster(t, spec, sim.MustNewCluster(cfg))
+}
+
+// runOnCluster executes one workload spec on the given cluster and returns
+// the report.
+func runOnCluster(t *testing.T, spec Spec, cluster *sim.Cluster) sim.Report {
+	t.Helper()
 	if err := spec.Run(cluster); err != nil {
 		t.Fatalf("%s failed: %v", spec.Name, err)
 	}
@@ -83,16 +91,59 @@ func TestPaperWorkloadsSpecs(t *testing.T) {
 	}
 }
 
+// workloadSHA256 pins, per down-scaled workload of smallPaperWorkloads on
+// the five-node Westmere cluster, the SHA-256 of its canonical metric bytes
+// and of cluster.ExportState() after the run.  The real workloads reach
+// sim.Cluster.RunStage through mapreduce and dataflow; the state hash also
+// covers every node's counters and the float order of its virtual-time
+// accounts, which the metric bytes do not see.  AlexNet and Inception-V3
+// sample less in -short mode, so that mode has its own table.  A change
+// that means to alter the model updates these hashes and says so.
+type workloadSHA256 struct{ metrics, state string }
+
+var (
+	workloadPins = map[string]workloadSHA256{
+		"terasort":  {"31e10cf2124051a60e1d50f60b77ef206eaf0960a8a4ce632c711b171a0b9705", "9e730c84b874043e0a92feed1a05071d2e2dd07affaa4b8569741ddacdf91d41"},
+		"kmeans":    {"9374996bb5550f632fa0008dd3b8646448ece0a54d953393ded0c70af5ab3e4b", "82187e260130475e4a83055553a06b2a31fa9daf8a36de23274a131b5a75429a"},
+		"pagerank":  {"25cce1875b5531b44e23bfb682f9f09b89ac4232b7c98e047dc0dc24bbeb3510", "b621adef47d00bb401fce4dacb3c328fdeda70eb04992af6744b6ed4e87c777e"},
+		"alexnet":   {"34ad0f8b4293d5bca7a63518ba27fafe01b4dc3d913ebe9c37ff500ceca29b19", "a4e44a304d90583c31439b8e951d2835076cf1dff377c9ed29269b8950a4ea16"},
+		"inception": {"77d3c634b46790211c7c56ff398b9492ebd67218934f76b9ff2c4918d5e95b47", "28883a14695730e871016f0887822fd44649c37fef38a07c19c69aab57fb0dbe"},
+	}
+	workloadShortPins = map[string]workloadSHA256{
+		"terasort":  workloadPins["terasort"],
+		"kmeans":    workloadPins["kmeans"],
+		"pagerank":  workloadPins["pagerank"],
+		"alexnet":   {"e17280f3a9c465b65d50e7b8950e3b54f589908ce79b76194ba9292225270dfd", "3bd4c039ba961d6180a2f9fabc183ec2c72ae6b7376674e178f77920f024597a"},
+		"inception": {"987e5326fa505ea4cc632297413b0af49d90fb67d712b926a42000eebc2f5498", "d7bd071957d6671fe0fd4ebf4c437217a524a2f392a3047bce6c40388bbd94c5"},
+	}
+)
+
 func TestAllWorkloadsRunOnFiveNodeCluster(t *testing.T) {
+	pins := workloadPins
+	if testing.Short() {
+		pins = workloadShortPins
+	}
 	for _, spec := range smallPaperWorkloads() {
 		spec := spec
 		t.Run(spec.ShortName, func(t *testing.T) {
-			rep := runOn(t, spec, sim.FiveNodeWestmere())
+			cluster := sim.MustNewCluster(sim.FiveNodeWestmere())
+			rep := runOnCluster(t, spec, cluster)
 			if rep.Aggregate.Instructions() == 0 {
 				t.Fatal("workload executed no instructions")
 			}
 			if rep.Metrics.IPC <= 0 || rep.Metrics.MIPS <= 0 {
 				t.Fatalf("degenerate metrics: %+v", rep.Metrics)
+			}
+			js, err := rep.Metrics.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := pins[spec.ShortName]
+			if got := fmt.Sprintf("%x", sha256.Sum256(js)); got != want.metrics {
+				t.Errorf("simulated metrics moved: sha256 %s, pinned %s\n%s", got, want.metrics, js)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(cluster.ExportState())); got != want.state {
+				t.Errorf("simulated cluster state moved: sha256 %s, pinned %s", got, want.state)
 			}
 		})
 	}
