@@ -99,9 +99,11 @@ func parseBackends(spec string) ([]namedBackend, error) {
 
 // mixSettings builds n trace groups of two lanes each plus one deliberate
 // duplicate of the first setting, so every mix exercises batch-internal
-// deduplication too.  The groups vary chunkSize, which reshapes the trace;
-// the lanes of a group differ only in weight, so one simulation serves both
-// and the fleet must route them to one owner.
+// deduplication too.  The groups vary chunkSize, which gives each its own
+// trace key (a replica may still account a group from a trace it recorded
+// for another chunk size in the same sweep, when that trace chunked no
+// share); the lanes of a group differ only in weight, so they share one
+// trace and the fleet must route them to one owner.
 func mixSettings(n int) []map[string]float64 {
 	settings := make([]map[string]float64, 0, 2*n+1)
 	for i := 0; i < n; i++ {

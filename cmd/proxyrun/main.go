@@ -57,7 +57,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		reports, err := core.RunBatch(sim.NewClusterPool(cluster), b, settings)
+		reports, err := core.RunBatch(sim.NewClusterPool(cluster), b, settings, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -51,12 +51,12 @@ func TestRunBatchSharesTraces(t *testing.T) {
 func TestRunBatchRejectsInvalidSetting(t *testing.T) {
 	b := testBenchmark()
 	pool := sim.NewClusterPool(singleNodeCluster())
-	if _, err := RunBatch(pool, b, []Setting{nil, {"bogus": 2}}); err == nil {
+	if _, err := RunBatch(pool, b, []Setting{nil, {"bogus": 2}}, nil); err == nil {
 		t.Fatal("invalid setting in batch should be rejected")
 	}
 	bad := testBenchmark()
 	bad.Edges[0].Impl = "nope"
-	if _, err := RunBatch(pool, bad, []Setting{nil}); err == nil {
+	if _, err := RunBatch(pool, bad, []Setting{nil}, nil); err == nil {
 		t.Fatal("invalid benchmark should be rejected")
 	}
 }

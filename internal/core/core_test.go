@@ -384,7 +384,7 @@ func TestRunUnderInvariantChecks(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := sim.NewClusterPool(cluster)
-	if _, err := RunBatch(pool, testBenchmark(), []Setting{nil, {"dataSize": 1.5}}); err != nil {
+	if _, err := RunBatch(pool, testBenchmark(), []Setting{nil, {"dataSize": 1.5}}, nil); err != nil {
 		t.Fatal(err)
 	}
 }

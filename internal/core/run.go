@@ -34,7 +34,7 @@ func Run(cluster *sim.Cluster, b *Benchmark, setting Setting) (sim.Report, error
 	if err := setting.Validate(); err != nil {
 		return sim.Report{}, err
 	}
-	reps, err := b.runGroup(cluster, []Setting{setting})
+	reps, _, err := b.runGroup(cluster, []Setting{setting})
 	if err != nil {
 		return sim.Report{}, err
 	}
@@ -91,7 +91,7 @@ func (e Edge) name() string {
 // runChunked runs the motif over the task's share in chunk-size pieces (the
 // chunkSize parameter of Table I controls each thread's working-set size).
 func runChunked(ex *sim.Exec, impl motif.Impl, share *motif.Dataset, chunkSize uint64) *motif.Dataset {
-	if chunkSize == 0 || share.SizeBytes() <= chunkSize {
+	if !chunks(share, chunkSize) {
 		return impl.Run(ex, share)
 	}
 	pieces := int((share.SizeBytes() + chunkSize - 1) / chunkSize)
@@ -101,6 +101,12 @@ func runChunked(ex *sim.Exec, impl motif.Impl, share *motif.Dataset, chunkSize u
 		outs = append(outs, impl.Run(ex, ch))
 	}
 	return mergeDatasets(outs)
+}
+
+// chunks reports whether runChunked splits the share into chunk-size
+// pieces: a share larger than a non-zero chunk size.
+func chunks(share *motif.Dataset, chunkSize uint64) bool {
+	return chunkSize != 0 && share.SizeBytes() > chunkSize
 }
 
 // splitDataset divides a data set into up to n roughly equal parts along its

@@ -151,8 +151,8 @@ func TestBatchSplitsAcrossShardsInOrder(t *testing.T) {
 	ctx := context.Background()
 
 	// chunkSize variation keeps every setting in its own trace group, so
-	// each one is a distinct simulation in proxyd_run_executed_total (the
-	// counter counts trace groups, not requests).
+	// each one is a distinct trace key in proxyd_run_executed_total (the
+	// counter counts trace keys evaluated cold, not requests).
 	settings := []map[string]float64{
 		nil,
 		{"chunkSize": 1.2},

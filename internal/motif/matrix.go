@@ -79,16 +79,27 @@ func runMatrixMultiplication(ex *sim.Exec, in *Dataset) *Dataset {
 	if n == 0 {
 		return &Dataset{}
 	}
-	b := a // multiply by itself: same data distribution, no extra generation
+	// Multiply by itself: same data distribution, no extra generation.  The
+	// host computes against a transposed copy so its inner loop reads memory
+	// sequentially; each output still sums a[i,k]*a[k,j] in ascending k, and
+	// the simulated access stream below still describes the strided column.
+	bt := make([]float64, n*n)
+	for k := 0; k < n; k++ {
+		for j := 0; j < n; j++ {
+			bt[j*n+k] = a[k*n+j]
+		}
+	}
 	c := make([]float64, n*n)
 	out := &Dataset{Matrix: c, Rows: n, Cols: n}
 	ra := in.Region(ex)
 	rc := out.Region(ex)
 	for i := 0; i < n; i++ {
+		row := a[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
+			col := bt[j*n : (j+1)*n]
 			var sum float64
-			for k := 0; k < n; k++ {
-				sum += a[i*n+k] * b[k*n+j]
+			for k, v := range row {
+				sum += v * col[k]
 			}
 			c[i*n+j] = sum
 			// Row of A is streamed, column of B is strided: report one

@@ -103,7 +103,7 @@ type scheduler struct {
 	// completed entries so a warm restart still benefits from them.
 	onEvict func(old *tuner.Memo)
 
-	executed  atomic.Int64 // simulations actually performed (distinct trace groups)
+	executed  atomic.Int64 // distinct trace keys evaluated cold, per sweep
 	coalesced atomic.Int64 // requests served from the result cache / singleflight
 	shed      atomic.Int64 // requests rejected with ErrOverloaded
 	evictions atomic.Int64 // cache swaps forced by MaxCacheEntries
@@ -300,9 +300,10 @@ func (sc *scheduler) runBatch(ctx context.Context, archName string, b *core.Benc
 
 // recordSweep accounts one finished sweep over settings with the fresh
 // flags evalFn returned.  Fresh lanes count in executed once per distinct
-// trace group — the simulations core.RunBatch actually performed — every
-// other lane counts in coalesced, and a sweep that simulated anything may
-// have pushed the cache it used past its cap.  The single-fresh fast path
+// trace key — the trace groups core.RunBatch evaluated cold, including one
+// it accounted from a trace recorded earlier in the same sweep — every
+// other lane counts in coalesced, and a sweep that evaluated anything cold
+// may have pushed the cache it used past its cap.  The single-fresh fast path
 // avoids the map (and the key rendering) on the overwhelmingly common
 // one-cold-setting request.
 func (sc *scheduler) recordSweep(b *core.Benchmark, memo *tuner.Memo, settings []core.Setting, fresh []bool) {

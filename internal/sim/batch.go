@@ -1,5 +1,7 @@
 package sim
 
+import "dataproxy/internal/perf"
+
 // BatchTask is one unit of work of a lockstep batch stage: the task's trace
 // is executed once and accounted into every lane of the batch under that
 // lane's extrapolation factor.
@@ -27,6 +29,33 @@ func laneScale(scales []float64, lane int) float64 {
 	return 1
 }
 
+// StageTrace is one executed stage as the stage executor recorded it: per
+// node, in first-appearance order, each task's unscaled counters and disk
+// and network seconds.  Batch.RunStage returns it, and Batch.Account
+// accounts it into the lanes of another batch exactly as the run accounted
+// it, without executing anything.
+type StageTrace struct {
+	name        string
+	tasks       int
+	parallelism int
+	nodes       []nodeTrace
+}
+
+// nodeTrace is one node's tasks of a stage trace, in task order.
+type nodeTrace struct {
+	node  int
+	tasks []taskTrace
+}
+
+// taskTrace is one finished task of a stage trace; index is its position
+// in the stage's task list, which the lane factors are looked up by.
+type taskTrace struct {
+	index       int
+	counters    perf.Counters
+	diskSeconds float64
+	netSeconds  float64
+}
+
 // Batch executes stages on a cluster once while accounting K settings in
 // lockstep, one ledger per lane.  The cluster's nodes supply the cache
 // hierarchy, address allocator and core slots, exactly the state a one-lane
@@ -34,10 +63,11 @@ func laneScale(scales []float64, lane int) float64 {
 // batch's lanes; the cluster's own clock and counters stay at their reset
 // state, and lane reports come from Reports.
 //
-// Bit-identity contract: Cluster.RunStage and Batch.RunStage run on one
-// stage executor and Cluster.Report and Reports on one report builder, so
-// lane i of a batch is bit-identical to a one-lane run of the same tasks at
-// lane i's factors.
+// Bit-identity contract: Cluster.RunStage, Batch.RunStage and Batch.Account
+// share one stage accounting function and Cluster.Report and Reports one
+// report builder, so lane i of a batch is bit-identical to a one-lane run
+// of the same tasks at lane i's factors, whether its stages ran in this
+// batch or were recorded by another.
 type Batch struct {
 	c     *Cluster
 	lanes []ledger
@@ -46,10 +76,18 @@ type Batch struct {
 // NewBatch prepares a K-lane batch on the cluster and resets the cluster so
 // the shared trace starts from its construction state.
 func NewBatch(c *Cluster, k int) *Batch {
+	c.Reset()
+	return NewReplay(c, k)
+}
+
+// NewReplay prepares a K-lane batch that only accounts recorded stage
+// traces (Account).  It reads the cluster's configuration, node ids and
+// Workers and nothing else — it neither resets nor simulates — so c may be
+// a pool's shared prototype.  RunStage must not be called on it.
+func NewReplay(c *Cluster, k int) *Batch {
 	if k < 1 {
 		k = 1
 	}
-	c.Reset()
 	bt := &Batch{c: c, lanes: make([]ledger, k)}
 	for i := range bt.lanes {
 		bt.lanes[i].nodes = make([]nodeAccount, len(c.nodes))
@@ -57,17 +95,24 @@ func NewBatch(c *Cluster, k int) *Batch {
 	return bt
 }
 
-// RunStage executes the tasks once and accounts the stage into every lane,
-// each at its own factors; Cluster.RunStage documents the scheduling and
-// the virtual-time composition.
-func (bt *Batch) RunStage(stage string, tasks []BatchTask, parallelismPerNode int) {
-	bt.c.runStage(stage, tasks, parallelismPerNode, bt.lanes)
+// RunStage executes the tasks once, accounts the stage into every lane,
+// each at its own factors, and returns the stage trace; Cluster.RunStage
+// documents the scheduling and the virtual-time composition.
+func (bt *Batch) RunStage(stage string, tasks []BatchTask, parallelismPerNode int) StageTrace {
+	return bt.c.runStage(stage, tasks, parallelismPerNode, bt.lanes)
 }
 
 // RunOnNode runs a single task pinned to the given node as its own stage,
-// with one extrapolation factor per lane.
-func (bt *Batch) RunOnNode(stage string, node int, scales []float64, fn func(ex *Exec)) {
-	bt.RunStage(stage, []BatchTask{{Node: node, Scales: scales, Fn: fn}}, 0)
+// with one extrapolation factor per lane, and returns the stage trace.
+func (bt *Batch) RunOnNode(stage string, node int, scales []float64, fn func(ex *Exec)) StageTrace {
+	return bt.RunStage(stage, []BatchTask{{Node: node, Scales: scales, Fn: fn}}, 0)
+}
+
+// Account accounts a recorded stage trace into every lane, every task of
+// it at the lane's entry of scales (BatchTask.Scales' rule), as if the
+// stage had run in this batch with those factors.
+func (bt *Batch) Account(tr StageTrace, scales []float64) {
+	bt.c.account(tr, func(int) []float64 { return scales }, bt.lanes)
 }
 
 // Reports builds one report per lane under the given name.

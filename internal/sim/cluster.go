@@ -189,88 +189,92 @@ func (c *Cluster) RunStage(stage string, tasks []Task, parallelismPerNode int) S
 }
 
 // runStage is the one stage executor, behind Cluster.RunStage and
-// Batch.RunStage.  It groups the tasks by the node they resolve to, in
-// first-appearance order, and runs each node's tasks in order.  One node's
-// Execs share its cache hierarchy, address allocator and core slots, so
-// they run sequentially on one host goroutine; independent nodes run
-// concurrently on the parallel engine.  Every node sees exactly the task
-// sequence it would see under fully sequential execution, so stage results
-// are independent of the host worker count.
-//
-// Each task runs and finishes once, unscaled.  Its totals are then
-// accounted into every lane under that lane's factor (laneScale): counters
-// through perf.Counters.ScaledBy and I/O seconds multiplied only when the
-// factor is not 1, so an unscaled lane never rounds through a float.  A
-// node's counters and I/O seconds grow task by task, in task order, and its
-// CPU seconds once per stage; the stage's virtual duration (slots, CPU
-// seconds, I/O overlap) is composed once per lane.
-func (c *Cluster) runStage(stage string, tasks []BatchTask, parallelismPerNode int, lanes []ledger) {
+// Batch.RunStage, in two halves.  It first executes the stage: it groups the
+// tasks by the node they resolve to, in first-appearance order, and runs
+// each node's tasks in order.  One node's Execs share its cache hierarchy,
+// address allocator and core slots, so they run sequentially on one host
+// goroutine; independent nodes run concurrently on the parallel engine.
+// Every node sees exactly the task sequence it would see under fully
+// sequential execution, so stage results are independent of the host
+// worker count.  Each task runs and finishes once, unscaled, and its totals
+// go into the returned stage trace.  It then accounts that trace into every
+// lane (account).
+func (c *Cluster) runStage(stage string, tasks []BatchTask, parallelismPerNode int, lanes []ledger) StageTrace {
 	workers := c.Workers()
 	if len(workers) == 0 {
 		workers = c.nodes
 	}
-	// stageTotals is one lane's sums over one node's tasks of this stage.
-	type stageTotals struct {
-		cycles          uint64
-		diskSec, netSec float64
-	}
-	type nodeStage struct {
-		node   *Node
-		tasks  []BatchTask
-		totals []stageTotals // per lane
-	}
-	var groups []*nodeStage
-	byNode := make(map[int]*nodeStage)
+	tr := StageTrace{name: stage, tasks: len(tasks), parallelism: parallelismPerNode}
+	byNode := make(map[int]int)
 	for i, t := range tasks {
 		node := c.nodeForTask(t.Node, i, workers)
-		ns := byNode[node.id]
-		if ns == nil {
-			ns = &nodeStage{node: node, totals: make([]stageTotals, len(lanes))}
-			byNode[node.id] = ns
-			groups = append(groups, ns)
+		gi, ok := byNode[node.id]
+		if !ok {
+			gi = len(tr.nodes)
+			byNode[node.id] = gi
+			tr.nodes = append(tr.nodes, nodeTrace{node: node.id})
 		}
-		ns.tasks = append(ns.tasks, t)
+		tr.nodes[gi].tasks = append(tr.nodes[gi].tasks, taskTrace{index: i})
 	}
 
-	parallel.For(len(groups), 1, func(lo, hi int) {
+	parallel.For(len(tr.nodes), 1, func(lo, hi int) {
 		for gi := lo; gi < hi; gi++ {
-			ns := groups[gi]
-			for _, t := range ns.tasks {
-				ex := newExec(ns.node, ns.node.execSeq)
-				ns.node.execSeq++
-				if t.Fn != nil {
-					t.Fn(ex)
+			nt := &tr.nodes[gi]
+			node := c.nodes[nt.node]
+			for ti := range nt.tasks {
+				tt := &nt.tasks[ti]
+				ex := newExec(node, node.execSeq)
+				node.execSeq++
+				if fn := tasks[tt.index].Fn; fn != nil {
+					fn(ex)
 				}
 				ex.finish()
-				for lane := range lanes {
-					s := laneScale(t.Scales, lane)
-					cnt := ex.counters.ScaledBy(s)
-					disk, net := ex.diskSeconds, ex.netSeconds
-					if s != 1 {
-						disk *= s
-						net *= s
-					}
-					acct := &lanes[lane].nodes[ns.node.id]
-					acct.counters.Add(cnt)
-					acct.diskSeconds += disk
-					acct.netSeconds += net
-					tot := &ns.totals[lane]
-					tot.cycles += cnt.Cycles
-					tot.diskSec += disk
-					tot.netSec += net
-				}
+				tt.counters, tt.diskSeconds, tt.netSeconds = ex.counters, ex.diskSeconds, ex.netSeconds
 			}
 		}
 	})
 
+	c.account(tr, func(task int) []float64 { return tasks[task].Scales }, lanes)
+	return tr
+}
+
+// account is the one stage accounting function: it accounts an executed
+// stage trace into every lane, each task under that lane's factor
+// (laneScale over scales(task)), whether the stage just ran or the trace
+// was recorded earlier (Batch.Account).  Counters scale through
+// perf.Counters.ScaledBy and I/O seconds are multiplied only when the
+// factor is not 1, so an unscaled lane never rounds through a float.  A
+// node's counters and I/O seconds grow task by task, in task order, and its
+// CPU seconds once per stage; the stage's virtual duration (slots, CPU
+// seconds, I/O overlap) is composed once per lane.  It reads only the
+// cluster's configuration, so it may run on a shared prototype.
+func (c *Cluster) account(tr StageTrace, scales func(task int) []float64, lanes []ledger) {
 	p := c.cfg.Profile
 	for lane := range lanes {
 		l := &lanes[lane]
-		res := StageResult{Name: stage, Tasks: len(tasks), PerNodeSeconds: make(map[int]float64)}
-		for _, ns := range groups {
-			slots := len(ns.tasks)
-			if parallelismPerNode > 0 {
-				slots = parallelismPerNode
+		res := StageResult{Name: tr.name, Tasks: tr.tasks, PerNodeSeconds: make(map[int]float64)}
+		for _, nt := range tr.nodes {
+			acct := &l.nodes[nt.node]
+			var cycles uint64
+			var diskSec, netSec float64
+			for _, tt := range nt.tasks {
+				s := laneScale(scales(tt.index), lane)
+				cnt := tt.counters.ScaledBy(s)
+				disk, net := tt.diskSeconds, tt.netSeconds
+				if s != 1 {
+					disk *= s
+					net *= s
+				}
+				acct.counters.Add(cnt)
+				acct.diskSeconds += disk
+				acct.netSeconds += net
+				cycles += cnt.Cycles
+				diskSec += disk
+				netSec += net
+			}
+			slots := len(nt.tasks)
+			if tr.parallelism > 0 {
+				slots = tr.parallelism
 			}
 			if cores := p.TotalCores(); slots > cores {
 				slots = cores
@@ -278,14 +282,13 @@ func (c *Cluster) runStage(stage string, tasks []BatchTask, parallelismPerNode i
 			if slots < 1 {
 				slots = 1
 			}
-			tot := ns.totals[lane]
-			cpuSec := float64(tot.cycles) / p.FrequencyHz / float64(slots)
-			nodeSec := composeTime(cpuSec, tot.diskSec+tot.netSec, c.cfg.IOOverlapFactor)
-			res.PerNodeSeconds[ns.node.id] = nodeSec
+			cpuSec := float64(cycles) / p.FrequencyHz / float64(slots)
+			nodeSec := composeTime(cpuSec, diskSec+netSec, c.cfg.IOOverlapFactor)
+			res.PerNodeSeconds[nt.node] = nodeSec
 			if nodeSec > res.Seconds {
 				res.Seconds = nodeSec
 			}
-			l.nodes[ns.node.id].cpuSeconds += cpuSec
+			acct.cpuSeconds += cpuSec
 		}
 		l.elapsed += res.Seconds
 		l.stages = append(l.stages, res)

@@ -22,9 +22,11 @@ func BenchmarkTune(b *testing.B) {
 }
 
 // sweepSettings is a representative tuner sweep: an impact-analysis grid over
-// numTasks and chunkSize (which change the simulated trace) crossed with
-// dataSize and weight refinements (which only extrapolate it) — 36 settings
-// falling into 9 trace groups.
+// numTasks and chunkSize (which change the trace key) crossed with dataSize
+// and weight refinements (which only extrapolate it) — 36 settings falling
+// into 9 trace groups.  No chunk factor here chunks a share of the small
+// benchmark, so the 9 trace keys cost 3 simulations, one per numTasks
+// factor.
 func sweepSettings() []core.Setting {
 	var settings []core.Setting
 	for _, nt := range []float64{0.5, 1, 2} {
@@ -42,13 +44,15 @@ func sweepSettings() []core.Setting {
 // BenchmarkTuneBatched measures the batched evaluation engine head to head:
 // the same 36-setting sweep evaluated as `oneatatime`, one core.Run (a
 // one-lane batch) per setting, versus as one lockstep core.RunBatch.  The
-// batch groups settings by trace key, simulates each of the 9 distinct
-// traces once — every input record generated and every weight cache line
-// streamed a single time for all lanes — and carries the per-setting
-// extrapolations in one ledger per lane, so `batched` must land well above
-// the 3x throughput target over `oneatatime` at bit-identical results (the
-// lane-invariance property, TestRunBatchMatchesSequential in
-// internal/core).  Tracked by `make bench-json`.
+// batch groups settings by trace key into 9 groups and simulates 3 traces,
+// one per shape, accounting the other chunkSize groups from them — every
+// input record generated and every weight cache line streamed a single time
+// for all lanes — and carries the per-setting extrapolations in one ledger
+// per lane, so `batched` must land well above the 3x throughput target over
+// `oneatatime` at bit-identical results (the lane-invariance and replay
+// properties, TestRunBatchMatchesSequential and
+// TestRunBatchReplayMatchesFreshRuns in internal/core).  Tracked by `make
+// bench-json`.
 func BenchmarkTuneBatched(b *testing.B) {
 	proxyB := testutil.SmallBenchmark()
 	settings := sweepSettings()
@@ -70,7 +74,7 @@ func BenchmarkTuneBatched(b *testing.B) {
 		pool := sim.NewClusterPool(testutil.WestmereCluster())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.RunBatch(pool, proxyB, settings); err != nil {
+			if _, err := core.RunBatch(pool, proxyB, settings, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -16,10 +16,18 @@ import (
 // one trace-sharing core.RunBatch sweep on pooled clusters.  Results are
 // bit-identical to one-at-a-time core.Run calls regardless of batch size or
 // host worker count.  Safe for concurrent use.
+//
+// The evaluator owns one core.TraceStore for its whole life, so it never
+// simulates the same trace twice: a cold setting whose trace an earlier
+// sweep of this evaluator recorded is accounted from that trace.  The store
+// lives exactly as long as the evaluator — one tune, one serve sweep, one
+// campaign step — and is never attached to the memo or the pool, which
+// both outlive a single operation.
 type MemoEvaluator struct {
-	pool *sim.ClusterPool
-	b    *core.Benchmark
-	memo *Memo
+	pool   *sim.ClusterPool
+	b      *core.Benchmark
+	memo   *Memo
+	traces *core.TraceStore
 
 	// coldHook, when set, runs at the start of every cold sweep — inside the
 	// memo claims, so an error or panic it raises is cached per entry like
@@ -34,7 +42,7 @@ func NewEvaluator(pool *sim.ClusterPool, b *core.Benchmark, memo *Memo) *MemoEva
 	if memo == nil {
 		memo = NewMemo()
 	}
-	return &MemoEvaluator{pool: pool, b: b, memo: memo}
+	return &MemoEvaluator{pool: pool, b: b, memo: memo, traces: &core.TraceStore{}}
 }
 
 // WithColdHook installs a hook that runs at the start of every cold sweep
@@ -86,7 +94,7 @@ func (ev *MemoEvaluator) EvaluateLanes(settings []core.Setting) ([]perf.Metrics,
 		for j, i := range cold {
 			coldSettings[j] = settings[i]
 		}
-		reps, err := core.RunBatch(ev.pool, ev.b, coldSettings)
+		reps, err := core.RunBatch(ev.pool, ev.b, coldSettings, ev.traces)
 		if err != nil {
 			return nil, err
 		}

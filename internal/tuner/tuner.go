@@ -14,7 +14,8 @@
 // share their motif compute — while distinct traces fan out over the shared
 // worker pool (internal/parallel) on pooled clusters, and a singleflight
 // Memo keyed by (benchmark, canonical setting, architecture profile)
-// guarantees that no setting is ever simulated twice.  Results are
+// guarantees that no setting is ever simulated twice, as the tune's
+// evaluator's trace store does for traces.  Results are
 // bit-identical to one-at-a-time evaluation at any worker count and batch
 // size.  TuneAll qualifies one proxy per architecture profile concurrently,
 // reproducing the paper's cross-system validation.
