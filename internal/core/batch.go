@@ -22,15 +22,17 @@ import (
 // weight-stream cache line is touched once, while a sim.Batch carries one
 // counter lane per setting through the accounting pass.
 //
-// store keeps the trace of every group the call executes, and a group it
-// already serves (TraceStore) is accounted from the recorded trace instead
-// of simulated; a nil store means a private one for this call.  Those groups
-// are accounted first, on the calling goroutine.  The remaining groups then
-// fan out by shape on the parallel engine, one pooled cluster each: groups
-// of one shape run one after another, so the trace the first records can
-// serve the next, while different shapes run concurrently.  The replays
-// come first because parallel.For hands each worker a contiguous range of
-// the groups, and a range holding only replays would leave its worker idle.
+// store keeps the trace of every group the call executes; a group it
+// already serves whole (TraceStore) is accounted from the recorded trace
+// instead of simulated, and a group it can resume runs only the edges after
+// the recorded trace's resume point.  A nil store means a private one for
+// this call.  The whole replays are accounted first, on the calling
+// goroutine.  The remaining groups then fan out by shape and task count on
+// the parallel engine, one pooled cluster each: groups of one shape and
+// task count run one after another, so the trace the first records can
+// serve the next, while the others run concurrently.  The replays come
+// first because parallel.For hands each worker a contiguous range of the
+// groups, and a range holding only replays would leave its worker idle.
 // A nil entry in settings means DefaultSetting, like Run's nil setting.
 //
 // On error the whole batch fails; the returned error is the first failing
@@ -55,10 +57,11 @@ func RunBatch(pool *sim.ClusterPool, b *Benchmark, settings []Setting, store *Tr
 	proto := pool.Proto()
 
 	// Group the settings by trace key in first-appearance order.  Iteration
-	// over the ordered group and shape slices (never over the maps) keeps
+	// over the ordered group and bucket slices (never over the maps) keeps
 	// result and error order deterministic.
 	type traceGroup struct {
 		shape     traceShape
+		numTasks  int
 		chunkSize uint64
 		indexes   []int
 		settings  []Setting
@@ -73,6 +76,7 @@ func RunBatch(pool *sim.ClusterPool, b *Benchmark, settings []Setting, store *Tr
 			p := b.Base.Apply(s)
 			g = &traceGroup{
 				shape:     traceShape{b: b, cluster: proto.Fingerprint(), shape: b.shapeKey(p)},
+				numTasks:  taskCount(p),
 				chunkSize: p.ChunkSize,
 			}
 			byKey[key] = g
@@ -83,47 +87,56 @@ func RunBatch(pool *sim.ClusterPool, b *Benchmark, settings []Setting, store *Tr
 	}
 
 	reports := make([]sim.Report, len(norm))
-	replay := func(g *traceGroup) bool {
-		tr := store.lookup(g.shape, g.chunkSize)
-		if tr == nil {
-			return false
-		}
-		for j, rep := range b.replayGroup(proto, tr, g.settings) {
+	scatter := func(g *traceGroup, reps []sim.Report) {
+		for j, rep := range reps {
 			reports[g.indexes[j]] = rep
 		}
-		return true
 	}
-	var shapes [][]*traceGroup
-	shapeIndex := make(map[string]int)
+	// replay accounts g from a stored trace that serves it whole and
+	// reports whether it did; otherwise it returns the trace g can resume,
+	// or nil.
+	replay := func(g *traceGroup) (*groupTrace, bool) {
+		tr, whole := store.lookup(g.shape, g.numTasks, g.chunkSize)
+		if whole {
+			scatter(g, b.replayGroup(proto, tr, g.settings))
+		}
+		return tr, whole
+	}
+	type bucketKey struct {
+		shape    string
+		numTasks int
+	}
+	var buckets [][]*traceGroup
+	bucketIndex := make(map[bucketKey]int)
 	for _, g := range order {
-		if replay(g) {
+		if _, done := replay(g); done {
 			continue
 		}
-		si, ok := shapeIndex[g.shape.shape]
+		k := bucketKey{g.shape.shape, g.numTasks}
+		bi, ok := bucketIndex[k]
 		if !ok {
-			si = len(shapes)
-			shapeIndex[g.shape.shape] = si
-			shapes = append(shapes, nil)
+			bi = len(buckets)
+			bucketIndex[k] = bi
+			buckets = append(buckets, nil)
 		}
-		shapes[si] = append(shapes[si], g)
+		buckets[bi] = append(buckets[bi], g)
 	}
-	parallel.For(len(shapes), 1, func(lo, hi int) {
-		for si := lo; si < hi; si++ {
-			for _, g := range shapes[si] {
-				if replay(g) {
+	parallel.For(len(buckets), 1, func(lo, hi int) {
+		for bi := lo; bi < hi; bi++ {
+			for _, g := range buckets[bi] {
+				from, done := replay(g)
+				if done {
 					continue
 				}
 				cluster := pool.Get()
-				reps, tr, err := b.runGroup(cluster, g.settings)
+				reps, tr, err := b.runGroup(cluster, g.settings, from)
 				pool.Put(cluster)
 				if err != nil {
 					g.err = err
 					continue
 				}
 				store.add(g.shape, tr)
-				for j, rep := range reps {
-					reports[g.indexes[j]] = rep
-				}
+				scatter(g, reps)
 			}
 		}
 	})
@@ -142,13 +155,25 @@ func RunBatch(pool *sim.ClusterPool, b *Benchmark, settings []Setting, store *Tr
 
 // TraceStore keeps the traces of the trace groups RunBatch executes, so
 // that a later group is accounted from a recorded trace instead of
-// simulated again.  It is keyed by the benchmark, the cluster configuration
-// and the group's shape: its trace key without chunkSize.  chunkSize only
-// decides which task shares runChunked chunks, so a recorded trace serves a
-// group of its shape when it ran at the group's chunk size, or when it
-// chunked no share and the group's chunk size is 0 or at least the largest
-// share a task ran: every share then runs whole at either chunk size, and
-// the two runs would execute the same trace.
+// simulated again, or resumes one part way.  It is keyed by the benchmark,
+// the cluster configuration and the group's shape: its trace key without
+// chunkSize and numTasks.
+//
+// chunkSize only decides which task shares runChunked chunks, so edges run
+// at another chunk size execute as the trace's did when the trace ran them
+// at that chunk size, or chunked none of their shares and the chunk size is
+// 0 or at least the largest share they ran whole: every share then runs
+// whole at either chunk size (the chunk rule).  numTasks reaches execution
+// only through splitDataset, so the leading edges whose input no task
+// count splits (the trace's fixed edges) execute alike at every task
+// count; the task count enters them only through accounting.
+//
+// A trace therefore serves a group whole when the chunk rule holds over all
+// its edges and the group has the trace's task count, or every edge is
+// fixed.  Otherwise a trace with a resume point, taken just before its
+// first edge that some task count splits, serves the group by resuming
+// there when the chunk rule holds over its fixed edges.  A lookup prefers a
+// trace that serves the group whole.
 //
 // The benchmark is keyed by its pointer, not its name, because distinct
 // benchmarks may share a name (KMeansWithSparsity builds one per sparsity).
@@ -170,16 +195,22 @@ type traceShape struct {
 }
 
 // lookup returns a recorded trace of the shape that serves a group run at
-// the given chunk size, or nil.
-func (s *TraceStore) lookup(k traceShape, chunkSize uint64) *groupTrace {
+// the given task count and chunk size, and whether it serves the group
+// whole; a trace it does not serve whole is one the group can resume.  It
+// returns nil when no trace serves the group.
+func (s *TraceStore) lookup(k traceShape, numTasks int, chunkSize uint64) (*groupTrace, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var resumable *groupTrace
 	for _, tr := range s.traces[k] {
-		if tr.serves(chunkSize) {
-			return tr
+		if (numTasks == tr.numTasks || tr.fixed == len(tr.edges)) && tr.runsAlike(len(tr.edges), chunkSize) {
+			return tr, true
+		}
+		if resumable == nil && tr.resume != nil && tr.runsAlike(tr.fixed, chunkSize) {
+			resumable = tr
 		}
 	}
-	return nil
+	return resumable, false
 }
 
 // add records an executed trace of the shape.
@@ -193,40 +224,76 @@ func (s *TraceStore) add(k traceShape, tr *groupTrace) {
 }
 
 // groupTrace is one executed trace group: the input stage and, per edge in
-// execution order, its stage trace and the inputs its lane scales are
-// computed from, plus what the chunk rule of TraceStore reads.
+// execution order, its edge trace, plus what the TraceStore rules read.
 type groupTrace struct {
 	input sim.StageTrace
 	edges []edgeTrace
-	// chunkSize is the chunk size the group ran at; chunked reports whether
-	// runChunked chunked any share, and maxShare is the largest share a
-	// task ran whole.
+	// numTasks and chunkSize are the task count (at least 1) and the chunk
+	// size the group ran at.
+	numTasks  int
 	chunkSize uint64
-	chunked   bool
-	maxShare  uint64
+	// fixed counts the leading edges whose input no task count splits
+	// (unsplittable).
+	fixed int
+	// resume is the group's state just before edge fixed, kept when
+	// 0 < fixed < len(edges) and shared by the traces of the groups that
+	// resumed there; nil otherwise.
+	resume *resumePoint
+	// resumed reports whether the group resumed at another trace's resume
+	// point instead of starting at the input stage.
+	resumed bool
 }
 
-// serves reports whether the trace reproduces a group of its shape run at
-// the given chunk size.
-func (tr *groupTrace) serves(chunkSize uint64) bool {
-	return chunkSize == tr.chunkSize || !tr.chunked && (chunkSize == 0 || chunkSize >= tr.maxShare)
+// runsAlike reports whether the trace's first n edges, run at the given
+// chunk size, execute as the trace's did: the chunk rule of TraceStore.
+func (tr *groupTrace) runsAlike(n int, chunkSize uint64) bool {
+	if chunkSize == tr.chunkSize {
+		return true
+	}
+	for _, et := range tr.edges[:n] {
+		if et.chunked || chunkSize != 0 && chunkSize < et.maxShare {
+			return false
+		}
+	}
+	return true
 }
 
-// edgeTrace is one edge of a recorded trace group.
+// resumePoint is a trace group's state just before its first edge that
+// some task count splits: the cluster's exported state and the data sets
+// produced so far, each a struct copy taken then, so that their allocated
+// regions match the exported allocator.  It is never written after it is
+// taken; a group resuming there takes its own struct copies.
+type resumePoint struct {
+	state    []byte
+	datasets map[string]*motif.Dataset
+}
+
+// copyDatasets returns struct copies of the data sets.  The copies share
+// the collections, which no motif writes (motif.Impl.Run's contract), and
+// each carries its own region, so allocating one does not touch the
+// original.
+func copyDatasets(in map[string]*motif.Dataset) map[string]*motif.Dataset {
+	out := make(map[string]*motif.Dataset, len(in))
+	for name, d := range in {
+		c := *d
+		out[name] = &c
+	}
+	return out
+}
+
+// edgeTrace is one edge of a recorded trace group: its stage trace; what
+// its lane scales are computed from besides each lane's parameters and the
+// task count, namely the edge's DAG weight, the bytes of its input data set
+// (at least 1) and the number of shares that input split into; and its
+// chunk record, whether runChunked chunked any share and the largest share
+// a task ran whole.
 type edgeTrace struct {
-	stage sim.StageTrace
-	edgeInput
-}
-
-// edgeInput is what an edge's lane scales are computed from besides each
-// lane's parameters: the edge's DAG weight, the bytes of its input data set
-// (at least 1), the number of shares that input split into and the task
-// count it was split for (at least 1).
-type edgeInput struct {
+	stage    sim.StageTrace
 	weight   float64
 	inBytes  uint64
 	shares   int
-	numTasks int
+	chunked  bool
+	maxShare uint64
 }
 
 // TraceKey renders the fields of the effective parameter vector that shape
@@ -252,56 +319,83 @@ func (b *Benchmark) traceKey(s Setting) string {
 }
 
 // shapeKey renders a trace group's shape: the fields of traceKey except
-// the chunk size, which TraceStore matches separately.
+// the chunk size and the task count, which TraceStore matches separately.
 func (b *Benchmark) shapeKey(p Params) string {
-	return fmt.Sprintf("%d|%d|%d|%d|%d|%d|%d",
-		b.effectiveSampleBytes(p), p.NumTasks,
+	return fmt.Sprintf("%d|%d|%d|%d|%d|%d",
+		b.effectiveSampleBytes(p),
 		p.BatchSize, p.TotalSize, p.HeightSize, p.WidthSize, p.NumChannels)
+}
+
+// taskCount is the number of tasks a group splits each edge's input for:
+// NumTasks, at least 1.
+func taskCount(p Params) int {
+	return max(p.NumTasks, 1)
 }
 
 // runGroup executes one trace group on the given cluster: the shared trace
 // (input generation, motif compute, chunking) runs once, and a sim.Batch
 // accounts it into one lane per setting with that setting's extrapolation
-// factors.  The input is generated as a lightly-accounted stage of its
-// own, then each edge runs in topological order.  It returns the lane
-// reports and the recorded trace.
-func (b *Benchmark) runGroup(cluster *sim.Cluster, settings []Setting) ([]sim.Report, *groupTrace, error) {
+// factors.  It returns the lane reports and the recorded trace.
+//
+// With a nil from, the group starts at the input stage, generated as a
+// lightly-accounted stage of its own.  Otherwise it resumes at from's
+// resume point: the cluster loads the exported state, the input stage and
+// from's fixed edges are accounted from from's trace at this group's task
+// count, and the group takes its own struct copies of the data sets.
+// Either way the remaining edges then run in topological order.
+func (b *Benchmark) runGroup(cluster *sim.Cluster, settings []Setting, from *groupTrace) ([]sim.Report, *groupTrace, error) {
 	ps := b.apply(settings)
 	// All settings of a group share the trace shape; ps[0] supplies every
 	// shape parameter (the Benchmark.Input contract guarantees the generator
 	// reads neither DataSize nor Weight, the only fields varying in-group).
 	shape := ps[0]
-	sampleBytes := b.effectiveSampleBytes(shape)
-
-	batch := sim.NewBatch(cluster, len(ps))
-
+	edges, err := b.sortedEdges()
+	if err != nil {
+		return nil, nil, err
+	}
 	node := 0
 	if workers := cluster.Workers(); len(workers) > 0 {
 		node = workers[0].ID()
 	}
 
-	datasets := map[string]*motif.Dataset{}
-	edges, err := b.sortedEdges()
-	if err != nil {
-		return nil, nil, err
+	tr := &groupTrace{numTasks: taskCount(shape), chunkSize: shape.ChunkSize}
+	var batch *sim.Batch
+	var datasets map[string]*motif.Dataset
+	if from == nil {
+		batch = sim.NewBatch(cluster, len(ps))
+		sampleBytes := b.effectiveSampleBytes(shape)
+		var input *motif.Dataset
+		tr.input = batch.RunOnNode(b.Name+":input", node, b.inputScales(ps, sampleBytes), func(ex *sim.Exec) {
+			ex.SetCodeFootprint(b.codeFootprint(), proxyJumpsPer1k)
+			input = b.Input(7, sampleBytes, shape)
+			if input == nil {
+				input = &motif.Dataset{}
+			}
+			ex.ReadDisk(input.SizeBytes())
+		})
+		datasets = map[string]*motif.Dataset{InputNode: input}
+	} else {
+		if err := cluster.ImportState(from.resume.state); err != nil {
+			return nil, nil, fmt.Errorf("core: benchmark %s: resuming a trace group: %w", b.Name, err)
+		}
+		batch = sim.NewReplay(cluster, len(ps))
+		b.accountTrace(batch, from, from.fixed, ps, settings)
+		tr.input, tr.edges = from.input, from.edges[:from.fixed:from.fixed]
+		tr.fixed, tr.resume, tr.resumed = from.fixed, from.resume, true
+		datasets = copyDatasets(from.resume.datasets)
 	}
 
-	tr := &groupTrace{chunkSize: shape.ChunkSize}
-	var input *motif.Dataset
-	tr.input = batch.RunOnNode(b.Name+":input", node, b.inputScales(ps, sampleBytes), func(ex *sim.Exec) {
-		ex.SetCodeFootprint(b.codeFootprint(), proxyJumpsPer1k)
-		input = b.Input(7, sampleBytes, shape)
-		if input == nil {
-			input = &motif.Dataset{}
-		}
-		ex.ReadDisk(input.SizeBytes())
-	})
-	datasets[InputNode] = input
-
-	for _, e := range edges {
+	for _, e := range edges[len(tr.edges):] {
 		in := datasets[e.From]
 		if in == nil {
 			return nil, nil, fmt.Errorf("core: benchmark %s edge %s consumes missing data set %q", b.Name, e.Name, e.From)
+		}
+		if tr.fixed == len(tr.edges) {
+			if unsplittable(in) {
+				tr.fixed++
+			} else if tr.fixed > 0 && tr.resume == nil {
+				tr.resume = &resumePoint{state: cluster.ExportState(), datasets: copyDatasets(datasets)}
+			}
 		}
 		out, err := b.runEdgeBatch(batch, node, e, in, ps, settings, tr)
 		if err != nil {
@@ -312,17 +406,26 @@ func (b *Benchmark) runGroup(cluster *sim.Cluster, settings []Setting) ([]sim.Re
 	return batch.Reports(b.Name), tr, nil
 }
 
-// replayGroup accounts a trace group from a recorded trace that serves it,
-// on a replay batch over the pool's prototype: the input stage and every
-// edge at the lane factors runGroup computes, without simulating anything.
+// replayGroup accounts a trace group from a recorded trace that serves it
+// whole, on a replay batch over the pool's prototype, without simulating
+// anything.
 func (b *Benchmark) replayGroup(proto *sim.Cluster, tr *groupTrace, settings []Setting) []sim.Report {
 	ps := b.apply(settings)
 	batch := sim.NewReplay(proto, len(ps))
-	batch.Account(tr.input, b.inputScales(ps, b.effectiveSampleBytes(ps[0])))
-	for _, et := range tr.edges {
-		batch.Account(et.stage, edgeScales(et.edgeInput, ps, settings))
-	}
+	b.accountTrace(batch, tr, len(tr.edges), ps, settings)
 	return batch.Reports(b.Name)
+}
+
+// accountTrace accounts the input stage and the first n edges of a
+// recorded trace into the batch at each lane's factors and the group's
+// task count, as runGroup accounts the stages it runs.
+func (b *Benchmark) accountTrace(batch *sim.Batch, tr *groupTrace, n int, ps []Params, settings []Setting) {
+	numTasks := taskCount(ps[0])
+	batch.Account(tr.input, 0, b.inputScales(ps, b.effectiveSampleBytes(ps[0])))
+	for i := range tr.edges[:n] {
+		et := &tr.edges[i]
+		batch.Account(et.stage, numTasks, edgeScales(et, numTasks, ps, settings))
+	}
 }
 
 // apply resolves each setting's effective parameters.
@@ -356,23 +459,23 @@ func (b *Benchmark) inputScales(ps []Params, sampleBytes uint64) []float64 {
 // processed data (TotalSize for a proxy without a data size), never less
 // than the sample itself.  When the input could not be split, every task
 // processes the whole sample, so the lane's work is spread across the
-// tasks.
-func edgeScales(in edgeInput, ps []Params, settings []Setting) []float64 {
+// numTasks tasks.
+func edgeScales(et *edgeTrace, numTasks int, ps []Params, settings []Setting) []float64 {
 	scales := make([]float64, len(ps))
 	for i, p := range ps {
-		work := float64(p.DataSize) * in.weight * settings[i].Get("weight")
+		work := float64(p.DataSize) * et.weight * settings[i].Get("weight")
 		if p.DataSize == 0 {
-			work = float64(p.TotalSize) * in.weight * settings[i].Get("weight")
+			work = float64(p.TotalSize) * et.weight * settings[i].Get("weight")
 		}
 		if work <= 0 {
-			work = float64(in.inBytes)
+			work = float64(et.inBytes)
 		}
-		scale := work / float64(in.inBytes)
+		scale := work / float64(et.inBytes)
 		if scale < 1 {
 			scale = 1
 		}
-		if in.shares == 1 && in.numTasks > 1 {
-			scale /= float64(in.numTasks)
+		if et.shares == 1 && numTasks > 1 {
+			scale /= float64(numTasks)
 		}
 		scales[i] = scale
 	}
@@ -380,26 +483,20 @@ func edgeScales(in edgeInput, ps []Params, settings []Setting) []float64 {
 }
 
 // runEdgeBatch executes one motif edge for a trace group: the input sample
-// is split into shares for NumTasks worker tasks, each run in chunks of at
+// is split into shares for the group's tasks, each run in chunks of at
 // most ChunkSize bytes, once; each lane's counters are then extrapolated by
-// edgeScales.  It appends the edge to the group's trace and folds its
-// shares into the trace's chunk record.
+// edgeScales.  It appends the edge, with its chunk record, to the group's
+// trace.
 func (b *Benchmark) runEdgeBatch(batch *sim.Batch, node int, e Edge, in *motif.Dataset, ps []Params, settings []Setting, tr *groupTrace) (*motif.Dataset, error) {
 	impl, err := motif.Lookup(e.Impl)
 	if err != nil {
 		return nil, err
 	}
-	shape := ps[0]
-	ei := edgeInput{weight: e.Weight, inBytes: in.SizeBytes(), numTasks: shape.NumTasks}
-	if ei.numTasks < 1 {
-		ei.numTasks = 1
-	}
-	if ei.inBytes == 0 {
-		ei.inBytes = 1
-	}
-	shares := splitDataset(in, ei.numTasks)
-	ei.shares = len(shares)
-	taskScales := edgeScales(ei, ps, settings)
+	chunkSize := ps[0].ChunkSize
+	et := edgeTrace{weight: e.Weight, inBytes: max(in.SizeBytes(), 1)}
+	shares := splitDataset(in, tr.numTasks)
+	et.shares = len(shares)
+	taskScales := edgeScales(&et, tr.numTasks, ps, settings)
 
 	outputs := make([]*motif.Dataset, len(shares))
 	tasks := make([]sim.BatchTask, len(shares))
@@ -407,19 +504,20 @@ func (b *Benchmark) runEdgeBatch(batch *sim.Batch, node int, e Edge, in *motif.D
 	for i := range shares {
 		i := i
 		share := shares[i]
-		if chunks(share, shape.ChunkSize) {
-			tr.chunked = true
+		if chunks(share, chunkSize) {
+			et.chunked = true
 		} else {
-			tr.maxShare = max(tr.maxShare, share.SizeBytes())
+			et.maxShare = max(et.maxShare, share.SizeBytes())
 		}
 		tasks[i] = sim.BatchTask{Node: node, Scales: taskScales, Fn: func(ex *sim.Exec) {
 			ex.SetCodeFootprint(b.codeFootprint(), proxyJumpsPer1k)
-			outputs[i] = runChunked(ex, impl, share, shape.ChunkSize)
+			outputs[i] = runChunked(ex, impl, share, chunkSize)
 			if b.SpillIntermediate && outputs[i] != nil {
 				ex.WriteDisk(outputs[i].SizeBytes())
 			}
 		}}
 	}
-	tr.edges = append(tr.edges, edgeTrace{stage: batch.RunStage(stageName, tasks, ei.numTasks), edgeInput: ei})
+	et.stage = batch.RunStage(stageName, tasks, tr.numTasks)
+	tr.edges = append(tr.edges, et)
 	return mergeDatasets(outputs), nil
 }

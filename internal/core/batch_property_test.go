@@ -117,6 +117,51 @@ func oneLane(t *testing.T, pool *sim.ClusterPool, b *core.Benchmark, settings []
 	return out
 }
 
+// storeCall is one RunBatch call of a sequence that shares a trace store.
+type storeCall struct {
+	b        *core.Benchmark
+	settings []core.Setting
+}
+
+// runStoreCalls makes the calls in order on one fresh store at the given
+// worker count and checks that every report equals want, each call's
+// one-lane runs on fresh stores, which it computes for the calls that have
+// none yet.  It returns the store.
+func runStoreCalls(t *testing.T, pool *sim.ClusterPool, calls []storeCall, want [][]sim.Report, workers int) *core.TraceStore {
+	t.Helper()
+	for ci := range calls {
+		if want[ci] == nil {
+			want[ci] = oneLane(t, pool, calls[ci].b, calls[ci].settings)
+		}
+	}
+	prev := parallel.SetWorkers(workers)
+	defer parallel.SetWorkers(prev)
+	store := &core.TraceStore{}
+	for ci, c := range calls {
+		got, err := core.RunBatch(pool, c.b, c.settings, store)
+		if err != nil {
+			t.Errorf("workers=%d call %d: %v", workers, ci, err)
+			continue
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[ci][i]) {
+				t.Errorf("workers=%d call %d %s (%v): report diverges from its one-lane run\n got: %+v\nwant: %+v",
+					workers, ci, c.b.Name, c.settings[i], got[i], want[ci][i])
+			}
+		}
+	}
+	return store
+}
+
+// checkStored fails the test unless the store holds the given numbers of
+// simulated and resumed traces.
+func checkStored(t *testing.T, label string, store *core.TraceStore, simulated, resumed int) {
+	t.Helper()
+	if s, r := core.StoredTracesForTest(store); s != simulated || r != resumed {
+		t.Errorf("%s: store holds %d simulated and %d resumed traces, want %d and %d", label, s, r, simulated, resumed)
+	}
+}
+
 // TestRunBatchReplayMatchesFreshRuns is the replay property: RunBatch calls
 // that share one TraceStore account every group the store serves from a
 // recorded trace, and each report must be bit-identical to a one-lane
@@ -135,12 +180,8 @@ func oneLane(t *testing.T, pool *sim.ClusterPool, b *core.Benchmark, settings []
 // replay.  Inception-V3 is the slow part: -short runs it on the first
 // profile at 1 worker only.
 func TestRunBatchReplayMatchesFreshRuns(t *testing.T) {
-	type call struct {
-		b        *core.Benchmark
-		settings []core.Setting
-	}
 	small, inception := testutil.SmallBenchmark(), proxy.InceptionV3()
-	smallCalls := []call{
+	smallCalls := []storeCall{
 		{small, []core.Setting{{"chunkSize": 0.001}}},
 		{small, []core.Setting{{"chunkSize": 0.5}, {"chunkSize": 0.001, "weight": 2}, {"chunkSize": 0.002}}},
 		{small, []core.Setting{
@@ -148,7 +189,7 @@ func TestRunBatchReplayMatchesFreshRuns(t *testing.T) {
 			{"chunkSize": 0.002, "weight": 1.6}, {"numTasks": 2, "chunkSize": 0.002},
 		}},
 	}
-	inceptionCalls := []call{
+	inceptionCalls := []storeCall{
 		{inception, []core.Setting{{"chunkSize": 0.2}}},
 		{inception, []core.Setting{{"chunkSize": 1}, {"chunkSize": 0.2, "dataSize": 1.25}}},
 		{inception, []core.Setting{{"chunkSize": 0.6}}},
@@ -164,33 +205,61 @@ func TestRunBatchReplayMatchesFreshRuns(t *testing.T) {
 				if testing.Short() && (pi > 0 || wi > 0) {
 					calls = smallCalls
 				}
-				for ci := range calls {
-					if want[ci] == nil {
-						want[ci] = oneLane(t, pool, calls[ci].b, calls[ci].settings)
-					}
-				}
-				prev := parallel.SetWorkers(workers)
-				store := &core.TraceStore{}
-				for ci, c := range calls {
-					got, err := core.RunBatch(pool, c.b, c.settings, store)
-					if err != nil {
-						t.Errorf("workers=%d call %d: %v", workers, ci, err)
-						continue
-					}
-					for i := range got {
-						if !reflect.DeepEqual(got[i], want[ci][i]) {
-							t.Errorf("workers=%d call %d %s (%v): replayed report diverges\n got: %+v\nwant: %+v",
-								workers, ci, c.b.Name, c.settings[i], got[i], want[ci][i])
-						}
-					}
-				}
-				parallel.SetWorkers(prev)
+				store := runStoreCalls(t, pool, calls, want, workers)
 				wantTraces := 5 // SmallBenchmark's, plus Inception-V3's 2
 				if len(calls) == len(allCalls) {
 					wantTraces = 7
 				}
-				if n := core.StoredTracesForTest(store); n != wantTraces {
-					t.Errorf("workers=%d: store holds %d traces, want %d", workers, n, wantTraces)
+				checkStored(t, fmt.Sprintf("workers=%d", workers), store, wantTraces, 0)
+			}
+		})
+	}
+}
+
+// TestRunBatchResumeMatchesFreshRuns is the resume property: groups of
+// GraphBenchmark at a task count no stored trace ran at resume a stored
+// trace after its three fixed edges, and groups of AlexNet, whose inputs
+// no task count splits, replay one trace at every task count.  Each report
+// must be bit-identical to a one-lane RunBatch of its setting with a fresh
+// store, on both profiles and at 1, 2 and 8 workers.
+//
+// GraphBenchmark runs 4 tasks at a 1 MiB chunk size by default.  The task
+// factors give 1 task, 2 and 8 tasks, and 128, more tasks than the 100
+// degrees quicksort splits; at 1 task and at 128 the last edge allocates
+// its region on a data set of the resume point.  Chunk factor 0.5 chunks
+// nothing; 0.05 chunks the 80000-byte matrix, a fixed edge's input, so
+// only a trace at that chunk size can be resumed; 0.004 also chunks the
+// graph, and 0.001 the 1600 bytes of degrees at 1 task as well.  The store
+// ends with 4 simulated traces and 8 resumed ones.  -short leaves out
+// AlexNet, whose baseline and 16 impact settings must leave its store with
+// 1 trace.
+func TestRunBatchResumeMatchesFreshRuns(t *testing.T) {
+	graph, alexnet := testutil.GraphBenchmark(), proxy.AlexNet()
+	calls := []storeCall{
+		{graph, []core.Setting{nil}},
+		{graph, []core.Setting{{"numTasks": 0.25}, {"numTasks": 0.25, "weight": 2}, {"numTasks": 2}}},
+		{graph, []core.Setting{
+			{"numTasks": 32}, {"numTasks": 0.25, "chunkSize": 0.5}, {"numTasks": 2, "chunkSize": 0.05},
+			{"numTasks": 0.5, "dataSize": 0.5}, {"numTasks": 1, "weight": 1.6},
+		}},
+		{graph, []core.Setting{{"numTasks": 0.25, "chunkSize": 0.05}, {"chunkSize": 0.001}}},
+		{graph, []core.Setting{
+			{"numTasks": 0.25, "chunkSize": 0.001}, {"numTasks": 0.5, "chunkSize": 0.001},
+			{"numTasks": 2, "chunkSize": 0.004}, {"numTasks": 32, "chunkSize": 0.05, "weight": 0.5},
+		}},
+	}
+	aiCalls := []storeCall{{alexnet, []core.Setting{nil}}, {alexnet, impactSettings()}}
+	for _, np := range testutil.Profiles() {
+		np := np
+		t.Run(np.Name, func(t *testing.T) {
+			pool := testutil.Pool(np.Profile)
+			want := make([][]sim.Report, len(calls))
+			aiWant := make([][]sim.Report, len(aiCalls))
+			for _, workers := range []int{1, 2, 8} {
+				label := fmt.Sprintf("workers=%d", workers)
+				checkStored(t, label, runStoreCalls(t, pool, calls, want, workers), 4, 8)
+				if !testing.Short() {
+					checkStored(t, label+" AlexNet", runStoreCalls(t, pool, aiCalls, aiWant, workers), 1, 0)
 				}
 			}
 		})
@@ -209,70 +278,102 @@ func impactSettings() []core.Setting {
 	return out
 }
 
-// TestTraceStoreSimulatesEachShapeOnce runs SmallBenchmark's baseline and
+// TestTraceStoreSimulatesEachShapeOnce runs each benchmark's baseline and
 // then the tuner's 16 default impact settings through one store, as a
-// tune's evaluator does.  The store must then hold exactly 5 traces: the
+// tune's evaluator does, and every report must equal its one-lane run.
+// SmallBenchmark's store must then hold 5 simulated traces: the
 // baseline's, which serves every dataSize, weight and chunkSize setting,
-// and one per numTasks factor.  Every report must equal its one-lane run.
+// and one per numTasks factor, because its first edge splits its input.
+// GraphBenchmark's must hold the baseline's and 4 traces that resumed it,
+// one per numTasks factor.
 func TestTraceStoreSimulatesEachShapeOnce(t *testing.T) {
-	b := testutil.SmallBenchmark()
 	pool := testutil.Pool(testutil.Profiles()[0].Profile)
-	store := &core.TraceStore{}
-	for _, settings := range [][]core.Setting{{nil}, impactSettings()} {
-		got, err := core.RunBatch(pool, b, settings, store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := oneLane(t, pool, b, settings)
-		for i := range got {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("%v: report diverges from its one-lane run\n got: %+v\nwant: %+v", settings[i], got[i], want[i])
+	for _, tc := range []struct {
+		b                  *core.Benchmark
+		simulated, resumed int
+	}{
+		{testutil.SmallBenchmark(), 5, 0},
+		{testutil.GraphBenchmark(), 1, 4},
+	} {
+		store := &core.TraceStore{}
+		for _, settings := range [][]core.Setting{{nil}, impactSettings()} {
+			got, err := core.RunBatch(pool, tc.b, settings, store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := oneLane(t, pool, tc.b, settings)
+			for i := range got {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("%s %v: report diverges from its one-lane run\n got: %+v\nwant: %+v", tc.b.Name, settings[i], got[i], want[i])
+				}
 			}
 		}
-	}
-	if n := core.StoredTracesForTest(store); n != 5 {
-		t.Fatalf("store holds %d traces after the baseline and the impact grid, want 5", n)
+		checkStored(t, tc.b.Name+" after the baseline and the impact grid", store, tc.simulated, tc.resumed)
 	}
 }
 
 // TestTraceStoreConcurrentRunBatch has several goroutines call RunBatch on
-// one store at once, over overlapping settings in different orders, so
-// lookups, replays and recordings interleave; every report must still
-// equal its one-lane run.  Run it under the race detector.
+// one store at once, so lookups, replays, resumes and recordings
+// interleave; every report must still equal its one-lane run.  First the
+// callers send SmallBenchmark's settings in different orders; then each
+// resumes GraphBenchmark at a task count of its own from the one stored
+// resume point.  Run it under the race detector.
 func TestTraceStoreConcurrentRunBatch(t *testing.T) {
 	prev := parallel.SetWorkers(4)
 	defer parallel.SetWorkers(prev)
-	b := testutil.SmallBenchmark()
 	pool := testutil.Pool(testutil.Profiles()[0].Profile)
-	settings := append([]core.Setting{nil, {"chunkSize": 0.002}}, impactSettings()...)
-	want := oneLane(t, pool, b, settings)
-
-	store := &core.TraceStore{}
 	const callers = 4
-	var wg sync.WaitGroup
-	for c := 0; c < callers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			// Caller c starts at a different offset, so the callers reach
-			// the shapes in different orders.
-			order := make([]int, len(settings))
-			batch := make([]core.Setting, len(settings))
-			for i := range order {
-				order[i] = (i + c*5) % len(settings)
-				batch[i] = settings[order[i]]
-			}
-			got, err := core.RunBatch(pool, b, batch, store)
-			if err != nil {
-				t.Errorf("caller %d: %v", c, err)
-				return
-			}
-			for i, idx := range order {
-				if !reflect.DeepEqual(got[i], want[idx]) {
-					t.Errorf("caller %d: %v: report diverges from its one-lane run", c, settings[idx])
+
+	// callConcurrently has caller c send batches[c] on the store and
+	// checks each report against want[c].
+	callConcurrently := func(b *core.Benchmark, store *core.TraceStore, batches [][]core.Setting, want [][]sim.Report) {
+		var wg sync.WaitGroup
+		for c := range batches {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				got, err := core.RunBatch(pool, b, batches[c], store)
+				if err != nil {
+					t.Errorf("%s caller %d: %v", b.Name, c, err)
+					return
 				}
-			}
-		}(c)
+				for i := range got {
+					if !reflect.DeepEqual(got[i], want[c][i]) {
+						t.Errorf("%s caller %d: %v: report diverges from its one-lane run", b.Name, c, batches[c][i])
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+
+	small := testutil.SmallBenchmark()
+	settings := append([]core.Setting{nil, {"chunkSize": 0.002}}, impactSettings()...)
+	wantSmall := oneLane(t, pool, small, settings)
+	batches := make([][]core.Setting, callers)
+	want := make([][]sim.Report, callers)
+	for c := range batches {
+		// Caller c starts at a different offset, so the callers reach the
+		// shapes in different orders.
+		for i := range settings {
+			idx := (i + c*5) % len(settings)
+			batches[c] = append(batches[c], settings[idx])
+			want[c] = append(want[c], wantSmall[idx])
+		}
+	}
+	callConcurrently(small, &core.TraceStore{}, batches, want)
+
+	graph := testutil.GraphBenchmark()
+	store := &core.TraceStore{}
+	if _, err := core.RunBatch(pool, graph, []core.Setting{nil}, store); err != nil {
+		t.Fatal(err)
+	}
+	for c, f := range []float64{0.25, 0.5, 2, 32} {
+		batches[c] = []core.Setting{
+			{"numTasks": f}, {"numTasks": f, "weight": 1.6}, {"numTasks": f, "dataSize": 0.8}, {"numTasks": f, "chunkSize": 0.5},
+		}
+		want[c] = oneLane(t, pool, graph, batches[c])
+	}
+	callConcurrently(graph, store, batches, want)
+	checkStored(t, graph.Name, store, 1, callers)
 }

@@ -46,12 +46,13 @@ type Benchmark struct {
 	//
 	// Contract (relied on by RunBatch): the generator derives the data set
 	// from seed, sampleBytes and the shape parameters of p only — it must
-	// not read p.DataSize, p.Weight or p.ChunkSize.  The first two enter the
-	// simulation purely as extrapolation factors, which is what lets batched
-	// execution share one generated input across settings that differ only
-	// in them; the chunk size only decides which task shares runChunked
-	// chunks, which is what lets a TraceStore serve a trace that chunked no
-	// share to other chunk sizes.
+	// not read p.DataSize, p.Weight, p.ChunkSize or p.NumTasks.  The first
+	// two enter the simulation purely as extrapolation factors, which is
+	// what lets batched execution share one generated input across settings
+	// that differ only in them; the chunk size only decides which task
+	// shares runChunked chunks, and the task count how splitDataset splits
+	// each edge's input, which is what lets a TraceStore serve a trace to
+	// other chunk sizes and task counts.
 	Input func(seed int64, sampleBytes uint64, p Params) *motif.Dataset
 	// Edges is the DAG.
 	Edges []Edge

@@ -34,7 +34,7 @@ func Run(cluster *sim.Cluster, b *Benchmark, setting Setting) (sim.Report, error
 	if err := setting.Validate(); err != nil {
 		return sim.Report{}, err
 	}
-	reps, _, err := b.runGroup(cluster, []Setting{setting})
+	reps, _, err := b.runGroup(cluster, []Setting{setting}, nil)
 	if err != nil {
 		return sim.Report{}, err
 	}
@@ -152,6 +152,13 @@ func splitDataset(in *motif.Dataset, n int) []*motif.Dataset {
 	default:
 		return []*motif.Dataset{in}
 	}
+}
+
+// unsplittable reports whether no task count splits the data set: it does
+// not split in two, so none of splitDataset's collections holds more than
+// one element.
+func unsplittable(in *motif.Dataset) bool {
+	return len(splitDataset(in, 2)) == 1
 }
 
 func splitBy(n, length int, slice func(lo, hi int) *motif.Dataset) []*motif.Dataset {

@@ -140,7 +140,10 @@ type Impl struct {
 	// Description is a short human-readable summary.
 	Description string
 	// Run executes the motif on the input dataset, reporting its work to ex,
-	// and returns the produced (intermediate) dataset.
+	// and returns the produced (intermediate) dataset.  It may allocate the
+	// input's region but must not write its collections: a proxy benchmark
+	// group that resumes a recorded trace shares the data sets of the
+	// trace's resume point with every other group resuming there.
 	Run func(ex *sim.Exec, in *Dataset) *Dataset
 }
 

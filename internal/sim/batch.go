@@ -33,12 +33,13 @@ func laneScale(scales []float64, lane int) float64 {
 // node, in first-appearance order, each task's unscaled counters and disk
 // and network seconds.  Batch.RunStage returns it, and Batch.Account
 // accounts it into the lanes of another batch exactly as the run accounted
-// it, without executing anything.
+// it, without executing anything.  The per-node parallelism is not part of
+// the trace: it only composes virtual time, so each accounting names its
+// own.
 type StageTrace struct {
-	name        string
-	tasks       int
-	parallelism int
-	nodes       []nodeTrace
+	name  string
+	tasks int
+	nodes []nodeTrace
 }
 
 // nodeTrace is one node's tasks of a stage trace, in task order.
@@ -80,10 +81,11 @@ func NewBatch(c *Cluster, k int) *Batch {
 	return NewReplay(c, k)
 }
 
-// NewReplay prepares a K-lane batch that only accounts recorded stage
-// traces (Account).  It reads the cluster's configuration, node ids and
-// Workers and nothing else — it neither resets nor simulates — so c may be
-// a pool's shared prototype.  RunStage must not be called on it.
+// NewReplay prepares a K-lane batch on the cluster without resetting it.
+// Account reads only the cluster's configuration, node ids and Workers, so
+// on a pool's shared prototype the batch may only Account.  On a cluster
+// the caller owns, for instance one that ImportState just loaded, it may
+// also RunStage, which continues from the cluster's state.
 func NewReplay(c *Cluster, k int) *Batch {
 	if k < 1 {
 		k = 1
@@ -109,10 +111,11 @@ func (bt *Batch) RunOnNode(stage string, node int, scales []float64, fn func(ex 
 }
 
 // Account accounts a recorded stage trace into every lane, every task of
-// it at the lane's entry of scales (BatchTask.Scales' rule), as if the
+// it at the lane's entry of scales (BatchTask.Scales' rule) and the stage
+// at the given per-node parallelism (Cluster.RunStage's rule), as if the
 // stage had run in this batch with those factors.
-func (bt *Batch) Account(tr StageTrace, scales []float64) {
-	bt.c.account(tr, func(int) []float64 { return scales }, bt.lanes)
+func (bt *Batch) Account(tr StageTrace, parallelismPerNode int, scales []float64) {
+	bt.c.account(tr, parallelismPerNode, func(int) []float64 { return scales }, bt.lanes)
 }
 
 // Reports builds one report per lane under the given name.

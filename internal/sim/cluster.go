@@ -204,7 +204,7 @@ func (c *Cluster) runStage(stage string, tasks []BatchTask, parallelismPerNode i
 	if len(workers) == 0 {
 		workers = c.nodes
 	}
-	tr := StageTrace{name: stage, tasks: len(tasks), parallelism: parallelismPerNode}
+	tr := StageTrace{name: stage, tasks: len(tasks)}
 	byNode := make(map[int]int)
 	for i, t := range tasks {
 		node := c.nodeForTask(t.Node, i, workers)
@@ -234,21 +234,22 @@ func (c *Cluster) runStage(stage string, tasks []BatchTask, parallelismPerNode i
 		}
 	})
 
-	c.account(tr, func(task int) []float64 { return tasks[task].Scales }, lanes)
+	c.account(tr, parallelismPerNode, func(task int) []float64 { return tasks[task].Scales }, lanes)
 	return tr
 }
 
 // account is the one stage accounting function: it accounts an executed
 // stage trace into every lane, each task under that lane's factor
-// (laneScale over scales(task)), whether the stage just ran or the trace
-// was recorded earlier (Batch.Account).  Counters scale through
+// (laneScale over scales(task)) and the stage at parallelismPerNode
+// (RunStage's rule), whether the stage just ran or the trace was recorded
+// earlier (Batch.Account).  Counters scale through
 // perf.Counters.ScaledBy and I/O seconds are multiplied only when the
 // factor is not 1, so an unscaled lane never rounds through a float.  A
 // node's counters and I/O seconds grow task by task, in task order, and its
 // CPU seconds once per stage; the stage's virtual duration (slots, CPU
 // seconds, I/O overlap) is composed once per lane.  It reads only the
 // cluster's configuration, so it may run on a shared prototype.
-func (c *Cluster) account(tr StageTrace, scales func(task int) []float64, lanes []ledger) {
+func (c *Cluster) account(tr StageTrace, parallelismPerNode int, scales func(task int) []float64, lanes []ledger) {
 	p := c.cfg.Profile
 	for lane := range lanes {
 		l := &lanes[lane]
@@ -273,8 +274,8 @@ func (c *Cluster) account(tr StageTrace, scales func(task int) []float64, lanes 
 				netSec += net
 			}
 			slots := len(nt.tasks)
-			if tr.parallelism > 0 {
-				slots = tr.parallelism
+			if parallelismPerNode > 0 {
+				slots = parallelismPerNode
 			}
 			if cores := p.TotalCores(); slots > cores {
 				slots = cores

@@ -148,3 +148,35 @@ func SmallBenchmark() *core.Benchmark {
 		},
 	}
 }
+
+// GraphBenchmark builds a small PageRank-shaped proxy benchmark over a
+// generated power-law graph of 100 vertices.  Its first three edges read
+// inputs that no task count splits (matrix_construction and
+// degree_statistics on the graph, minmax_statistics on the 100x100
+// matrix), quicksort on the 100 degrees is the first edge that splits, and
+// the last edge reads the first minmax_statistics output, whose region no
+// earlier edge allocates.  At the default 1 MiB chunk size no share is
+// chunked; the largest share is the 80000-byte matrix.
+func GraphBenchmark() *core.Benchmark {
+	return &core.Benchmark{
+		Name:              "Proxy Graph Test",
+		Workload:          "graph-test",
+		Base:              core.Params{DataSize: 256 << 20, ChunkSize: 1 << 20, NumTasks: 4, Weight: 1},
+		SampleBytes:       20000,
+		SpillIntermediate: true,
+		Input: func(seed int64, sampleBytes uint64, p core.Params) *motif.Dataset {
+			g, err := datagen.GeneratePowerLawGraph(datagen.GraphConfig{Seed: seed, Vertices: int(sampleBytes / 200), AvgDegree: 8})
+			if err != nil {
+				return &motif.Dataset{}
+			}
+			return &motif.Dataset{Graph: g}
+		},
+		Edges: []core.Edge{
+			{Name: "matrix", Impl: "matrix_construction", From: core.InputNode, To: "matrix", Weight: 0.2},
+			{Name: "degrees", Impl: "degree_statistics", From: core.InputNode, To: "degrees", Weight: 0.3},
+			{Name: "extrema", Impl: "minmax_statistics", From: "matrix", To: "extrema", Weight: 0.1},
+			{Name: "sort", Impl: "quicksort", From: "degrees", To: "sorted", Weight: 0.3},
+			{Name: "range", Impl: "minmax_statistics", From: "extrema", To: "range", Weight: 0.1},
+		},
+	}
+}

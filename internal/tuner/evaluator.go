@@ -19,10 +19,11 @@ import (
 //
 // The evaluator owns one core.TraceStore for its whole life, so it never
 // simulates the same trace twice: a cold setting whose trace an earlier
-// sweep of this evaluator recorded is accounted from that trace.  The store
-// lives exactly as long as the evaluator — one tune, one serve sweep, one
-// campaign step — and is never attached to the memo or the pool, which
-// both outlive a single operation.
+// sweep of this evaluator recorded is accounted from that trace, and one
+// that differs from a recorded trace only after the edges no task count
+// splits resumes that trace there.  The store lives exactly as long as the
+// evaluator — one tune, one serve sweep, one campaign step — and is never
+// attached to the memo or the pool, which both outlive a single operation.
 type MemoEvaluator struct {
 	pool   *sim.ClusterPool
 	b      *core.Benchmark
