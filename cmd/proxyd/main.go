@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	proxyd [-addr :8080] [-inflight N] [-queue N] [-jobqueue N] [-parallel N]
+//	proxyd [-addr :8080] [-inflight N] [-queue N] [-jobqueue N] [-cache N] [-parallel N]
 //	       [-coalesce-window 2ms] [-coalesce-lanes N] [-log-level LEVEL]
 //	       [-state-dir DIR] [-snapshot-interval 30s] [-shutdown-timeout 10s]
 //	       [-name SHARD] [-peers name=url,...] [-gossip-interval 2s] [-gossip-batch N]
@@ -77,7 +77,7 @@ func main() {
 	inflight := flag.Int("inflight", 0, "max concurrent proxy simulations (0 = one per host worker)")
 	queue := flag.Int("queue", 0, "admission queue depth beyond the in-flight slots (0 = default 16, negative = none)")
 	jobQueue := flag.Int("jobqueue", 0, "queued tune jobs before shedding (0 = default 16)")
-	cache := flag.Int("cache", 0, "result-cache entries before the cache is swapped out (0 = default 4096)")
+	cache := flag.Int("cache", 0, "most completed result-cache entries held; beyond it entries are evicted one at a time (0 = default 4096)")
 	coalesceWindow := flag.Duration("coalesce-window", 0, "max wait for cross-request batching of cold runs (0 = default 2ms, negative = disabled)")
 	coalesceLanes := flag.Int("coalesce-lanes", 0, "max requests per coalesced sweep (0 = default 16)")
 	logLevel := flag.String("log-level", "", "structured request logging to stderr at this level (debug|info|warn|error); empty disables")

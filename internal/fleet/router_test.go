@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"dataproxy/internal/core"
+	"dataproxy/internal/faultinject"
 	"dataproxy/internal/serve"
 	"dataproxy/pkg/client"
 )
@@ -462,6 +463,33 @@ func TestRouterRelaysShedEnvelope(t *testing.T) {
 	}
 	if ae.RetryAfter <= 0 {
 		t.Error("relayed shed lost its retry hint")
+	}
+}
+
+// TestRouterRelaysSweepPanic arms a panic inside the owner's cold sweep of
+// a batch: the replica recovers it and answers 500 internal, which the
+// router relays as it relays any backend answer — no failover, and both
+// backends stay healthy.  A dropped connection would instead read as a dead
+// replica, and the retry on the other one would panic too.
+func TestRouterRelaysSweepPanic(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	tf := newTestFleet(t, 2)
+	faultinject.Set("serve.evaluate", faultinject.Fault{Panic: true, PanicMsg: "boom", Times: 2})
+	_, err := tf.api.RunBatch(context.Background(), client.RunRequest{
+		Workload: "terasort",
+		Settings: []map[string]float64{{"dataSize": 1.1}, {"dataSize": 1.2}},
+	})
+	ae, ok := client.AsAPIError(err)
+	if !ok || ae.Status != http.StatusInternalServerError || ae.Code != client.CodeInternal {
+		t.Fatalf("panicking sweep should relay the replica's 500 internal, got %v", err)
+	}
+	if got := tf.router.failovers.Load(); got != 0 {
+		t.Errorf("proxyrouter_failovers_total %d, want 0", got)
+	}
+	for _, b := range tf.backends {
+		if !tf.router.alive(b.Name) {
+			t.Errorf("backend %s marked dead after answering 500", b.Name)
+		}
 	}
 }
 

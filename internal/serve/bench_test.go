@@ -121,7 +121,7 @@ func BenchmarkServeConcurrentCold(b *testing.B) {
 		ctx := context.Background()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sc.memo.Store(tuner.NewMemo())
+			sc.memo = tuner.NewBoundedMemo(1 << 20)
 			var wg sync.WaitGroup
 			for _, s := range settings {
 				wg.Add(1)

@@ -11,8 +11,6 @@ import (
 
 	"dataproxy/internal/core"
 	"dataproxy/internal/perf"
-	"dataproxy/internal/sim"
-	"dataproxy/internal/tuner"
 )
 
 // Cross-request micro-batching.  PR 6 made K settings sharing a trace key
@@ -36,10 +34,6 @@ import (
 type cwindow struct {
 	archName string
 	b        *core.Benchmark
-	// memo is the result cache the window's first joiner missed in; the
-	// whole sweep executes against it (entries are self-contained, so a
-	// concurrent cache swap only costs future coalescing).
-	memo     *tuner.Memo
 	openedAt time.Time
 
 	// settings accumulates one lane per joined request, guarded by the
@@ -68,7 +62,7 @@ type cwindow struct {
 // index.  It seals the window at the size cap, and immediately when the
 // joining request is the only admitted one (idle drain: a lone request must
 // not pay the window bound).
-func (sc *scheduler) joinWindow(archName string, b *core.Benchmark, memo *tuner.Memo, s core.Setting) (*cwindow, int) {
+func (sc *scheduler) joinWindow(archName string, b *core.Benchmark, s core.Setting) (*cwindow, int) {
 	key := archName + "|" + b.Name
 	sc.cmu.Lock()
 	w := sc.windows[key]
@@ -76,7 +70,6 @@ func (sc *scheduler) joinWindow(archName string, b *core.Benchmark, memo *tuner.
 		w = &cwindow{
 			archName: archName,
 			b:        b,
-			memo:     memo,
 			openedAt: time.Now(),
 			sealed:   make(chan struct{}),
 			done:     make(chan struct{}),
@@ -121,8 +114,8 @@ func (sc *scheduler) sealLocked(key string, w *cwindow) {
 // for the executor role, and read this request's own lane back out.  The
 // returned coalesced flag reports whether the lane was answered without a
 // fresh simulation (a duplicate of another lane or an earlier memo entry).
-func (sc *scheduler) runCoalesced(ctx context.Context, archName string, b *core.Benchmark, memo *tuner.Memo, s core.Setting) (perf.Metrics, bool, error) {
-	w, idx := sc.joinWindow(archName, b, memo, s)
+func (sc *scheduler) runCoalesced(ctx context.Context, archName string, b *core.Benchmark, s core.Setting) (perf.Metrics, bool, error) {
+	w, idx := sc.joinWindow(archName, b, s)
 	select {
 	case <-w.sealed:
 	case <-ctx.Done():
@@ -143,9 +136,10 @@ func (sc *scheduler) runCoalesced(ctx context.Context, archName string, b *core.
 }
 
 // executeWindow runs the sealed window's sweep on one execution slot and
-// publishes per-lane results by closing done.  The caller must hold the
-// executor token; on slot-acquisition failure the token is returned (and
-// the error reported) so another participant can execute instead.
+// publishes per-lane results by closing done; evaluate fills every lane,
+// even when the sweep panics.  The caller must hold the executor token; on
+// slot-acquisition failure the token is returned (and the error reported)
+// so another participant can execute instead.
 func (sc *scheduler) executeWindow(ctx context.Context, w *cwindow) error {
 	if err := sc.acquireSlot(ctx); err != nil {
 		w.lead <- struct{}{}
@@ -155,39 +149,9 @@ func (sc *scheduler) executeWindow(ctx context.Context, w *cwindow) error {
 	sc.windowBatches.Add(1)
 	sc.waitHist.observe(time.Since(w.openedAt).Seconds())
 	sc.laneHist.observe(float64(len(w.settings)))
-	w.metrics, w.fresh, w.errs = sc.evalWindow(sc.pools[w.archName], w)
-	sc.recordSweep(w.b, w.memo, w.settings, w.fresh)
+	w.metrics, w.fresh, w.errs = sc.evaluate(sc.pools[w.archName], w.b, w.settings)
 	close(w.done)
 	return nil
-}
-
-// evalWindow evaluates the window's lanes, normalising every failure mode
-// into per-lane errors of the right length: a panicking sweep is recovered
-// here (the memo has already cached the panic on each claimed entry, so
-// twins replay it) and fails every lane of THIS window without taking the
-// serving goroutine down; a malformed evaluator result fails them all too.
-// Waiters therefore always find complete result slices behind done.
-func (sc *scheduler) evalWindow(pool *sim.ClusterPool, w *cwindow) (metrics []perf.Metrics, fresh []bool, errs []error) {
-	n := len(w.settings)
-	fail := func(err error) ([]perf.Metrics, []bool, []error) {
-		metrics = make([]perf.Metrics, n)
-		fresh = make([]bool, n)
-		errs = make([]error, n)
-		for i := range errs {
-			errs[i] = err
-		}
-		return metrics, fresh, errs
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			metrics, fresh, errs = fail(fmt.Errorf("serve: coalesced sweep panicked: %v", r))
-		}
-	}()
-	metrics, fresh, errs = sc.evalFn(pool, w.b, w.memo, w.settings)
-	if len(metrics) != n || len(fresh) != n || len(errs) != n {
-		return fail(fmt.Errorf("serve: evaluator returned %d results for %d settings", len(metrics), n))
-	}
-	return metrics, fresh, errs
 }
 
 // laneBuckets and waitBuckets are the exposition bucket bounds of the

@@ -98,7 +98,7 @@ func TestCoalescedBitIdenticalToSequential(t *testing.T) {
 				t.Fatalf("workers=%d setting %d: coalesced metrics diverge from sequential:\n%s\nvs\n%s", workers, i, got[i], want[i])
 			}
 		}
-		if sm, cm := seq.currentMemo().Size(), coal.currentMemo().Size(); sm != cm {
+		if sm, cm := seq.memo.Size(), coal.memo.Size(); sm != cm {
 			t.Fatalf("workers=%d: memo sizes diverge: sequential %d, coalesced %d", workers, sm, cm)
 		}
 		if got := coal.executed.Load(); got != 2 {

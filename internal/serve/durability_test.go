@@ -11,9 +11,12 @@ import (
 	"testing"
 	"time"
 
+	"dataproxy/internal/core"
 	"dataproxy/internal/faultinject"
 	"dataproxy/internal/perf"
+	"dataproxy/internal/proxy"
 	"dataproxy/internal/snapshot"
+	"dataproxy/internal/tuner"
 	"dataproxy/pkg/client"
 )
 
@@ -186,7 +189,7 @@ func TestDamagedSnapshotsRestoreCold(t *testing.T) {
 			if !strings.Contains(metrics, "proxyd_restored_entries_total 0") {
 				t.Error("damaged snapshot contributed cache entries")
 			}
-			if s.sched.currentMemo().Size() != 0 {
+			if s.sched.memo.Size() != 0 {
 				t.Error("cache not cold after damaged snapshot")
 			}
 			resp, _ := getJSON(t, ts.URL+"/readyz")
@@ -231,10 +234,10 @@ func TestRestoreSkipsInvariantViolations(t *testing.T) {
 			t.Errorf("metrics missing %q; got:\n%s", want, metrics)
 		}
 	}
-	if _, ok, _ := s.sched.currentMemo().PeekBytes([]byte("bad")); ok {
+	if _, ok, _ := s.sched.memo.PeekBytes([]byte("bad")); ok {
 		t.Error("invariant-violating entry answered a PeekBytes")
 	}
-	if _, ok, _ := s.sched.currentMemo().PeekBytes([]byte("good")); !ok {
+	if _, ok, _ := s.sched.memo.PeekBytes([]byte("good")); !ok {
 		t.Error("valid entry was not restored")
 	}
 }
@@ -418,7 +421,7 @@ func TestSnapshotWriteFailureIsCountedNotFatal(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{StateDir: dir})
 
-	s.sched.currentMemo().Restore("k1", perf.Metrics{Runtime: 1})
+	s.sched.memo.Restore("k1", perf.Metrics{Runtime: 1})
 	if err := s.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +429,7 @@ func TestSnapshotWriteFailureIsCountedNotFatal(t *testing.T) {
 	if err := faultinject.Configure("serve.snapshot.write=error:disk full*1"); err != nil {
 		t.Fatal(err)
 	}
-	s.sched.currentMemo().Restore("k2", perf.Metrics{Runtime: 2})
+	s.sched.memo.Restore("k2", perf.Metrics{Runtime: 2})
 	if err := s.SnapshotNow(); err == nil {
 		t.Fatal("injected write failure returned nil")
 	}
@@ -446,40 +449,61 @@ func TestSnapshotWriteFailureIsCountedNotFatal(t *testing.T) {
 	}
 }
 
-// TestEvictedMemoIsArchivedIntoSnapshot pins the cache-swap durability fix:
-// when MaxCacheEntries forces a memo swap, the outgoing memo's completed
-// entries are archived and land in the next snapshot, so a warm restart
-// still answers them from cache.
-func TestEvictedMemoIsArchivedIntoSnapshot(t *testing.T) {
+// TestSnapshotHoldsLiveMemoAfterEviction pins the durability side of
+// per-entry eviction: once the bounded cache has evicted, a snapshot holds
+// exactly the live memo's completed entries — the evicted ones are gone from
+// memory and from disk alike — and a warm restart answers each entry the
+// snapshot holds from its restored cache.
+func TestSnapshotHoldsLiveMemoAfterEviction(t *testing.T) {
 	dir := t.TempDir()
-	sA, tsA := newTestServer(t, Config{StateDir: dir, MaxCacheEntries: 1})
-
-	for _, setting := range []map[string]float64{nil, {"dataSize": 2}} {
-		resp, body := postJSON(t, tsA.URL+"/v1/run", client.RunRequest{Workload: "terasort", Setting: setting})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("run %v: status %d body %s", setting, resp.StatusCode, body)
-		}
+	sA, tsA := newTestServer(t, Config{StateDir: dir, MaxCacheEntries: 2})
+	settings := []float64{1, 2, 3, 4}
+	for _, dataSize := range settings {
+		runDataSize(t, tsA.URL, dataSize)
 	}
-	if m := getMetrics(t, tsA.URL); !strings.Contains(m, "proxyd_cache_evictions_total 1") {
-		t.Fatalf("expected exactly one eviction; metrics:\n%s", m)
+	if m := getMetrics(t, tsA.URL); !strings.Contains(m, "proxyd_cache_evictions_total 2\n") {
+		t.Fatalf("want 2 evictions; metrics:\n%s", m)
 	}
 	if err := sA.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
+	st, err := snapshot.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := sA.sched.memo.Export()
+	if len(live) != 2 || len(st.MemoEntries) != len(live) {
+		t.Fatalf("snapshot holds %d entries, live memo %d, cap 2", len(st.MemoEntries), len(live))
+	}
+	liveKeys := map[string]bool{}
+	for i, e := range live {
+		if st.MemoEntries[i].Key != e.Key {
+			t.Fatalf("snapshot entry %d is %q, live memo entry %q", i, st.MemoEntries[i].Key, e.Key)
+		}
+		liveKeys[e.Key] = true
+	}
 
-	_, tsB := newTestServer(t, Config{StateDir: dir})
-	for _, setting := range []map[string]float64{nil, {"dataSize": 2}} {
-		resp, body := postJSON(t, tsB.URL+"/v1/run", client.RunRequest{Workload: "terasort", Setting: setting})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("warm run %v: status %d body %s", setting, resp.StatusCode, body)
+	sB, tsB := newTestServer(t, Config{StateDir: dir, MaxCacheEntries: 2})
+	pool, err := sB.sched.pool("westmere")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := proxy.ForWorkload("terasort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := 0
+	for _, dataSize := range settings {
+		if !liveKeys[tuner.MemoKey(pool.Proto(), b, core.Setting{"dataSize": dataSize})] {
+			continue
 		}
-		var rr client.RunResponse
-		if err := json.Unmarshal(body, &rr); err != nil {
-			t.Fatal(err)
+		warm++
+		if !runDataSize(t, tsB.URL, dataSize) {
+			t.Errorf("dataSize=%g was in the snapshot but the restarted server ran it cold", dataSize)
 		}
-		if !rr.Coalesced {
-			t.Errorf("setting %v not served from the restored cache (archived eviction lost)", setting)
-		}
+	}
+	if warm != len(live) {
+		t.Fatalf("%d of the test's settings are in the snapshot, want all %d entries", warm, len(live))
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"dataproxy/internal/core"
 	"dataproxy/internal/perf"
 	"dataproxy/internal/sim"
-	"dataproxy/internal/tuner"
 )
 
 // fuzzServer lazily boots one Server per fuzz worker process with the
@@ -29,7 +28,7 @@ func fuzzHandler(f *testing.F) http.Handler {
 		if err != nil {
 			f.Fatal(err)
 		}
-		s.sched.evalFn = func(pool *sim.ClusterPool, b *core.Benchmark, memo *tuner.Memo, settings []core.Setting) ([]perf.Metrics, []bool, []error) {
+		s.sched.evalFn = func(pool *sim.ClusterPool, b *core.Benchmark, settings []core.Setting) ([]perf.Metrics, []bool, []error) {
 			ms := make([]perf.Metrics, len(settings))
 			fresh := make([]bool, len(settings))
 			for i := range ms {

@@ -133,9 +133,8 @@ func (pm *peerManager) gossipLoop() {
 // gossipRound pushes one batch of unacknowledged entries to each peer.
 func (pm *peerManager) gossipRound() {
 	pm.rounds.Add(1)
-	memo := pm.srv.sched.currentMemo()
 	for _, p := range pm.peers {
-		entries := memo.ExportLimited(pm.batch, p.alreadySent)
+		entries := pm.srv.sched.memo.ExportLimited(pm.batch, p.alreadySent)
 		if len(entries) == 0 {
 			p.healthy.Store(pm.probe(p))
 			continue
@@ -216,7 +215,6 @@ func (s *Server) handlePeerEntries(w http.ResponseWriter, r *http.Request) {
 		apihttp.Fail(w, http.StatusBadRequest, fmt.Errorf("serve: undecodable peer exchange: %w", err))
 		return
 	}
-	memo := s.sched.currentMemo()
 	var installed, skipped int
 	for _, e := range st.MemoEntries {
 		var metrics perf.Metrics
@@ -228,7 +226,7 @@ func (s *Server) handlePeerEntries(w http.ResponseWriter, r *http.Request) {
 			skipped++
 			continue
 		}
-		if memo.Restore(e.Key, metrics) {
+		if s.sched.memo.Restore(e.Key, metrics) {
 			installed++
 		} else {
 			skipped++

@@ -48,14 +48,14 @@ func TestGossipSpreadsCompletedEntries(t *testing.T) {
 
 	keys := []string{"bench|fp|k1", "bench|fp|k2", "bench|fp|k3"}
 	for i, k := range keys {
-		if !a.sched.currentMemo().Restore(k, fabricatedMetrics(float64(i+1))) {
+		if !a.sched.memo.Restore(k, fabricatedMetrics(float64(i+1))) {
 			t.Fatalf("seeding %s failed", k)
 		}
 	}
 
 	a.peers.gossipRound()
 	for i, k := range keys {
-		m, ok, err := b.sched.currentMemo().PeekBytes([]byte(k))
+		m, ok, err := b.sched.memo.PeekBytes([]byte(k))
 		if !ok || err != nil {
 			t.Fatalf("peer missing gossiped key %s (ok=%v err=%v)", k, ok, err)
 		}
@@ -86,7 +86,7 @@ func TestGossipNeverOverwritesLiveEntry(t *testing.T) {
 
 	const key = "bench|fp|contested"
 	local := fabricatedMetrics(7)
-	if !b.sched.currentMemo().Restore(key, local) {
+	if !b.sched.memo.Restore(key, local) {
 		t.Fatal("seeding receiver failed")
 	}
 
@@ -116,7 +116,7 @@ func TestGossipNeverOverwritesLiveEntry(t *testing.T) {
 	if ex.Received != 1 || ex.Installed != 0 || ex.Skipped != 1 {
 		t.Fatalf("disposition %+v, want received=1 installed=0 skipped=1", ex)
 	}
-	m, ok, _ := b.sched.currentMemo().PeekBytes([]byte(key))
+	m, ok, _ := b.sched.memo.PeekBytes([]byte(key))
 	if !ok || m.Runtime != local.Runtime {
 		t.Fatalf("live entry was disturbed: runtime %g, want %g", m.Runtime, local.Runtime)
 	}
@@ -129,7 +129,7 @@ func TestGossipBatchIsBounded(t *testing.T) {
 	a.peers.batch = 2
 
 	for _, k := range []string{"k1", "k2", "k3", "k4", "k5"} {
-		a.sched.currentMemo().Restore("bench|fp|"+k, fabricatedMetrics(1))
+		a.sched.memo.Restore("bench|fp|"+k, fabricatedMetrics(1))
 	}
 	a.peers.gossipRound()
 	if got := a.peers.sentTotal.Load(); got != 2 {
@@ -192,7 +192,7 @@ func TestPeerEntriesRejectsDamage(t *testing.T) {
 // traffic counters.
 func TestClusterEndpointReportsPeers(t *testing.T) {
 	a, _, aURL, _ := newPeerPair(t)
-	a.sched.currentMemo().Restore("bench|fp|k", fabricatedMetrics(1))
+	a.sched.memo.Restore("bench|fp|k", fabricatedMetrics(1))
 	a.peers.gossipRound()
 
 	cl, err := client.New(aURL).Cluster(context.Background())

@@ -32,6 +32,9 @@ var ErrOverloaded = errors.New("serve: admission queue full")
 // (benchmark, core.Setting.Canonical(), cluster/arch) key the auto-tuner
 // memoizes on — so a repeated /v1/run never spends an admission slot or a
 // simulation, and tune jobs sharing the memo reuse the very same entries.
+// The server runs indefinitely and clients choose the settings (arbitrary
+// float factors), so the memo is bounded: it evicts completed entries one
+// at a time, and the scheduler keeps that one memo for its whole life.
 //
 // Non-identical cold requests coalesce too, when window > 0: concurrent
 // single-run requests for the same (architecture, benchmark) gather in a
@@ -66,14 +69,8 @@ type scheduler struct {
 	cmu     sync.Mutex
 	windows map[string]*cwindow
 
-	// memo is the current result cache.  The server runs indefinitely and
-	// clients choose the settings (arbitrary float factors), so the cache
-	// cannot grow without bound: once it exceeds maxCacheEntries it is
-	// swapped for a fresh one.  In-flight measurements keep using the memo
-	// they started on — entries are self-contained, so a swap only costs
-	// future coalescing, never correctness.
-	memo            atomic.Pointer[tuner.Memo]
-	maxCacheEntries int
+	// memo is the result cache, bounded by the configured entry cap.
+	memo *tuner.Memo
 	// pools maps the architecture short name to a pool over the prototype
 	// single-node cluster (the paper runs each proxy benchmark on a single
 	// slave node).  The pool's Proto is the cluster every cache key is
@@ -85,28 +82,22 @@ type scheduler struct {
 	// cache-answered request allocates nothing at all.
 	keyBufs sync.Pool
 
-	// evalFn measures a batch of settings through the shared memo — the
+	// evalFn measures a batch of settings through memo — the
 	// tuner.MemoEvaluator entry point every cold execution funnels through.
 	// Tests replace it to control timing and results.  The returned fresh
 	// flags report which settings were simulated (vs answered from memo
 	// entries or batch duplicates) and errs carries each lane's own cached
 	// error, exactly as EvaluateLanes does.
-	evalFn func(pool *sim.ClusterPool, b *core.Benchmark, memo *tuner.Memo, settings []core.Setting) ([]perf.Metrics, []bool, []error)
+	evalFn func(pool *sim.ClusterPool, b *core.Benchmark, settings []core.Setting) ([]perf.Metrics, []bool, []error)
 
 	// draining sheds every new admission with ErrOverloaded once the server
 	// begins a graceful drain; warm cache answers stay available (they cost
 	// no slot) so polling clients are not cut off mid-shutdown.
 	draining atomic.Bool
 
-	// onEvict, when set, receives the outgoing memo of each cache swap before
-	// new requests stop coalescing on it; the state manager archives its
-	// completed entries so a warm restart still benefits from them.
-	onEvict func(old *tuner.Memo)
-
 	executed  atomic.Int64 // distinct trace keys evaluated cold, per sweep
 	coalesced atomic.Int64 // requests served from the result cache / singleflight
 	shed      atomic.Int64 // requests rejected with ErrOverloaded
-	evictions atomic.Int64 // cache swaps forced by MaxCacheEntries
 
 	windowBatches atomic.Int64 // coalesced sweeps executed from collection windows
 	laneHist      *histogram   // lanes per coalesced sweep
@@ -122,47 +113,28 @@ func newScheduler(maxInFlight, queueDepth, maxCacheEntries int, window time.Dura
 		maxLanes = 1
 	}
 	sc := &scheduler{
-		maxInFlight:     maxInFlight,
-		queueDepth:      queueDepth,
-		slots:           make(chan struct{}, maxInFlight),
-		window:          window,
-		maxLanes:        maxLanes,
-		idleDrain:       true,
-		windows:         make(map[string]*cwindow),
-		maxCacheEntries: maxCacheEntries,
-		pools:           pools,
-		laneHist:        newHistogram(laneBuckets),
-		waitHist:        newHistogram(waitBuckets),
-		evalFn: func(pool *sim.ClusterPool, b *core.Benchmark, memo *tuner.Memo, settings []core.Setting) ([]perf.Metrics, []bool, []error) {
-			// The fault site fires inside the evaluator's cold hook — within
-			// the memo claims — so an injected error or panic is cached per
-			// lane and completes waiters exactly like a real failure.
-			return tuner.NewEvaluator(pool, b, memo).
-				WithColdHook(func() error { return faultinject.Fire("serve.evaluate") }).
-				EvaluateLanes(settings)
-		},
+		maxInFlight: maxInFlight,
+		queueDepth:  queueDepth,
+		slots:       make(chan struct{}, maxInFlight),
+		window:      window,
+		maxLanes:    maxLanes,
+		idleDrain:   true,
+		windows:     make(map[string]*cwindow),
+		memo:        tuner.NewBoundedMemo(maxCacheEntries),
+		pools:       pools,
+		laneHist:    newHistogram(laneBuckets),
+		waitHist:    newHistogram(waitBuckets),
+	}
+	sc.evalFn = func(pool *sim.ClusterPool, b *core.Benchmark, settings []core.Setting) ([]perf.Metrics, []bool, []error) {
+		// The fault site fires inside the evaluator's cold hook — within the
+		// memo claims — so an injected error or panic is cached per lane and
+		// completes waiters exactly like a real failure.
+		return tuner.NewEvaluator(pool, b, sc.memo).
+			WithColdHook(func() error { return faultinject.Fire("serve.evaluate") }).
+			EvaluateLanes(settings)
 	}
 	sc.keyBufs.New = func() any { b := make([]byte, 0, 512); return &b }
-	sc.memo.Store(tuner.NewMemo())
 	return sc
-}
-
-// currentMemo returns the live result cache; tune jobs share it so their
-// evaluations and /v1/run requests coalesce with each other.
-func (sc *scheduler) currentMemo() *tuner.Memo { return sc.memo.Load() }
-
-// maybeEvict swaps in a fresh memo when the cache the caller just used has
-// outgrown the cap.  The compare-and-swap makes concurrent callers evict at
-// most once per full cache: only the winner counts the eviction and hands
-// the outgoing memo to onEvict, so the archive never sees the same
-// generation twice and losers do not re-evict the fresh memo.
-func (sc *scheduler) maybeEvict(used *tuner.Memo) {
-	if used.Size() > sc.maxCacheEntries && sc.memo.CompareAndSwap(used, tuner.NewMemo()) {
-		sc.evictions.Add(1)
-		if sc.onEvict != nil {
-			sc.onEvict(used)
-		}
-	}
 }
 
 // pool returns the cluster pool for an architecture short name; tune jobs
@@ -193,8 +165,7 @@ func (sc *scheduler) run(ctx context.Context, archName string, b *core.Benchmark
 	}
 	buf := sc.keyBufs.Get().(*[]byte)
 	keyBytes := tuner.AppendMemoKey((*buf)[:0], pool.Proto(), b, s)
-	memo := sc.currentMemo()
-	if m, ok, err := memo.PeekBytes(keyBytes); ok {
+	if m, ok, err := sc.memo.PeekBytes(keyBytes); ok {
 		*buf = keyBytes
 		sc.keyBufs.Put(buf)
 		sc.coalesced.Add(1)
@@ -207,18 +178,13 @@ func (sc *scheduler) run(ctx context.Context, archName string, b *core.Benchmark
 	}
 	defer sc.unadmit()
 	if sc.window > 0 {
-		return sc.runCoalesced(ctx, archName, b, memo, s)
+		return sc.runCoalesced(ctx, archName, b, s)
 	}
 	if err := sc.acquireSlot(ctx); err != nil {
 		return perf.Metrics{}, false, err
 	}
 	defer sc.releaseSlot()
-	settings := []core.Setting{s}
-	ms, fresh, errs := sc.evalFn(pool, b, memo, settings)
-	if len(ms) != 1 || len(fresh) != 1 || len(errs) != 1 {
-		return perf.Metrics{}, false, fmt.Errorf("serve: evaluator returned %d results for 1 setting", len(ms))
-	}
-	sc.recordSweep(b, memo, settings, fresh)
+	ms, fresh, errs := sc.evaluate(pool, b, []core.Setting{s})
 	return ms[0], !fresh[0], errs[0]
 }
 
@@ -243,13 +209,12 @@ func (sc *scheduler) runBatch(ctx context.Context, archName string, b *core.Benc
 	if err != nil {
 		return err
 	}
-	memo := sc.currentMemo()
 	buf := sc.keyBufs.Get().(*[]byte)
 	keyBytes := (*buf)[:0]
 	var coldIdx []int
 	for i, s := range settings {
 		keyBytes = tuner.AppendMemoKey(keyBytes[:0], pool.Proto(), b, s)
-		m, ok, err := memo.PeekBytes(keyBytes)
+		m, ok, err := sc.memo.PeekBytes(keyBytes)
 		if ok && err != nil {
 			*buf = keyBytes
 			sc.keyBufs.Put(buf)
@@ -280,33 +245,56 @@ func (sc *scheduler) runBatch(ctx context.Context, archName string, b *core.Benc
 		return err
 	}
 	defer sc.releaseSlot()
-	ms, fresh, errs := sc.evalFn(pool, b, memo, coldSettings)
+	ms, fresh, errs := sc.evaluate(pool, b, coldSettings)
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
-	}
-	if len(ms) != len(coldSettings) || len(fresh) != len(coldSettings) {
-		return fmt.Errorf("serve: evaluator returned %d results for %d settings", len(ms), len(coldSettings))
 	}
 	for j, i := range coldIdx {
 		metrics[i] = ms[j]
 		coalesced[i] = !fresh[j]
 	}
 	sc.coalesced.Add(int64(len(settings) - len(coldIdx)))
-	sc.recordSweep(b, memo, coldSettings, fresh)
 	return nil
+}
+
+// evaluate runs one cold sweep over settings and accounts it; every cold
+// path — a sealed window, a batch, a single run with coalescing disabled —
+// goes through it.  It normalises every failure mode into per-lane errors
+// of the right length: a panicking sweep is recovered here (the memo has
+// already cached the panic on each claimed entry, so twins replay it) and
+// fails every lane without taking the serving goroutine down, and a
+// malformed evaluator result fails them all too.
+func (sc *scheduler) evaluate(pool *sim.ClusterPool, b *core.Benchmark, settings []core.Setting) (metrics []perf.Metrics, fresh []bool, errs []error) {
+	n := len(settings)
+	fail := func(err error) {
+		metrics, fresh, errs = make([]perf.Metrics, n), make([]bool, n), make([]error, n)
+		for i := range errs {
+			errs[i] = err
+		}
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			fail(fmt.Errorf("serve: sweep panicked: %v", r))
+		}
+		sc.recordSweep(b, settings, fresh)
+	}()
+	metrics, fresh, errs = sc.evalFn(pool, b, settings)
+	if len(metrics) != n || len(fresh) != n || len(errs) != n {
+		fail(fmt.Errorf("serve: evaluator returned %d results for %d settings", len(metrics), n))
+	}
+	return metrics, fresh, errs
 }
 
 // recordSweep accounts one finished sweep over settings with the fresh
 // flags evalFn returned.  Fresh lanes count in executed once per distinct
 // trace key — the trace groups core.RunBatch evaluated cold, including one
-// it accounted from a trace recorded earlier in the same sweep — every
-// other lane counts in coalesced, and a sweep that evaluated anything cold
-// may have pushed the cache it used past its cap.  The single-fresh fast path
-// avoids the map (and the key rendering) on the overwhelmingly common
-// one-cold-setting request.
-func (sc *scheduler) recordSweep(b *core.Benchmark, memo *tuner.Memo, settings []core.Setting, fresh []bool) {
+// it accounted from a trace recorded earlier in the same sweep — and every
+// other lane counts in coalesced.  The single-fresh fast path avoids the
+// map (and the key rendering) on the overwhelmingly common one-cold-setting
+// request.
+func (sc *scheduler) recordSweep(b *core.Benchmark, settings []core.Setting, fresh []bool) {
 	n := 0
 	for _, f := range fresh {
 		if f {
@@ -328,7 +316,6 @@ func (sc *scheduler) recordSweep(b *core.Benchmark, memo *tuner.Memo, settings [
 		groups = len(keys)
 	}
 	sc.executed.Add(int64(groups))
-	sc.maybeEvict(memo)
 }
 
 // admit joins the admission queue: it reserves one of the

@@ -14,6 +14,7 @@ import (
 
 	"dataproxy/internal/arch"
 	"dataproxy/internal/core"
+	"dataproxy/internal/faultinject"
 	"dataproxy/internal/parallel"
 	"dataproxy/internal/perf"
 	"dataproxy/internal/proxy"
@@ -257,7 +258,7 @@ func TestRunShedsOverloadWith429(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: -1})
 	started := make(chan struct{}, 4)
 	release := make(chan struct{})
-	s.sched.evalFn = func(pool *sim.ClusterPool, b *core.Benchmark, memo *tuner.Memo, settings []core.Setting) ([]perf.Metrics, []bool, []error) {
+	s.sched.evalFn = func(pool *sim.ClusterPool, b *core.Benchmark, settings []core.Setting) ([]perf.Metrics, []bool, []error) {
 		started <- struct{}{}
 		<-release
 		ms := make([]perf.Metrics, len(settings))
@@ -385,22 +386,13 @@ func TestRunBatchShedsWholeBatch(t *testing.T) {
 	started := make(chan struct{}, 4)
 	release := make(chan struct{})
 	var calls atomic.Int32
-	s.sched.evalFn = func(pool *sim.ClusterPool, b *core.Benchmark, memo *tuner.Memo, settings []core.Setting) ([]perf.Metrics, []bool, []error) {
+	measure := measureDataSize(s.sched)
+	s.sched.evalFn = func(pool *sim.ClusterPool, b *core.Benchmark, settings []core.Setting) ([]perf.Metrics, []bool, []error) {
 		if calls.Add(1) > 1 {
 			started <- struct{}{}
 			<-release
 		}
-		keys := make([]string, len(settings))
-		for i, setting := range settings {
-			keys[i] = tuner.MemoKey(pool.Proto(), b, setting)
-		}
-		return memo.MeasureLanes(keys, func(cold []int) ([]perf.Metrics, error) {
-			out := make([]perf.Metrics, len(cold))
-			for j, i := range cold {
-				out[j] = perf.Metrics{Runtime: settings[i].Get("dataSize")}
-			}
-			return out, nil
-		})
+		return measure(pool, b, settings)
 	}
 
 	// Warm dataSize=1 (first evalFn call does not block), then park the only
@@ -644,7 +636,7 @@ func TestTuneQueueShedsWith429(t *testing.T) {
 			panic(err)
 		}
 		key := tuner.MemoKey(pool.Proto(), b, core.DefaultSetting())
-		_, _, _ = s.sched.currentMemo().Measure(key, func() (perf.Metrics, error) {
+		_, _, _ = s.sched.memo.Measure(key, func() (perf.Metrics, error) {
 			close(blocked)
 			<-release
 			return perf.Metrics{}, nil
@@ -719,20 +711,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestResultCacheIsBounded drives distinct settings through a server with a
-// tiny cache cap and checks the cache is swapped out instead of growing
-// without bound (clients choose the settings, so the daemon must not let
-// them grow its heap forever).
-func TestResultCacheIsBounded(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxCacheEntries: 2})
-	// The stub still writes through the shared memo (the real evalFn's
-	// contract) so cache growth and eviction behave as in production.
-	s.sched.evalFn = func(pool *sim.ClusterPool, b *core.Benchmark, memo *tuner.Memo, settings []core.Setting) ([]perf.Metrics, []bool, []error) {
+// measureDataSize stands in for the scheduler's evaluator: it still writes
+// through the scheduler's memo (the real evalFn's contract), so cache growth
+// and eviction behave as in production, but a lane's "measurement" is just
+// its dataSize factor as the runtime.
+func measureDataSize(sc *scheduler) func(pool *sim.ClusterPool, b *core.Benchmark, settings []core.Setting) ([]perf.Metrics, []bool, []error) {
+	return func(pool *sim.ClusterPool, b *core.Benchmark, settings []core.Setting) ([]perf.Metrics, []bool, []error) {
 		keys := make([]string, len(settings))
 		for i, setting := range settings {
 			keys[i] = tuner.MemoKey(pool.Proto(), b, setting)
 		}
-		return memo.MeasureLanes(keys, func(cold []int) ([]perf.Metrics, error) {
+		return sc.memo.MeasureLanes(keys, func(cold []int) ([]perf.Metrics, error) {
 			out := make([]perf.Metrics, len(cold))
 			for j, i := range cold {
 				out[j] = perf.Metrics{Runtime: settings[i].Get("dataSize")}
@@ -740,17 +729,91 @@ func TestResultCacheIsBounded(t *testing.T) {
 			return out, nil
 		})
 	}
-	for i := 1; i <= 10; i++ {
-		resp, body := postJSON(t, ts.URL+"/v1/run", client.RunRequest{Workload: "terasort", Setting: map[string]float64{"dataSize": float64(i)}})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("run %d: status %d body %s", i, resp.StatusCode, body)
-		}
+}
+
+// runDataSize posts one terasort run at the given dataSize factor and
+// returns whether it was answered from the cache.
+func runDataSize(t *testing.T, baseURL string, dataSize float64) bool {
+	t.Helper()
+	resp, body := postJSON(t, baseURL+"/v1/run", client.RunRequest{Workload: "terasort", Setting: map[string]float64{"dataSize": dataSize}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("run dataSize=%g: status %d body %s", dataSize, resp.StatusCode, body)
 	}
-	if size := s.sched.currentMemo().Size(); size > 3 {
-		t.Fatalf("result cache grew to %d entries despite cap 2", size)
+	var rr client.RunResponse
+	if err := json.Unmarshal(body, &rr); err != nil {
+		t.Fatal(err)
+	}
+	return rr.Coalesced
+}
+
+// TestResultCacheIsBounded drives distinct settings through a server with a
+// tiny cache cap and checks the cache evicts entry by entry instead of
+// growing without bound (clients choose the settings, so the daemon must
+// not let them grow its heap forever): never more than the cap after a
+// request, and one eviction per setting beyond it.
+func TestResultCacheIsBounded(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxCacheEntries: 2})
+	s.sched.evalFn = measureDataSize(s.sched)
+	for i := 1; i <= 10; i++ {
+		runDataSize(t, ts.URL, float64(i))
+		if size := s.sched.memo.Size(); size > 2 {
+			t.Fatalf("after run %d the result cache holds %d entries despite cap 2", i, size)
+		}
 	}
 	if got := s.sched.executed.Load(); got != 10 {
 		t.Fatalf("%d distinct settings executed, want 10", got)
+	}
+	if m := getMetrics(t, ts.URL); !strings.Contains(m, "proxyd_cache_evictions_total 8\n") {
+		t.Fatalf("want 8 evictions; metrics:\n%s", m)
+	}
+}
+
+// TestHotSettingStaysWarmPastCap pins what per-entry eviction buys over
+// swapping the whole cache: a setting requested between every cold one
+// keeps its reference bit set, so it stays warm while three times the cap
+// in distinct cold settings pass through.
+func TestHotSettingStaysWarmPastCap(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxCacheEntries: 4})
+	s.sched.evalFn = measureDataSize(s.sched)
+	const hot = 0.5
+	runDataSize(t, ts.URL, hot)
+	for i := 1; i <= 12; i++ {
+		runDataSize(t, ts.URL, float64(i))
+		if !runDataSize(t, ts.URL, hot) {
+			t.Errorf("hot setting went cold after cold setting %d", i)
+		}
+	}
+	if got := s.sched.executed.Load(); got != 13 {
+		t.Fatalf("%d executions, want 13: the hot setting once and 12 cold settings", got)
+	}
+}
+
+// TestSweepPanicAnswers500 arms a panic inside the cold sweep on the paths
+// that do not run in a collection window — a batch, and a single run with
+// coalescing disabled — and checks the scheduler recovers it: the client
+// gets the 500 internal envelope instead of a dropped connection.
+func TestSweepPanicAnswers500(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		req  client.RunRequest
+	}{
+		{"batch", Config{}, client.RunRequest{Workload: "terasort", Settings: []map[string]float64{{"dataSize": 1.1}, {"dataSize": 1.2}}}},
+		{"single without window", Config{CoalesceWindow: -1}, client.RunRequest{Workload: "terasort", Setting: map[string]float64{"dataSize": 1.1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Cleanup(faultinject.Reset)
+			faultinject.Set("serve.evaluate", faultinject.Fault{Panic: true, PanicMsg: "boom", Times: 1})
+			_, ts := newTestServer(t, tc.cfg)
+			resp, body := postJSON(t, ts.URL+"/v1/run", tc.req)
+			var env client.ErrorEnvelope
+			if err := json.Unmarshal(body, &env); err != nil {
+				t.Fatalf("status %d body %s is not an envelope: %v", resp.StatusCode, body, err)
+			}
+			if resp.StatusCode != http.StatusInternalServerError || env.Error.Code != client.CodeInternal || !strings.Contains(env.Error.Message, "panicked") {
+				t.Fatalf("got status %d envelope %+v, want 500 internal naming the panic", resp.StatusCode, env.Error)
+			}
+		})
 	}
 }
 
@@ -764,7 +827,7 @@ func TestShedTuneLeavesNoJobRecord(t *testing.T) {
 	go func() {
 		pool, _ := s.sched.pool("westmere")
 		b, _ := proxy.ForWorkload("terasort")
-		_, _, _ = s.sched.currentMemo().Measure(tuner.MemoKey(pool.Proto(), b, core.DefaultSetting()), func() (perf.Metrics, error) {
+		_, _, _ = s.sched.memo.Measure(tuner.MemoKey(pool.Proto(), b, core.DefaultSetting()), func() (perf.Metrics, error) {
 			close(blocked)
 			<-release
 			return perf.Metrics{}, nil

@@ -65,9 +65,10 @@ type Config struct {
 	// jobs; POST /v1/tune beyond it is shed with 429.  Zero selects 16.
 	JobQueueDepth int
 	// MaxCacheEntries bounds the result cache of a long-running server:
-	// clients choose the settings, so distinct keys accumulate until the
-	// cache exceeds this many entries and is swapped for a fresh one.  Zero
-	// selects 4096.
+	// clients choose the settings, so the cache holds at most this many
+	// completed entries and evicts them one at a time (CLOCK), keeping the
+	// ones hit since the eviction hand last passed.  Entries still in flight
+	// are never evicted and may exceed the cap.  Zero selects 4096.
 	MaxCacheEntries int
 	// CoalesceWindow bounds how long a cold /v1/run request may wait for
 	// concurrent cold companions before its cross-request batch drains; a
@@ -224,7 +225,6 @@ func New(cfg Config) (*Server, error) {
 	s.routes()
 	if cfg.StateDir != "" {
 		s.state = newStateManager(cfg.StateDir, s)
-		s.sched.onEvict = s.state.archive
 		// Restore before serving: the handler is not yet registered with a
 		// listener, so /readyz could only answer 503 during this window.
 		s.state.restore()
@@ -630,9 +630,7 @@ func (s *Server) executeTune(req client.TuneRequest) (*client.TuneResult, error)
 		Parameters:    req.Parameters,
 		ImpactFactors: req.ImpactFactors,
 	}
-	memo := s.sched.currentMemo()
-	res, err := tuner.TuneWithPool(pool, b, target, opts, memo)
-	s.sched.maybeEvict(memo)
+	res, err := tuner.TuneWithPool(pool, b, target, opts, s.sched.memo)
 	if err != nil {
 		return nil, err
 	}
@@ -767,8 +765,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "proxyd_run_coalesced_total %d\n", s.sched.coalesced.Load())
 	fmt.Fprintf(w, "proxyd_run_shed_total %d\n", s.sched.shed.Load())
 	fmt.Fprintf(w, "proxyd_sched_in_flight %d\n", s.sched.inFlight())
-	fmt.Fprintf(w, "proxyd_result_cache_entries %d\n", s.sched.currentMemo().Size())
-	fmt.Fprintf(w, "proxyd_cache_evictions_total %d\n", s.sched.evictions.Load())
+	fmt.Fprintf(w, "proxyd_result_cache_entries %d\n", s.sched.memo.Size())
+	fmt.Fprintf(w, "proxyd_cache_evictions_total %d\n", s.sched.memo.Evictions())
 	fmt.Fprintf(w, "proxyd_coalesce_window_batches_total %d\n", s.sched.windowBatches.Load())
 	s.sched.laneHist.write(w, "proxyd_coalesce_lanes_per_sweep")
 	s.sched.waitHist.write(w, "proxyd_coalesce_window_wait_seconds")

@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"log"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"dataproxy/internal/faultinject"
 	"dataproxy/internal/perf"
 	"dataproxy/internal/snapshot"
-	"dataproxy/internal/tuner"
 )
 
 // Restore outcomes as exposed in /metrics: exactly one of them is 1 after
@@ -42,13 +40,6 @@ type stateManager struct {
 	dir string
 	srv *Server
 
-	// archiveMu guards archived, the completed entries of the most recently
-	// evicted memo generation.  maybeEvict swaps full memos out wholesale;
-	// archiving the outgoing export keeps those measurements in the next
-	// snapshot so a warm restart still benefits from them.
-	archiveMu sync.Mutex
-	archived  []tuner.ExportedEntry
-
 	// Durability gauges for /metrics.
 	restoreOutcome   atomic.Value // string: RestoreNone/OK/Corrupt/VersionMismatch
 	restoredEntries  atomic.Int64 // memo entries installed by restore
@@ -69,16 +60,6 @@ func (m *stateManager) path() string { return filepath.Join(m.dir, snapshotFile)
 
 // outcome returns the restore outcome gauge value.
 func (m *stateManager) outcome() string { return m.restoreOutcome.Load().(string) }
-
-// archive records the completed entries of a memo the scheduler just
-// evicted, replacing the previous generation's archive.
-func (m *stateManager) archive(old *tuner.Memo) {
-	entries := old.Export()
-	m.archiveMu.Lock()
-	m.archived = entries
-	m.archiveMu.Unlock()
-	log.Printf("proxyd: result cache evicted at %d entries; archived for next snapshot", len(entries))
-}
 
 // restore loads the snapshot (if any) into the server's memo and job table.
 // It classifies the outcome for /metrics, validates every metric vector
@@ -106,7 +87,6 @@ func (m *stateManager) restore() {
 		m.restoreOutcome.Store(RestoreNone)
 		return
 	}
-	memo := m.srv.sched.currentMemo()
 	for _, e := range st.MemoEntries {
 		var metrics perf.Metrics
 		if err := metrics.UnmarshalJSON(e.Metrics); err != nil {
@@ -121,7 +101,7 @@ func (m *stateManager) restore() {
 			log.Printf("proxyd: snapshot entry %q violates invariants: %v; skipped", e.Key, err)
 			continue
 		}
-		if memo.Restore(e.Key, metrics) {
+		if m.srv.sched.memo.Restore(e.Key, metrics) {
 			m.restoredEntries.Add(1)
 		}
 	}
@@ -170,31 +150,14 @@ func decodeJobRecord(payload []byte, rec *jobRecord) error {
 	return nil
 }
 
-// collect assembles the snapshot state: the live memo's completed entries,
-// the archive of the last evicted generation (live keys win), and every job
-// record with its original request.
+// collect assembles the snapshot state: the live memo's completed entries
+// and every job record with its original request.
 func (m *stateManager) collect() (*snapshot.State, error) {
-	live := m.srv.sched.currentMemo().Export()
-	seen := make(map[string]bool, len(live))
 	st := &snapshot.State{}
-	for _, e := range live {
+	for _, e := range m.srv.sched.memo.Export() {
 		data, err := e.Metrics.MarshalJSON()
 		if err != nil {
 			return nil, fmt.Errorf("serve: encoding cache entry %q: %w", e.Key, err)
-		}
-		st.MemoEntries = append(st.MemoEntries, snapshot.MemoEntry{Key: e.Key, Metrics: data})
-		seen[e.Key] = true
-	}
-	m.archiveMu.Lock()
-	archived := m.archived
-	m.archiveMu.Unlock()
-	for _, e := range archived {
-		if seen[e.Key] {
-			continue
-		}
-		data, err := e.Metrics.MarshalJSON()
-		if err != nil {
-			return nil, fmt.Errorf("serve: encoding archived entry %q: %w", e.Key, err)
 		}
 		st.MemoEntries = append(st.MemoEntries, snapshot.MemoEntry{Key: e.Key, Metrics: data})
 	}

@@ -19,9 +19,23 @@ import (
 // experiments.Suite report caches, and one Memo may be shared across the
 // concurrent per-profile tunes of TuneAll because the profile is part of
 // every key.  All methods are safe for concurrent use.
+//
+// A memo built by NewBoundedMemo evicts completed entries one at a time by
+// CLOCK (second chance): entries sit on a ring in insertion order, a hit
+// sets an entry's reference bit, and whenever an insertion or a completion
+// leaves the memo over its bound the hand skips entries in flight, clears
+// set bits and evicts the first completed entry whose bit is clear.  An
+// entry in flight is never evicted — the next caller would claim and
+// simulate its key again — so the memo exceeds its bound only by the
+// entries in flight.
 type Memo struct {
 	mu      sync.Mutex
 	entries map[string]*memoEntry
+	// bound caps the completed entries (0: no cap) and never changes; hand,
+	// the next ring entry the CLOCK examines, is guarded by mu.
+	bound     int
+	hand      *memoEntry
+	evictions atomic.Int64
 }
 
 type memoEntry struct {
@@ -37,6 +51,12 @@ type memoEntry struct {
 	ready   chan struct{}
 	metrics perf.Metrics
 	err     error
+
+	// key, the reference bit ref and the ring links prev and next belong to
+	// the memo's CLOCK and are guarded by its mu.
+	key        string
+	ref        bool
+	prev, next *memoEntry
 }
 
 // complete publishes the entry's metrics/err fields (which must be assigned
@@ -47,21 +67,68 @@ func (e *memoEntry) complete() {
 	close(e.ready)
 }
 
-// NewMemo returns an empty measurement memo.
-func NewMemo() *Memo {
-	return &Memo{entries: make(map[string]*memoEntry)}
+// NewMemo returns an empty measurement memo without a bound: it keeps every
+// key it ever measured.
+func NewMemo() *Memo { return NewBoundedMemo(0) }
+
+// NewBoundedMemo returns an empty measurement memo that holds at most bound
+// completed entries, evicting one at a time by the CLOCK policy the Memo
+// documentation describes.  A bound below 1 means no bound, as NewMemo.
+func NewBoundedMemo(bound int) *Memo {
+	return &Memo{entries: make(map[string]*memoEntry), bound: max(bound, 0)}
 }
 
-// entry returns the (created-if-missing) entry for key.
+// entry returns the (created-if-missing) entry for key.  Finding an
+// existing entry is a hit and sets its reference bit.
 func (m *Memo) entry(key string) *memoEntry {
 	m.mu.Lock()
 	e := m.entries[key]
 	if e == nil {
 		e = &memoEntry{ready: make(chan struct{})}
-		m.entries[key] = e
+		m.insertLocked(key, e)
+	} else {
+		e.ref = true
 	}
 	m.mu.Unlock()
 	return e
+}
+
+// insertLocked (mu held) adds e under key just behind the hand, so it is
+// the last entry the hand reaches, and evicts down to the bound.  The first
+// entry becomes the hand and its own ring.
+func (m *Memo) insertLocked(key string, e *memoEntry) {
+	e.key = key
+	m.entries[key] = e
+	if m.hand == nil {
+		m.hand, e.prev = e, e
+	}
+	e.prev, e.next = m.hand.prev, m.hand
+	e.prev.next = e
+	m.hand.prev = e
+	m.evictLocked()
+}
+
+// evictLocked (mu held) advances the hand while the memo holds more entries
+// than its bound: it skips entries in flight, clears set reference bits and
+// evicts the first completed entry whose bit is clear.  Two turns of the
+// ring without a victim mean every entry is in flight, and the scan stops.
+func (m *Memo) evictLocked() {
+	for idle := 0; m.bound > 0 && len(m.entries) > m.bound && idle < 2*len(m.entries); {
+		e := m.hand
+		m.hand = e.next
+		switch {
+		case !e.done.Load():
+			idle++
+		case e.ref:
+			e.ref = false
+			idle++
+		default:
+			e.prev.next, e.next.prev = e.next, e.prev
+			delete(m.entries, e.key)
+			m.evictions.Add(1)
+			idle = 0
+		}
+	}
 }
 
 // MemoKey builds the cache key of one proxy measurement: the benchmark name,
@@ -129,7 +196,7 @@ func (m *Memo) MeasureLanes(keys []string, run func(cold []int) ([]perf.Metrics,
 		}
 	}
 	if len(cold) > 0 {
-		runColdBatch(keys, entries, cold, run)
+		m.runColdBatch(keys, entries, cold, run)
 	}
 	metrics := make([]perf.Metrics, len(keys))
 	errs := make([]error, len(keys))
@@ -148,7 +215,14 @@ func (m *Memo) MeasureLanes(keys []string, run func(cold []int) ([]perf.Metrics,
 // runColdBatch executes run over the claimed cold entries and completes
 // every one of them — on success, on error and on panic alike — because a
 // claimed entry that is never completed would hang its waiters forever.
-func runColdBatch(keys []string, entries []*memoEntry, cold []int, run func(cold []int) ([]perf.Metrics, error)) {
+func (m *Memo) runColdBatch(keys []string, entries []*memoEntry, cold []int, run func(cold []int) ([]perf.Metrics, error)) {
+	// Entries in flight at an insertion may have held the memo over its
+	// bound; completed, they count against it, so evict down to it again.
+	defer func() {
+		m.mu.Lock()
+		m.evictLocked()
+		m.mu.Unlock()
+	}()
 	defer func() {
 		if r := recover(); r != nil {
 			for _, i := range cold {
@@ -177,8 +251,9 @@ func runColdBatch(keys []string, entries []*memoEntry, cold []int, run func(cold
 }
 
 // PeekBytes returns the completed measurement for key without blocking: ok
-// is false when the key has never been measured or its first measurement is
-// still in flight.  The serving layer uses it to answer repeated requests
+// is false when the key is not held or its first measurement is still in
+// flight.  Finding the key is a hit and sets its reference bit; PeekBytes
+// never evicts.  The serving layer uses it to answer repeated requests
 // from the cache before spending an admission slot on them.  The lookup
 // converts the key in place (the compiler elides the string copy for a map
 // index), so answering a repeated request from the cache performs zero
@@ -186,6 +261,9 @@ func runColdBatch(keys []string, entries []*memoEntry, cold []int, run func(cold
 func (m *Memo) PeekBytes(key []byte) (metrics perf.Metrics, ok bool, err error) {
 	m.mu.Lock()
 	e := m.entries[string(key)]
+	if e != nil {
+		e.ref = true
+	}
 	m.mu.Unlock()
 	if e == nil || !e.done.Load() {
 		return perf.Metrics{}, false, nil
@@ -193,12 +271,16 @@ func (m *Memo) PeekBytes(key []byte) (metrics perf.Metrics, ok bool, err error) 
 	return e.metrics, true, e.err
 }
 
-// Size returns the number of distinct settings measured (or in flight).
+// Size returns the number of entries held, completed or in flight: for a
+// memo without a bound, the distinct settings it ever measured.
 func (m *Memo) Size() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.entries)
 }
+
+// Evictions returns how many entries the bound has evicted so far.
+func (m *Memo) Evictions() int64 { return m.evictions.Load() }
 
 // ExportedEntry is one completed, successful measurement as exported by
 // Export for snapshotting.
@@ -257,7 +339,8 @@ func (m *Memo) ExportLimited(max int, skip func(key string) bool) []ExportedEntr
 // exactly as the memo the snapshot was taken from.  It reports whether the
 // entry was installed: a key that already exists — measured, claimed or
 // restored earlier — is left untouched, so a live measurement always beats
-// a stale import.
+// a stale import.  An installed entry is an insertion, so a bounded memo
+// may evict to make room for it.
 func (m *Memo) Restore(key string, metrics perf.Metrics) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -268,6 +351,6 @@ func (m *Memo) Restore(key string, metrics perf.Metrics) bool {
 	e.claimed.Store(true)
 	e.metrics = metrics
 	e.complete()
-	m.entries[key] = e
+	m.insertLocked(key, e)
 	return true
 }
