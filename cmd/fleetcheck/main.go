@@ -10,8 +10,9 @@
 //	mix       a cold batch spanning -n trace groups, two weight lanes each,
 //	          followed by warm single runs and a warm repeat batch: request
 //	          order, all-warm repeats, and (with -backends) the fleet-wide
-//	          invariant that each trace group is simulated exactly once;
-//	          finishes with a fast tune job polled to completion.
+//	          invariants that each trace group is executed exactly once and
+//	          that the groups, one shape at one task count, simulate one
+//	          trace; finishes with a fast tune job polled to completion.
 //	postkill  availability after a replica was killed: the same settings
 //	          must still answer without any 5xx, and with -backends the
 //	          survivors must answer them from gossip-warmed caches without
@@ -100,10 +101,11 @@ func parseBackends(spec string) ([]namedBackend, error) {
 // mixSettings builds n trace groups of two lanes each plus one deliberate
 // duplicate of the first setting, so every mix exercises batch-internal
 // deduplication too.  The groups vary chunkSize, which gives each its own
-// trace key (a replica may still account a group from a trace it recorded
-// for another chunk size in the same sweep, when that trace chunked no
-// share); the lanes of a group differ only in weight, so they share one
-// trace and the fleet must route them to one owner.
+// trace key but keeps one trace shape and task count, and the chunk sizes
+// chunk no share of the workload's sample.  So the fleet routes every group
+// to the shape's one owner, whose sweep simulates the first group and
+// accounts the others from its trace (ARCHITECTURE contracts 7 and 10).
+// The lanes of a group differ only in weight, so they share one trace.
 func mixSettings(n int) []map[string]float64 {
 	settings := make([]map[string]float64, 0, 2*n+1)
 	for i := 0; i < n; i++ {
@@ -129,21 +131,31 @@ func traceGroups(workload string, settings []map[string]float64) (int, error) {
 	return len(keys), nil
 }
 
-// executedTotal sums proxyd_run_executed_total across the given replicas.
-func executedTotal(ctx context.Context, backends []namedBackend) (float64, error) {
-	var sum float64
+// executedMetric and simulatedMetric are the replica counters the fleet
+// invariants read: trace groups executed per sweep, and trace groups
+// simulated from the input stage.
+const (
+	executedMetric  = "proxyd_run_executed_total"
+	simulatedMetric = `proxyd_trace_groups_total{outcome="simulated"}`
+)
+
+// metricTotals sums each named counter across the given replicas.
+func metricTotals(ctx context.Context, backends []namedBackend, names ...string) ([]float64, error) {
+	sums := make([]float64, len(names))
 	for _, b := range backends {
 		text, err := client.New(b.url).MetricsText(ctx)
 		if err != nil {
-			return 0, fmt.Errorf("reading %s metrics: %w", b.name, err)
+			return nil, fmt.Errorf("reading %s metrics: %w", b.name, err)
 		}
-		v, ok := client.ParseMetric(text, "proxyd_run_executed_total")
-		if !ok {
-			return 0, fmt.Errorf("%s metrics lack proxyd_run_executed_total", b.name)
+		for i, name := range names {
+			v, ok := client.ParseMetric(text, name)
+			if !ok {
+				return nil, fmt.Errorf("%s metrics lack %s", b.name, name)
+			}
+			sums[i] += v
 		}
-		sum += v
 	}
-	return sum, nil
+	return sums, nil
 }
 
 // smoke checks the minimum contract of a freshly booted target.
@@ -188,14 +200,15 @@ func smoke(ctx context.Context, c *client.Client, workload string) error {
 }
 
 // mix drives the cold/warm workload mix and, when backends are known,
-// asserts the fleet simulated each trace group of the mix exactly once.
-// Every group holds a lane no earlier check warms, so it is cold here.
+// asserts the fleet executed each trace group of the mix exactly once and
+// simulated one trace for all of them.  Every group holds a lane no
+// earlier check warms, so it is cold here.
 func mix(ctx context.Context, c *client.Client, backends []namedBackend, workload string, n int) error {
 	settings := mixSettings(n)
-	var before float64
+	var before []float64
 	var err error
 	if len(backends) > 0 {
-		if before, err = executedTotal(ctx, backends); err != nil {
+		if before, err = metricTotals(ctx, backends, executedMetric, simulatedMetric); err != nil {
 			return err
 		}
 	}
@@ -233,7 +246,7 @@ func mix(ctx context.Context, c *client.Client, backends []namedBackend, workloa
 		}
 	}
 	if len(backends) > 0 {
-		after, err := executedTotal(ctx, backends)
+		after, err := metricTotals(ctx, backends, executedMetric, simulatedMetric)
 		if err != nil {
 			return err
 		}
@@ -241,8 +254,11 @@ func mix(ctx context.Context, c *client.Client, backends []namedBackend, workloa
 		if err != nil {
 			return err
 		}
-		if after-before != float64(groups) {
-			return fmt.Errorf("fleet executed %g simulations for %d trace groups (duplicate work)", after-before, groups)
+		if executed := after[0] - before[0]; executed != float64(groups) {
+			return fmt.Errorf("fleet executed %g simulations for %d trace groups (duplicate work)", executed, groups)
+		}
+		if simulated := after[1] - before[1]; simulated != 1 {
+			return fmt.Errorf("fleet simulated %g trace groups for %d chunk sizes of one shape and task count, want 1 (the shape's groups did not meet on one replica)", simulated, n)
 		}
 	}
 	// A fast self-targeted tune job must route, run and converge.
@@ -279,10 +295,10 @@ func postkill(ctx context.Context, c *client.Client, backends []namedBackend, wo
 	if err := c.Ready(ctx); err != nil {
 		return fmt.Errorf("router should stay ready with survivors: %w", err)
 	}
-	var before float64
+	var before []float64
 	var err error
 	if len(backends) > 0 {
-		if before, err = executedTotal(ctx, backends); err != nil {
+		if before, err = metricTotals(ctx, backends, executedMetric); err != nil {
 			return err
 		}
 	}
@@ -304,12 +320,12 @@ func postkill(ctx context.Context, c *client.Client, backends []namedBackend, wo
 		}
 	}
 	if len(backends) > 0 {
-		after, err := executedTotal(ctx, backends)
+		after, err := metricTotals(ctx, backends, executedMetric)
 		if err != nil {
 			return err
 		}
-		if after != before {
-			return fmt.Errorf("survivors executed %g new simulations; gossip should have made every key warm", after-before)
+		if after[0] != before[0] {
+			return fmt.Errorf("survivors executed %g new simulations; gossip should have made every key warm", after[0]-before[0])
 		}
 	}
 	return nil

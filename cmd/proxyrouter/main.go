@@ -1,6 +1,7 @@
 // Command proxyrouter fronts a fleet of proxyd replicas behind the same /v1
 // API a single replica serves: requests shard to the consistent-hash owner
-// of their trace group (so the fleet simulates each group once), batches
+// of their trace shape (so the fleet simulates each shape once per sweep,
+// or once per task count when its input splits), batches
 // split per owner and rejoin in request order, tune jobs return
 // shard-prefixed IDs that route their polls back, and a dead replica's
 // keyspace fails over to its ring successors with no client-visible 5xx

@@ -27,12 +27,21 @@ import (
 // instead of simulated, and a group it can resume runs only the edges after
 // the recorded trace's resume point.  A nil store means a private one for
 // this call.  The whole replays are accounted first, on the calling
-// goroutine.  The remaining groups then fan out by shape and task count on
-// the parallel engine, one pooled cluster each: groups of one shape and
-// task count run one after another, so the trace the first records can
-// serve the next, while the others run concurrently.  The replays come
-// first because parallel.For hands each worker a contiguous range of the
-// groups, and a range holding only replays would leave its worker idle.
+// goroutine.  The remaining groups then fan out in buckets on the parallel
+// engine, one pooled cluster each; the groups of one bucket run one after
+// another, so the trace the first records can serve the next, while the
+// buckets run concurrently.  A shape whose input no task count splits
+// (AlexNet, Inception-V3, PageRank) is one bucket: its first group
+// simulates and the rest replay or resume.  A shape whose input splits
+// (TeraSort, K-means) is one bucket per task count, so its task counts
+// still simulate side by side.  The first edge always consumes the input,
+// so the input alone decides the rule: for each shape the store holds no
+// trace of, RunBatch generates the input once, before the fan-out, and
+// each group that starts at the input stage takes a struct copy of it; for
+// a shape the store holds, a stored trace's fixed edges answer it.  The
+// replays come first because parallel.For hands each worker a contiguous
+// range of the buckets, and a range holding only replays would leave its
+// worker idle.
 // A nil entry in settings means DefaultSetting, like Run's nil setting.
 //
 // On error the whole batch fails; the returned error is the first failing
@@ -65,7 +74,10 @@ func RunBatch(pool *sim.ClusterPool, b *Benchmark, settings []Setting, store *Tr
 		chunkSize uint64
 		indexes   []int
 		settings  []Setting
-		err       error
+		// input is the shape's input generated before the fan-out, nil when
+		// the store held a trace of the shape.
+		input *motif.Dataset
+		err   error
 	}
 	var order []*traceGroup
 	byKey := make(map[string]*traceGroup)
@@ -104,15 +116,28 @@ func RunBatch(pool *sim.ClusterPool, b *Benchmark, settings []Setting, store *Tr
 	}
 	type bucketKey struct {
 		shape    string
-		numTasks int
+		numTasks int // 0 for a shape whose input does not split
 	}
+	inputs := make(map[string]*motif.Dataset)
 	var buckets [][]*traceGroup
 	bucketIndex := make(map[bucketKey]int)
 	for _, g := range order {
 		if _, done := replay(g); done {
 			continue
 		}
-		k := bucketKey{g.shape.shape, g.numTasks}
+		splits, recorded := store.splits(g.shape)
+		if !recorded {
+			in, ok := inputs[g.shape.shape]
+			if !ok {
+				in = b.generateInput(b.Base.Apply(g.settings[0]))
+				inputs[g.shape.shape] = in
+			}
+			g.input, splits = in, !unsplittable(in)
+		}
+		k := bucketKey{shape: g.shape.shape}
+		if splits {
+			k.numTasks = g.numTasks
+		}
 		bi, ok := bucketIndex[k]
 		if !ok {
 			bi = len(buckets)
@@ -129,7 +154,7 @@ func RunBatch(pool *sim.ClusterPool, b *Benchmark, settings []Setting, store *Tr
 					continue
 				}
 				cluster := pool.Get()
-				reps, tr, err := b.runGroup(cluster, g.settings, from)
+				reps, tr, err := b.runGroup(cluster, g.settings, from, g.input)
 				pool.Put(cluster)
 				if err != nil {
 					g.err = err
@@ -211,6 +236,37 @@ func (s *TraceStore) lookup(k traceShape, numTasks int, chunkSize uint64) (*grou
 		}
 	}
 	return resumable, false
+}
+
+// splits reports whether the input of the shape splits, read from a trace
+// of it the store holds, and whether it holds one.  A trace's first edge
+// consumes the input, so the trace has fixed edges exactly when the input
+// does not split.
+func (s *TraceStore) splits(k traceShape) (splits, recorded bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if traces := s.traces[k]; len(traces) > 0 {
+		return traces[0].fixed == 0, true
+	}
+	return false, false
+}
+
+// Groups returns how many of the store's traces were simulated from the
+// input stage and how many resumed at another trace's resume point; a
+// group accounted from a recorded trace whole adds to neither.
+func (s *TraceStore) Groups() (simulated, resumed int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, traces := range s.traces {
+		for _, tr := range traces {
+			if tr.resumed {
+				resumed++
+			} else {
+				simulated++
+			}
+		}
+	}
+	return simulated, resumed
 }
 
 // add records an executed trace of the shape.
@@ -302,8 +358,14 @@ type edgeTrace struct {
 // in pure extrapolation factors (dataSize with an unchanged clamped sample,
 // and weight), so one motif compute serves every lane of the group.  The
 // serving layer's cross-request coalescer uses it to count the trace groups
-// a merged sweep evaluates cold, and the fleet router to shard by group.
+// a merged sweep evaluates cold.
 func (b *Benchmark) TraceKey(s Setting) string { return b.traceKey(s) }
+
+// ShapeKey renders the shape of the setting's trace group: its trace key
+// without the chunk size and the task count, the part a TraceStore keys
+// traces by.  The fleet router shards by it, so every group of a shape
+// reaches the one replica whose store can serve it.
+func (b *Benchmark) ShapeKey(s Setting) string { return b.shapeKey(b.Base.Apply(s)) }
 
 // traceKey renders the fields of the effective parameter vector that shape
 // the execution trace: the clamped sample volume plus every parameter the
@@ -337,13 +399,16 @@ func taskCount(p Params) int {
 // accounts it into one lane per setting with that setting's extrapolation
 // factors.  It returns the lane reports and the recorded trace.
 //
-// With a nil from, the group starts at the input stage, generated as a
-// lightly-accounted stage of its own.  Otherwise it resumes at from's
-// resume point: the cluster loads the exported state, the input stage and
-// from's fixed edges are accounted from from's trace at this group's task
-// count, and the group takes its own struct copies of the data sets.
-// Either way the remaining edges then run in topological order.
-func (b *Benchmark) runGroup(cluster *sim.Cluster, settings []Setting, from *groupTrace) ([]sim.Report, *groupTrace, error) {
+// With a nil from, the group starts at the input stage, a
+// lightly-accounted stage of its own.  input is the shape's generated
+// input, which other groups may share: the group runs on a struct copy of
+// it, so the regions it allocates stay its own.  A nil input is generated
+// here.  Otherwise the group resumes at from's resume point: the cluster
+// loads the exported state, the input stage and from's fixed edges are
+// accounted from from's trace at this group's task count, and the group
+// takes its own struct copies of the data sets.  Either way the remaining
+// edges then run in topological order.
+func (b *Benchmark) runGroup(cluster *sim.Cluster, settings []Setting, from *groupTrace, input *motif.Dataset) ([]sim.Report, *groupTrace, error) {
 	ps := b.apply(settings)
 	// All settings of a group share the trace shape; ps[0] supplies every
 	// shape parameter (the Benchmark.Input contract guarantees the generator
@@ -362,18 +427,16 @@ func (b *Benchmark) runGroup(cluster *sim.Cluster, settings []Setting, from *gro
 	var batch *sim.Batch
 	var datasets map[string]*motif.Dataset
 	if from == nil {
+		if input == nil {
+			input = b.generateInput(shape)
+		}
+		in := *input
 		batch = sim.NewBatch(cluster, len(ps))
-		sampleBytes := b.effectiveSampleBytes(shape)
-		var input *motif.Dataset
-		tr.input = batch.RunOnNode(b.Name+":input", node, b.inputScales(ps, sampleBytes), func(ex *sim.Exec) {
+		tr.input = batch.RunOnNode(b.Name+":input", node, b.inputScales(ps, b.effectiveSampleBytes(shape)), func(ex *sim.Exec) {
 			ex.SetCodeFootprint(b.codeFootprint(), proxyJumpsPer1k)
-			input = b.Input(7, sampleBytes, shape)
-			if input == nil {
-				input = &motif.Dataset{}
-			}
-			ex.ReadDisk(input.SizeBytes())
+			ex.ReadDisk(in.SizeBytes())
 		})
-		datasets = map[string]*motif.Dataset{InputNode: input}
+		datasets = map[string]*motif.Dataset{InputNode: &in}
 	} else {
 		if err := cluster.ImportState(from.resume.state); err != nil {
 			return nil, nil, fmt.Errorf("core: benchmark %s: resuming a trace group: %w", b.Name, err)
@@ -404,6 +467,16 @@ func (b *Benchmark) runGroup(cluster *sim.Cluster, settings []Setting, from *gro
 		datasets[e.To] = out
 	}
 	return batch.Reports(b.Name), tr, nil
+}
+
+// generateInput generates the sampled input of a group with the given
+// shape parameters; by the Benchmark.Input contract every group of the
+// shape gets the same data set.
+func (b *Benchmark) generateInput(shape Params) *motif.Dataset {
+	if in := b.Input(7, b.effectiveSampleBytes(shape), shape); in != nil {
+		return in
+	}
+	return &motif.Dataset{}
 }
 
 // replayGroup accounts a trace group from a recorded trace that serves it

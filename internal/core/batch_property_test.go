@@ -157,7 +157,7 @@ func runStoreCalls(t *testing.T, pool *sim.ClusterPool, calls []storeCall, want 
 // simulated and resumed traces.
 func checkStored(t *testing.T, label string, store *core.TraceStore, simulated, resumed int) {
 	t.Helper()
-	if s, r := core.StoredTracesForTest(store); s != simulated || r != resumed {
+	if s, r := store.Groups(); s != simulated || r != resumed {
 		t.Errorf("%s: store holds %d simulated and %d resumed traces, want %d and %d", label, s, r, simulated, resumed)
 	}
 }
@@ -309,6 +309,73 @@ func TestTraceStoreSimulatesEachShapeOnce(t *testing.T) {
 			}
 		}
 		checkStored(t, tc.b.Name+" after the baseline and the impact grid", store, tc.simulated, tc.resumed)
+	}
+}
+
+// taskChunkGrid returns one setting per task factor and chunk factor, plus
+// a weight lane of the first, task factors outermost.
+func taskChunkGrid(taskFactors, chunkFactors []float64) []core.Setting {
+	var out []core.Setting
+	for _, tf := range taskFactors {
+		for _, cf := range chunkFactors {
+			out = append(out, core.Setting{"numTasks": tf, "chunkSize": cf})
+		}
+		out = append(out, core.Setting{"numTasks": tf, "chunkSize": chunkFactors[0], "weight": 1.6})
+	}
+	return out
+}
+
+// TestRunBatchBucketsByInput is the bucket rule of RunBatch: one call on an
+// empty store, with groups at 7 and 9 tasks and chunk sizes that chunk no
+// share, simulates one group of a shape whose input no task count splits
+// and resumes or replays the rest, and simulates one group per task count
+// of a shape whose input splits.  AlexNet (8 base tasks) simulates 1 group,
+// GraphBenchmark (4 base tasks) 1 and resumes 1, and SmallBenchmark (4
+// base tasks) simulates 2.  A fourth call sends GraphBenchmark at chunk
+// factor 0.05 after factor 1 at one task count: 0.05 chunks the matrix, a
+// fixed edge's input, so both groups start at the input stage, one after
+// the other, each on its own copy of the generated input.  Every report
+// must be bit-identical to a one-lane RunBatch of its setting with a fresh
+// store, on both profiles and at 1, 2 and 8 workers.  -short runs AlexNet
+// on the first profile only.
+func TestRunBatchBucketsByInput(t *testing.T) {
+	cases := []struct {
+		b                  *core.Benchmark
+		settings           []core.Setting
+		simulated, resumed int
+	}{
+		{testutil.SmallBenchmark(), taskChunkGrid([]float64{1.75, 2.25}, []float64{1, 0.5}), 2, 0},
+		{testutil.GraphBenchmark(), taskChunkGrid([]float64{1.75, 2.25}, []float64{1, 0.5}), 1, 1},
+		{testutil.GraphBenchmark(), []core.Setting{{"numTasks": 1.75}, {"numTasks": 1.75, "chunkSize": 0.05}}, 2, 0},
+		{proxy.AlexNet(), taskChunkGrid([]float64{0.875, 1.125}, []float64{1, 1.5}), 1, 0},
+	}
+	for pi, np := range testutil.Profiles() {
+		np := np
+		t.Run(np.Name, func(t *testing.T) {
+			pool := testutil.Pool(np.Profile)
+			for _, tc := range cases {
+				if testing.Short() && pi > 0 && tc.b.Workload == "alexnet" {
+					continue
+				}
+				want := oneLane(t, pool, tc.b, tc.settings)
+				for _, workers := range []int{1, 2, 8} {
+					prev := parallel.SetWorkers(workers)
+					store := &core.TraceStore{}
+					got, err := core.RunBatch(pool, tc.b, tc.settings, store)
+					parallel.SetWorkers(prev)
+					if err != nil {
+						t.Fatalf("%s workers=%d: %v", tc.b.Name, workers, err)
+					}
+					for i := range got {
+						if !reflect.DeepEqual(got[i], want[i]) {
+							t.Errorf("%s workers=%d %v: report diverges from its one-lane run\n got: %+v\nwant: %+v",
+								tc.b.Name, workers, tc.settings[i], got[i], want[i])
+						}
+					}
+					checkStored(t, fmt.Sprintf("%s workers=%d", tc.b.Name, workers), store, tc.simulated, tc.resumed)
+				}
+			}
+		})
 	}
 }
 

@@ -34,7 +34,7 @@ func Run(cluster *sim.Cluster, b *Benchmark, setting Setting) (sim.Report, error
 	if err := setting.Validate(); err != nil {
 		return sim.Report{}, err
 	}
-	reps, _, err := b.runGroup(cluster, []Setting{setting}, nil)
+	reps, _, err := b.runGroup(cluster, []Setting{setting}, nil, nil)
 	if err != nil {
 		return sim.Report{}, err
 	}

@@ -1,10 +1,10 @@
 // Package fleet shards a proxyd fleet: a consistent-hash ring assigns every
-// trace group of cache keys an owning replica, and Router fronts the
+// trace shape of cache keys an owning replica, and Router fronts the
 // replicas with the same /v1 API a single proxyd serves — single runs and
 // tune jobs forward to the key's owner, batches split per owner and rejoin
 // in request order, and a dead replica's keyspace moves to its ring
 // successors without disturbing anyone else's keys.  Ownership is
-// authoritative for where a trace group is simulated; the replicas' cache
+// authoritative for where a trace shape is simulated; the replicas' cache
 // gossip (internal/serve peering) is merely advisory warm-up on top of it.
 package fleet
 
@@ -177,14 +177,17 @@ var benchmarks = func() map[string]*core.Benchmark {
 }()
 
 // RunKey is the sharding key of one /v1/run evaluation: workload, effective
-// architecture and the setting's trace group (core.Benchmark.TraceKey), the
-// unit one simulation serves.  The trace key reads the same effective
-// factors the replica's memo key canonicalises (Setting.Get semantics, so a
-// nil setting keys like the default), which gives every setting exactly one
-// owner.  Every lane of a trace group shares that owner, so a batch simulates
-// each of its groups on one replica only, and concurrent cold singles of a
-// group share that replica's coalescing window.  An unknown workload keys as
-// workload|arch, so its owner answers with the usual bad_request.
+// architecture and the shape of the setting's trace group
+// (core.Benchmark.ShapeKey), the unit a replica's core.TraceStore keeps
+// traces by.  The shape key reads the same effective factors the replica's
+// memo key canonicalises (Setting.Get semantics, so a nil setting keys like
+// the default), which gives every setting exactly one owner.  Every group
+// of a shape shares that owner, whatever its chunk size and task count, so
+// a batch's groups of one shape reach one replica's store, which simulates
+// the shape once, or once per task count when its input splits, and
+// accounts the other groups from those traces.  Concurrent cold singles of
+// a shape share that replica's coalescing window.  An unknown workload
+// keys as workload|arch, so its owner answers with the usual bad_request.
 func RunKey(workload, archName string, setting core.Setting) string {
 	if archName == "" {
 		archName = "westmere"
@@ -193,7 +196,7 @@ func RunKey(workload, archName string, setting core.Setting) string {
 	if b == nil {
 		return workload + "|" + archName
 	}
-	return workload + "|" + archName + "|" + b.TraceKey(setting)
+	return workload + "|" + archName + "|" + b.ShapeKey(setting)
 }
 
 // TuneKey is the sharding key of one /v1/tune job: tune jobs for the same

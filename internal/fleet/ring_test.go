@@ -136,24 +136,29 @@ func TestRingNoLiveNode(t *testing.T) {
 	}
 }
 
-// TestShardingKeys pins the sharding rule: a run keys on its trace group,
-// so every lane one simulation serves shares an owner, while anything that
-// reshapes the trace moves to its own key.  The default architecture and
-// setting are spelled out, and settings the router cannot judge still get a
-// fixed key for their owner to reject.
+// TestShardingKeys pins the sharding rule: a run keys on the shape of its
+// trace group, so every lane and every group of a shape, whatever its
+// chunk size and task count, shares an owner, while anything that reshapes
+// the trace moves to its own key.  The default architecture and setting
+// are spelled out, and settings the router cannot judge still get a fixed
+// key for their owner to reject.
 func TestShardingKeys(t *testing.T) {
 	for _, w := range proxy.Workloads() {
 		base := RunKey(w, "westmere", nil)
 		if RunKey(w, "", nil) != RunKey(w, "westmere", core.DefaultSetting()) {
 			t.Errorf("%s: omitted arch/setting must shard like their explicit defaults", w)
 		}
-		for _, weight := range []float64{0.5, 1.25, 2} {
-			if got := RunKey(w, "westmere", core.Setting{"weight": weight}); got != base {
-				t.Errorf("%s: weight lane %g keys %q, want its group's %q", w, weight, got, base)
+		sameShape := []core.Setting{
+			{"weight": 0.5}, {"weight": 2}, {"chunkSize": 1.5}, {"chunkSize": 0.5, "weight": 1.25},
+			{"numTasks": 0.875}, {"numTasks": 1.25, "chunkSize": 2},
+		}
+		for _, s := range sameShape {
+			if got := RunKey(w, "westmere", s); got != base {
+				t.Errorf("%s: lane %v keys %q, want its shape's %q", w, s, got, base)
 			}
 		}
-		if RunKey(w, "westmere", core.Setting{"chunkSize": 1.5}) == base {
-			t.Errorf("%s: a chunkSize change reshapes the trace and must not share its key", w)
+		if RunKey(w, "westmere", core.Setting{"dataSize": 1e-6}) == base {
+			t.Errorf("%s: a dataSize below the sample size reshapes the trace and must not share its key", w)
 		}
 		if RunKey(w, "haswell", nil) == base {
 			t.Errorf("%s: architectures must shard apart", w)
@@ -171,6 +176,29 @@ func TestShardingKeys(t *testing.T) {
 	}
 	if RunKey("terasort", "", core.Setting{"dataSize": 1e-4}) == RunKey("terasort", "", nil) {
 		t.Error("a dataSize below the sample size reshapes the trace and must not share its key")
+	}
+
+	// A design-space sweep of one proxy, chunkSize × numTasks × dataSize ×
+	// weight with every dataSize inside the sample clamp, is one shape: it
+	// maps to one owner of a two-replica ring, so one replica's store serves
+	// all its trace groups.
+	ring := NewRing([]string{"r0", "r1"}, 0)
+	for _, w := range []string{"terasort", "kmeans", "alexnet", "inception"} {
+		owners := map[string]bool{}
+		for _, chunk := range []float64{0.5, 1.2, 2} {
+			for _, tasks := range []float64{0.875, 0.95, 1.125, 1.25} {
+				for _, data := range []float64{0.5, 1, 2} {
+					for _, weight := range []float64{0.5, 2} {
+						s := core.Setting{"chunkSize": chunk, "numTasks": tasks, "dataSize": data, "weight": weight}
+						owner, _ := ring.Owner(RunKey(w, "", s), nil)
+						owners[owner] = true
+					}
+				}
+			}
+		}
+		if len(owners) != 1 {
+			t.Errorf("%s: a sweep grid of one shape maps to owners %v, want one", w, owners)
+		}
 	}
 
 	// An unknown workload keys on workload|arch alone, so one owner rejects

@@ -77,8 +77,8 @@ type backend struct {
 // batches split per owner and rejoin in request order, and an unreachable
 // owner's keyspace fails over to its ring successors.  The router holds no
 // simulation state of its own — ownership placement plus the replicas' own
-// result caches are what guarantee the fleet never simulates a trace group
-// twice.  Create it with NewRouter, serve Handler, and Close it to stop the
+// result caches are what guarantee the fleet never simulates a trace shape
+// more often than one replica would.  Create it with NewRouter, serve Handler, and Close it to stop the
 // health-probe loop.
 type Router struct {
 	cfg      Config
@@ -262,7 +262,7 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 	relay(w, resp)
 }
 
-// handleRunBatch serves the Settings form of POST /v1/run.  Each trace group
+// handleRunBatch serves the Settings form of POST /v1/run.  Each trace shape
 // is owned by one shard; the batch splits into one sub-batch per owner, the
 // sub-batches execute concurrently, and the results rejoin in request order.
 // The shed contract stays all-or-nothing across the whole batch: any

@@ -151,15 +151,17 @@ func TestBatchSplitsAcrossShardsInOrder(t *testing.T) {
 	tf := newTestFleet(t, 3)
 	ctx := context.Background()
 
-	// chunkSize variation keeps every setting in its own trace group, so
-	// each one is a distinct trace key in proxyd_run_executed_total (the
-	// counter counts trace keys evaluated cold, not requests).
+	// Ownership follows the trace shape, so the corpus varies one: each
+	// dataSize factor shrinks TeraSort's 2 GiB input below its 1.5 MiB
+	// sample to its own size, which gives every setting its own shape and
+	// its own trace key in proxyd_run_executed_total (the counter counts
+	// trace keys evaluated cold, not requests).
 	settings := []map[string]float64{
 		nil,
-		{"chunkSize": 1.2},
-		{"chunkSize": 1.4},
-		{"chunkSize": 1.6},
-		{"chunkSize": 1.8},
+		{"dataSize": 1e-4},
+		{"dataSize": 2e-4},
+		{"dataSize": 3e-4},
+		{"dataSize": 4e-4},
 	}
 	owners := make(map[string]bool)
 	for _, s := range settings {
@@ -543,15 +545,17 @@ func TestBatchErrorIsAllOrNothing(t *testing.T) {
 	ctx := context.Background()
 
 	// Collect settings until both backends own at least one.  Ownership
-	// follows the trace group, so the corpus varies chunkSize: dataSize and
-	// weight lanes of one group never reach a second owner.
+	// follows the trace shape, so the corpus varies one: dataSize factors
+	// that shrink TeraSort's 2 GiB input below its 1.5 MiB sample, each to
+	// its own size.  The chunk size, task count and weight lanes of a shape
+	// never reach a second owner.
 	var settings []map[string]float64
 	owners := map[string]bool{}
 	for i := 0; len(owners) < 2; i++ {
 		if i == 64 {
-			t.Fatalf("64 chunkSize groups all map to %v; the ring cannot be spreading keys", owners)
+			t.Fatalf("64 shapes all map to %v; the ring cannot be spreading keys", owners)
 		}
-		s := map[string]float64{"chunkSize": 1 + float64(i)*0.05}
+		s := map[string]float64{"dataSize": 5e-6 * float64(i+1)}
 		owner, _ := tf.router.ring.Owner(RunKey("terasort", "", core.Setting(s)), nil)
 		owners[owner] = true
 		settings = append(settings, s)

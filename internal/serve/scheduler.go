@@ -99,6 +99,12 @@ type scheduler struct {
 	coalesced atomic.Int64 // requests served from the result cache / singleflight
 	shed      atomic.Int64 // requests rejected with ErrOverloaded
 
+	// simulatedGroups and resumedGroups count the trace groups the sweeps'
+	// evaluators simulated from the input stage and resumed at a recorded
+	// trace's resume point (core.TraceStore.Groups).
+	simulatedGroups atomic.Int64
+	resumedGroups   atomic.Int64
+
 	windowBatches atomic.Int64 // coalesced sweeps executed from collection windows
 	laneHist      *histogram   // lanes per coalesced sweep
 	waitHist      *histogram   // seconds from window open to sweep start
@@ -129,9 +135,14 @@ func newScheduler(maxInFlight, queueDepth, maxCacheEntries int, window time.Dura
 		// The fault site fires inside the evaluator's cold hook — within the
 		// memo claims — so an injected error or panic is cached per lane and
 		// completes waiters exactly like a real failure.
-		return tuner.NewEvaluator(pool, b, sc.memo).
-			WithColdHook(func() error { return faultinject.Fire("serve.evaluate") }).
-			EvaluateLanes(settings)
+		ev := tuner.NewEvaluator(pool, b, sc.memo).
+			WithColdHook(func() error { return faultinject.Fire("serve.evaluate") })
+		defer func() {
+			simulated, resumed := ev.TraceGroups()
+			sc.simulatedGroups.Add(int64(simulated))
+			sc.resumedGroups.Add(int64(resumed))
+		}()
+		return ev.EvaluateLanes(settings)
 	}
 	sc.keyBufs.New = func() any { b := make([]byte, 0, 512); return &b }
 	return sc
@@ -265,10 +276,14 @@ func (sc *scheduler) runBatch(ctx context.Context, archName string, b *core.Benc
 // of the right length: a panicking sweep is recovered here (the memo has
 // already cached the panic on each claimed entry, so twins replay it) and
 // fails every lane without taking the serving goroutine down, and a
-// malformed evaluator result fails them all too.
+// malformed evaluator result fails them all too.  Such a sweep has no fresh
+// flags to account, so it adds to neither run counter: none of its lanes
+// was answered from the cache or from another request's work.
 func (sc *scheduler) evaluate(pool *sim.ClusterPool, b *core.Benchmark, settings []core.Setting) (metrics []perf.Metrics, fresh []bool, errs []error) {
 	n := len(settings)
+	failed := false
 	fail := func(err error) {
+		failed = true
 		metrics, fresh, errs = make([]perf.Metrics, n), make([]bool, n), make([]error, n)
 		for i := range errs {
 			errs[i] = err
@@ -278,7 +293,9 @@ func (sc *scheduler) evaluate(pool *sim.ClusterPool, b *core.Benchmark, settings
 		if r := recover(); r != nil {
 			fail(fmt.Errorf("serve: sweep panicked: %v", r))
 		}
-		sc.recordSweep(b, settings, fresh)
+		if !failed {
+			sc.recordSweep(b, settings, fresh)
+		}
 	}()
 	metrics, fresh, errs = sc.evalFn(pool, b, settings)
 	if len(metrics) != n || len(fresh) != n || len(errs) != n {

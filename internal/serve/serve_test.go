@@ -700,6 +700,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"proxyd_run_executed_total 1",
 		"proxyd_run_coalesced_total 0",
 		"proxyd_run_shed_total 0",
+		`proxyd_trace_groups_total{outcome="simulated"} 1`,
+		`proxyd_trace_groups_total{outcome="resumed"} 0`,
 		"proxyd_result_cache_entries 1",
 		"proxyd_http_in_flight 1", // the /metrics request itself
 		"proxyd_sched_in_flight 0",
@@ -707,6 +709,32 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, text)
+		}
+	}
+}
+
+// TestTraceGroupsCount checks proxyd_trace_groups_total counts the trace
+// groups a sweep simulated, where proxyd_run_executed_total counts its
+// trace keys: a TeraSort batch at two chunk sizes that chunk no share and
+// a second task count has three trace keys, and its evaluator simulates
+// one group per task count, because TeraSort's first edge splits its
+// input, and accounts the other chunk size from the first trace.
+func TestTraceGroupsCount(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, body := postJSON(t, ts.URL+"/v1/run", client.RunRequest{Workload: "terasort", Settings: []map[string]float64{
+		{"chunkSize": 1}, {"chunkSize": 1.5}, {"numTasks": 1.125},
+	}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d body %s", resp.StatusCode, body)
+	}
+	_, body = getJSON(t, ts.URL+"/metrics")
+	for name, want := range map[string]float64{
+		"proxyd_run_executed_total":                      3,
+		`proxyd_trace_groups_total{outcome="simulated"}`: 2,
+		`proxyd_trace_groups_total{outcome="resumed"}`:   0,
+	} {
+		if v, ok := client.ParseMetric(string(body), name); !ok || v != want {
+			t.Errorf("%s = %v (present %v), want %v", name, v, ok, want)
 		}
 	}
 }
@@ -791,7 +819,9 @@ func TestHotSettingStaysWarmPastCap(t *testing.T) {
 // TestSweepPanicAnswers500 arms a panic inside the cold sweep on the paths
 // that do not run in a collection window — a batch, and a single run with
 // coalescing disabled — and checks the scheduler recovers it: the client
-// gets the 500 internal envelope instead of a dropped connection.
+// gets the 500 internal envelope instead of a dropped connection, and the
+// failed sweep adds to neither run counter, since none of its lanes was
+// answered from the cache or from another request's work.
 func TestSweepPanicAnswers500(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -812,6 +842,12 @@ func TestSweepPanicAnswers500(t *testing.T) {
 			}
 			if resp.StatusCode != http.StatusInternalServerError || env.Error.Code != client.CodeInternal || !strings.Contains(env.Error.Message, "panicked") {
 				t.Fatalf("got status %d envelope %+v, want 500 internal naming the panic", resp.StatusCode, env.Error)
+			}
+			_, body = getJSON(t, ts.URL+"/metrics")
+			for _, name := range []string{"proxyd_run_executed_total", "proxyd_run_coalesced_total"} {
+				if v, ok := client.ParseMetric(string(body), name); !ok || v != 0 {
+					t.Errorf("%s = %v (present %v) after a panicked sweep, want 0", name, v, ok)
+				}
 			}
 		})
 	}

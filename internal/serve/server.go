@@ -764,6 +764,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "proxyd_run_executed_total %d\n", s.sched.executed.Load())
 	fmt.Fprintf(w, "proxyd_run_coalesced_total %d\n", s.sched.coalesced.Load())
 	fmt.Fprintf(w, "proxyd_run_shed_total %d\n", s.sched.shed.Load())
+	fmt.Fprintf(w, "proxyd_trace_groups_total{outcome=\"simulated\"} %d\n", s.sched.simulatedGroups.Load())
+	fmt.Fprintf(w, "proxyd_trace_groups_total{outcome=\"resumed\"} %d\n", s.sched.resumedGroups.Load())
 	fmt.Fprintf(w, "proxyd_sched_in_flight %d\n", s.sched.inFlight())
 	fmt.Fprintf(w, "proxyd_result_cache_entries %d\n", s.sched.memo.Size())
 	fmt.Fprintf(w, "proxyd_cache_evictions_total %d\n", s.sched.memo.Evictions())

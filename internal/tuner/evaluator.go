@@ -58,6 +58,12 @@ func (ev *MemoEvaluator) WithColdHook(hook func() error) *MemoEvaluator {
 	return ev
 }
 
+// TraceGroups returns how many trace groups this evaluator's sweeps
+// simulated from the input stage and how many resumed a recorded trace
+// (core.TraceStore.Groups); groups accounted from a recorded trace whole
+// count in neither.
+func (ev *MemoEvaluator) TraceGroups() (simulated, resumed int) { return ev.traces.Groups() }
+
 // Evaluate measures the bound benchmark under a batch of settings and
 // returns one metric vector per setting, in input order, plus the
 // per-setting fresh flags: fresh[i] is true when setting i's simulation was
