@@ -79,12 +79,14 @@ bench:
 ## BenchmarkServeRun: the in-process scheduler round-trip of a repeated
 ## /v1/run), plus BenchmarkServeConcurrentCold — eight concurrent cold
 ## requests spanning two trace groups, served request-per-sweep (solo)
-## versus through one collection window (coalesced) — and write the results
-## to BENCH_cache.json.  Each benchmark runs -count=5 times; benchjson
-## keeps the minimum ns/op (and the maximum allocs/op) so one noisy host
-## run cannot skew the baseline.  ProxyStep (sequential) and ServeRun must
-## report 0 allocs/op: the compare gate fails on any new allocation on a
-## zero-alloc benchmark.
+## versus through one collection window (coalesced) — and two motif
+## kernels (BenchmarkFullyConnected at the AI proxies' dense shapes,
+## BenchmarkDistanceMotifs on one K-means task's input), and write the
+## results to BENCH_cache.json.  Each benchmark runs -count=5 times;
+## benchjson keeps the minimum ns/op (and the maximum allocs/op) so one
+## noisy host run cannot skew the baseline.  ProxyStep (sequential) and
+## ServeRun must report 0 allocs/op: the compare gate fails on any new
+## allocation on a zero-alloc benchmark.
 bench-json:
 	rm -f BENCH_cache.tmp
 	$(call tracked-benchmarks,-count=5 -json >> BENCH_cache.tmp)
@@ -117,6 +119,8 @@ $(GO) test -run='^$$' -bench='Tune' -benchmem -benchtime=3x ./internal/tuner $(1
 $(GO) test -run='^$$' -bench='ServeRun' -benchmem -benchtime=100000x ./internal/serve $(1)
 $(GO) test -run='^$$' -bench='ServeConcurrentCold' -benchmem -benchtime=2x ./internal/serve $(1)
 $(GO) test -run='^$$' -bench='ProxyStep' -benchmem -benchtime=20x . $(1)
+$(GO) test -run='^$$' -bench='FullyConnected' -benchmem -benchtime=20x ./internal/aimotif $(1)
+$(GO) test -run='^$$' -bench='DistanceMotifs' -benchmem -benchtime=200x ./internal/motif $(1)
 endef
 
 ## cover: coverage profile over the short suite + the coverage-floor gate
@@ -137,8 +141,8 @@ lint: lint-docs lint-links lint-settings
 	$(GO) -C perfbench vet ./...
 
 ## lint-docs: every exported symbol of the audited packages (tuner, dtree,
-## core, perf, serve, proxy, campaign, fleet, apihttp, pkg/client) has a doc
-## comment
+## core, perf, serve, proxy, campaign, fleet, apihttp, pkg/client, motif,
+## aimotif) has a doc comment
 lint-docs:
 	sh scripts/lint-docs.sh
 

@@ -10,7 +10,9 @@ import (
 )
 
 // FullyConnected computes out = in * W + b where in is (N, In), weights is
-// (In, Out) and bias is (Out) (bias may be nil).
+// (In, Out) and bias is (Out) (bias may be nil).  Each output sums its taps
+// in ascending input order in float32 and adds its bias last, so its value
+// is the naive per-output loop's bit for bit at any worker count.
 func FullyConnected(ex *sim.Exec, sess *Session, in, weights, bias *tensor.Tensor) (*tensor.Tensor, error) {
 	if in.Rank() != 2 || weights.Rank() != 2 {
 		return nil, fmt.Errorf("aimotif: FullyConnected expects rank-2 input and weights")
@@ -30,22 +32,25 @@ func FullyConnected(ex *sim.Exec, sess *Session, in, weights, bias *tensor.Tenso
 		biasData = bias.Data()
 	}
 
-	// Compute phase: each input row produces an independent output row, so
-	// the batch dimension parallelises on the worker pool with bit-identical
-	// results.  Outputs are register-blocked four at a time, which turns the
-	// column-strided weight walk of the naive loop into a sequential stream
-	// over the weight rows; each output still accumulates its taps in input
-	// order, so the values match the naive loop bit for bit.
+	// Compute phase: the weights are walked in storage order.  For each
+	// input tap i, x[b][i]·W[i][o] is added into the zeroed output rows, so
+	// one pass reads each weight row once, where a loop per output would
+	// read one strided column of W per output.  Every output still sums its
+	// taps in ascending i and adds the bias last, so the values match the
+	// naive per-output loop bit for bit.  Work items are blocks of output
+	// columns, which parallelise on the worker pool with bit-identical
+	// results and split each weight row between the workers.
 	job := sess.fcScratch()
 	*job = fcJob{
 		inData: in.Data(), wData: weights.Data(), oData: out.Data(), biasData: biasData,
-		inDim: inDim, outDim: outDim,
+		n: n, inDim: inDim, outDim: outDim,
 	}
-	parallel.ForRunner(n, 1, job)
+	parallel.ForRunner((outDim+fcBlock-1)/fcBlock, 1, job)
 	*job = fcJob{}
 
-	// Accounting phase, per input row: the row is streamed once per output
-	// neuron, the weight matrix is streamed column-wise.
+	// Accounting phase, per input row: 2·In·Out floating-point operations,
+	// one sequential read of the row and one of the whole weight matrix,
+	// and the store of the output row.
 	for b := 0; b < n; b++ {
 		ex.Float(uint64(2 * inDim * outDim))
 		ex.Int(uint64(outDim))
@@ -57,58 +62,63 @@ func FullyConnected(ex *sim.Exec, sess *Session, in, weights, bias *tensor.Tenso
 	return out, nil
 }
 
+// fcBlock is the number of output columns in one work item of
+// FullyConnected's compute phase: one 64-byte line of float32 outputs.
+const fcBlock = 16
+
 // fcJob is the reusable dispatch state of FullyConnected's compute phase:
-// one work item per batch row.
+// one work item per block of fcBlock output columns.
 type fcJob struct {
 	inData, wData, oData, biasData []float32
-	inDim, outDim                  int
+	n, inDim, outDim               int
 }
 
-// Run implements parallel.Runner over batch rows.
+// Run implements parallel.Runner over output column blocks: it computes
+// columns [lo*fcBlock, hi*fcBlock) of every output row.  The output must
+// be zeroed.  Taps are taken four at a time so each output is loaded and
+// stored once per four taps; it still adds them one by one in ascending
+// order.
 func (j *fcJob) Run(lo, hi int) {
-	for b := lo; b < hi; b++ {
-		j.row(b)
+	n, inDim, outDim := j.n, j.inDim, j.outDim
+	c0, c1 := lo*fcBlock, min(hi*fcBlock, outDim)
+	cols := func(rows []float32, r int) []float32 { return rows[r*outDim+c0 : r*outDim+c1] }
+	i := 0
+	for ; i+4 <= inDim; i += 4 {
+		w0, w1, w2, w3 := cols(j.wData, i), cols(j.wData, i+1), cols(j.wData, i+2), cols(j.wData, i+3)
+		for b := 0; b < n; b++ {
+			x := j.inData[b*inDim+i : b*inDim+i+4]
+			x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+			o := cols(j.oData, b)
+			// Slicing to len(o) lets the compiler drop the bounds checks.
+			w1, w2, w3 := w1[:len(o)], w2[:len(o)], w3[:len(o)]
+			for k, w := range w0[:len(o)] {
+				s := o[k]
+				s += x0 * w
+				s += x1 * w1[k]
+				s += x2 * w2[k]
+				s += x3 * w3[k]
+				o[k] = s
+			}
+		}
 	}
-}
-
-// row computes one output row.  Four outputs share each streamed input
-// element, walking the weight matrix row-major in four-wide strips instead
-// of one full column per output.
-func (j *fcJob) row(b int) {
-	inDim, outDim := j.inDim, j.outDim
-	inRow := j.inData[b*inDim : (b+1)*inDim]
-	outRow := j.oData[b*outDim : (b+1)*outDim]
-	o := 0
-	for ; o+4 <= outDim; o += 4 {
-		var s0, s1, s2, s3 float32
-		for i := 0; i < inDim; i++ {
-			x := inRow[i]
-			wr := j.wData[i*outDim+o : i*outDim+o+4]
-			s0 += x * wr[0]
-			s1 += x * wr[1]
-			s2 += x * wr[2]
-			s3 += x * wr[3]
+	for ; i < inDim; i++ {
+		w := cols(j.wData, i)
+		for b := 0; b < n; b++ {
+			x := j.inData[b*inDim+i]
+			o := cols(j.oData, b)
+			for k, wk := range w[:len(o)] {
+				o[k] += x * wk
+			}
 		}
-		if j.biasData != nil {
-			s0 += j.biasData[o]
-			s1 += j.biasData[o+1]
-			s2 += j.biasData[o+2]
-			s3 += j.biasData[o+3]
-		}
-		outRow[o] = s0
-		outRow[o+1] = s1
-		outRow[o+2] = s2
-		outRow[o+3] = s3
 	}
-	for ; o < outDim; o++ {
-		var sum float32
-		for i := 0; i < inDim; i++ {
-			sum += inRow[i] * j.wData[i*outDim+o]
+	if j.biasData != nil {
+		bias := j.biasData[c0:c1]
+		for b := 0; b < n; b++ {
+			o := cols(j.oData, b)
+			for k, v := range bias[:len(o)] {
+				o[k] += v
+			}
 		}
-		if j.biasData != nil {
-			sum += j.biasData[o]
-		}
-		outRow[o] = sum
 	}
 }
 

@@ -2,6 +2,7 @@ package motif
 
 import (
 	"math"
+	"math/bits"
 
 	"dataproxy/internal/sim"
 )
@@ -195,6 +196,38 @@ func centroidsFrom(vectors [][]float64) [][]float64 {
 	return cents
 }
 
+// nonZeroMasks returns one bitmask per vector, words uint64s each: bit j of
+// a vector's mask is set when its element j is non-zero.  The distance
+// motifs loop only over the set bits of a vector's and a centroid's masks.
+// Every element they skip is a zero in both, whose term in a distance, dot
+// product or norm is ±0; a sum that starts at +0 never becomes −0, and
+// adding ±0 to it changes nothing, so every sum equals the dense loop's bit
+// for bit.
+func nonZeroMasks(vectors [][]float64, words int) []uint64 {
+	masks := make([]uint64, len(vectors)*words)
+	for i, v := range vectors {
+		m := masks[i*words : (i+1)*words]
+		for j, x := range v {
+			if x != 0 {
+				m[j/64] |= 1 << (j % 64)
+			}
+		}
+	}
+	return masks
+}
+
+// sumSquares sums v[j]*v[j] over the set bits of v's mask in ascending j.
+func sumSquares(v []float64, mask []uint64) float64 {
+	var s float64
+	for w, u := range mask {
+		for ; u != 0; u &= u - 1 {
+			x := v[w*64+bits.TrailingZeros64(u)]
+			s += x * x
+		}
+	}
+	return s
+}
+
 func runEuclideanDistance(ex *sim.Exec, in *Dataset) *Dataset {
 	vectors := in.Vectors
 	if len(vectors) == 0 {
@@ -207,7 +240,10 @@ func runEuclideanDistance(ex *sim.Exec, in *Dataset) *Dataset {
 	dists := make([]float64, len(vectors))
 	out := &Dataset{Keys: assign, Floats: dists, Vectors: vectors}
 	dim := len(vectors[0])
+	words := (dim + 63) / 64
+	vMasks, cMasks := nonZeroMasks(vectors, words), nonZeroMasks(cents, words)
 	for i, v := range vectors {
+		vm := vMasks[i*words : (i+1)*words]
 		ex.Load(rv, uint64(i*dim)*8, uint64(dim)*8)
 		best, bestDist := 0, math.MaxFloat64
 		for c, cent := range cents {
@@ -218,14 +254,17 @@ func runEuclideanDistance(ex *sim.Exec, in *Dataset) *Dataset {
 			} else {
 				ex.LoadResident(centRegion, uint64(c*dim)*8, uint64(dim)*8)
 			}
+			cm := cMasks[c*words : (c+1)*words]
 			var sum float64
 			nonZero := 0
-			for j := range v {
-				d := v[j] - cent[j]
-				if v[j] != 0 || cent[j] != 0 {
-					nonZero++
+			for w, u := range vm {
+				u |= cm[w]
+				nonZero += bits.OnesCount64(u)
+				for ; u != 0; u &= u - 1 {
+					j := w*64 + bits.TrailingZeros64(u)
+					d := v[j] - cent[j]
+					sum += d * d
 				}
-				sum += d * d
 			}
 			// Sparse inputs skip multiplications for zero elements, which is
 			// how input sparsity changes the motif's behaviour.
@@ -256,7 +295,17 @@ func runCosineDistance(ex *sim.Exec, in *Dataset) *Dataset {
 	sims := make([]float64, len(vectors))
 	out := &Dataset{Floats: sims, Vectors: vectors}
 	dim := len(vectors[0])
+	words := (dim + 63) / 64
+	vMasks, cMasks := nonZeroMasks(vectors, words), nonZeroMasks(cents, words)
+	// A norm sums the squares of one vector's own non-zero elements, so
+	// each centroid's is summed once rather than once per vector.
+	cNorms := make([]float64, len(cents))
+	for c, cent := range cents {
+		cNorms[c] = sumSquares(cent, cMasks[c*words:(c+1)*words])
+	}
 	for i, v := range vectors {
+		vm := vMasks[i*words : (i+1)*words]
+		na := sumSquares(v, vm)
 		ex.Load(rv, uint64(i*dim)*8, uint64(dim)*8)
 		best := -math.MaxFloat64
 		for c, cent := range cents {
@@ -265,20 +314,21 @@ func runCosineDistance(ex *sim.Exec, in *Dataset) *Dataset {
 			} else {
 				ex.LoadResident(centRegion, uint64(c*dim)*8, uint64(dim)*8)
 			}
-			var dot, na, nb float64
+			cm := cMasks[c*words : (c+1)*words]
+			var dot float64
 			nonZero := 0
-			for j := range v {
-				if v[j] != 0 || cent[j] != 0 {
-					nonZero++
+			for w, u := range vm {
+				u |= cm[w]
+				nonZero += bits.OnesCount64(u)
+				for ; u != 0; u &= u - 1 {
+					j := w*64 + bits.TrailingZeros64(u)
+					dot += v[j] * cent[j]
 				}
-				dot += v[j] * cent[j]
-				na += v[j] * v[j]
-				nb += cent[j] * cent[j]
 			}
 			ex.Float(uint64(6*nonZero + 10))
 			ex.Int(uint64(dim))
 			var cos float64
-			if na > 0 && nb > 0 {
+			if nb := cNorms[c]; na > 0 && nb > 0 {
 				cos = dot / math.Sqrt(na*nb)
 			}
 			better := cos > best

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/bits"
+
 	"dataproxy/internal/arch"
 	"dataproxy/internal/perf"
 )
@@ -159,10 +161,10 @@ func (e *Exec) nextRand() uint64 {
 func (e *Exec) countInstr(n uint64) {
 	e.counters.L1IAccesses += n
 	e.fetchPending += n
-	fetches := e.fetchPending / e.fetchInterval
-	if fetches == 0 {
+	if e.fetchPending < e.fetchInterval {
 		return
 	}
+	fetches := e.fetchPending / e.fetchInterval
 	e.fetchPending -= fetches * e.fetchInterval
 	skip := uint64(1)
 	if limit := uint64(e.cfg.MaxModelFetchesPerCall); fetches > limit {
@@ -188,7 +190,11 @@ func (e *Exec) modelFetch(skip uint64) {
 	if e.nextRand()%1000 < jumpPerMille {
 		e.codePtr = e.nextRand() % e.codeRegion.Size()
 	} else {
+		// Kept inside the region, so Addr takes no modulo.
 		e.codePtr += 64 * skip
+		if e.codePtr >= e.codeRegion.Size() {
+			e.codePtr %= e.codeRegion.Size()
+		}
 	}
 	e.instr.accesses++
 	e.probeLine(&e.instr, e.core.Caches.L1I, e.codeRegion.Addr(e.codePtr), false)
@@ -299,7 +305,8 @@ func (e *Exec) access(r Region, off, size uint64, write bool) {
 
 	l1 := e.core.Caches.L1D
 	lineBytes := uint64(e.cfg.Profile.L1D.LineBytes)
-	lines := (size + lineBytes - 1) / lineBytes
+	// arch validates line sizes to be powers of two.
+	lines := (size + lineBytes - 1) >> bits.TrailingZeros64(lineBytes)
 	if lines == 0 {
 		lines = 1
 	}
@@ -310,6 +317,9 @@ func (e *Exec) access(r Region, off, size uint64, write bool) {
 		e.data.accesses += ops
 		e.probeLine(&e.data, l1, r.base, write)
 		return
+	}
+	if off >= r.size {
+		off %= r.size
 	}
 	if limit := uint64(e.cfg.MaxModelOpsPerCall); lines > limit {
 		// Capped call: model `limit` lines spread evenly across the run so
@@ -329,7 +339,7 @@ func (e *Exec) access(r Region, off, size uint64, write bool) {
 	}
 	var rr arch.RunResult
 	covered := ops
-	if size <= r.size-off%r.size {
+	if size <= r.size-off {
 		// Common case: the run is contiguous inside the region.  A run
 		// inside one line (every aligned word access) is one probe;
 		// otherwise one batched walk probes each touched line exactly once.

@@ -66,6 +66,9 @@ func (r Region) Size() uint64 { return r.size }
 // Addr returns the absolute synthetic address of offset off within the
 // region.  Offsets wrap around the region size so callers may index freely.
 func (r Region) Addr(off uint64) uint64 {
+	if off < r.size {
+		return r.base + off
+	}
 	if r.size == 0 {
 		return r.base
 	}
