@@ -7,7 +7,7 @@
 //	proxyd [-addr :8080] [-inflight N] [-queue N] [-jobqueue N] [-cache N] [-parallel N]
 //	       [-coalesce-window 2ms] [-coalesce-lanes N] [-log-level LEVEL]
 //	       [-state-dir DIR] [-snapshot-interval 30s] [-shutdown-timeout 10s]
-//	       [-name SHARD] [-peers name=url,...] [-gossip-interval 2s] [-gossip-batch N]
+//	       [-name SHARD] [-peers name=url,...] [-gossip-interval 2s]
 //	       [-faults SPEC] [-check-invariants] [-pprof addr]
 //
 // Endpoints:
@@ -88,8 +88,7 @@ func main() {
 	name := flag.String("name", "", `this replica's shard name, as used in peers' -peers lists (empty = "proxyd")`)
 	peers := flag.String("peers", "", `gossip partners as comma-separated name=url pairs, e.g. "s1=http://10.0.0.2:8080,s2=http://10.0.0.3:8080"`)
 	gossipInterval := flag.Duration("gossip-interval", 0, "cache-gossip cadence with -peers (0 = default 2s)")
-	gossipBatch := flag.Int("gossip-batch", 0, "max cache entries per gossip exchange (0 = default 256)")
-	faults := flag.String("faults", "", `fault-injection spec, e.g. "serve.evaluate=delay:300ms,serve.snapshot.write=error:disk full*2" (also via DATAPROXY_FAULTS)`)
+	faults := flag.String("faults", "", `fault-injection spec, e.g. "serve.evaluate=delay:300ms,serve.snapshot.write=error:disk full*2"`)
 	checkInvariants := flag.Bool("check-invariants", false, "validate measurement invariants on every simulation (also via DATAPROXY_INVARIANTS=1)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables profiling")
 	flag.Parse()
@@ -149,7 +148,6 @@ func main() {
 		Name:             *name,
 		Peers:            peerList,
 		GossipInterval:   *gossipInterval,
-		GossipBatch:      *gossipBatch,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -10,7 +10,7 @@
 // Usage:
 //
 //	proxyrouter -backends "s0=http://h0:8080,s1=http://h1:8080,s2=http://h2:8080"
-//	            [-addr :8090] [-name proxyrouter] [-vnodes 128] [-probe-interval 1s]
+//	            [-addr :8090] [-name proxyrouter] [-probe-interval 1s]
 //	            [-log-level LEVEL]
 //
 // With -log-level the router writes one structured (slog) line per request
@@ -47,7 +47,6 @@ func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	name := flag.String("name", "", `this router's name in /v1/cluster (empty = "proxyrouter")`)
 	backends := flag.String("backends", "", `proxyd replicas as comma-separated name=url pairs, e.g. "s0=http://10.0.0.1:8080,s1=http://10.0.0.2:8080"`)
-	vnodes := flag.Int("vnodes", 0, "consistent-hash points per backend (0 = default 128)")
 	probeInterval := flag.Duration("probe-interval", 0, "backend /readyz probe cadence (0 = default 1s)")
 	logLevel := flag.String("log-level", "", "structured request logging to stderr at this level (debug|info|warn|error); empty disables")
 	flag.Parse()
@@ -63,7 +62,6 @@ func main() {
 	rt, err := fleet.NewRouter(fleet.Config{
 		Name:          *name,
 		Backends:      backendList,
-		Vnodes:        *vnodes,
 		ProbeInterval: *probeInterval,
 		RequestLog:    requestLog,
 	})

@@ -144,14 +144,6 @@ type Instance struct {
 // that every proxy stays fast, far enough that traces genuinely differ.
 var settingGrid = []float64{0.25, 0.5, 0.75, 1, 1.25, 1.5}
 
-// expensiveParams caps the factor of parameters with super-linear
-// simulation cost (AI input geometry) at 1.
-var expensiveParams = map[string]bool{
-	"heightSize":  true,
-	"widthSize":   true,
-	"numChannels": true,
-}
-
 // GenerateInstance expands a config into its campaign instance.  The
 // expansion consumes the splitmix64 stream in a fixed order, so the same
 // config always yields the same instance, independent of host, process or
@@ -206,11 +198,7 @@ func randomSetting(r *rng) core.Setting {
 	n := 1 + r.intn(3)
 	for j := 0; j < n; j++ {
 		name := core.ParameterNames[r.intn(len(core.ParameterNames))]
-		f := settingGrid[r.intn(len(settingGrid))]
-		if expensiveParams[name] && f > 1 {
-			f = 1
-		}
-		s[name] = f
+		s[name] = settingGrid[r.intn(len(settingGrid))]
 	}
 	return s
 }

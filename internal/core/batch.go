@@ -368,24 +368,21 @@ func (b *Benchmark) TraceKey(s Setting) string { return b.traceKey(s) }
 func (b *Benchmark) ShapeKey(s Setting) string { return b.shapeKey(b.Base.Apply(s)) }
 
 // traceKey renders the fields of the effective parameter vector that shape
-// the execution trace: the clamped sample volume plus every parameter the
-// input generator or the task split may read.  Settings with equal trace
-// keys differ only in dataSize (with an unchanged clamped sample) and
-// weight, which enter the simulation purely as per-task extrapolation
-// factors, so their motif compute can be shared.
+// the execution trace: the input generator's arguments, the chunk size and
+// the task count.  Settings with equal trace keys differ only in dataSize
+// (with an unchanged clamped sample) and weight, which enter the
+// simulation purely as per-task extrapolation factors, so their motif
+// compute can be shared.
 func (b *Benchmark) traceKey(s Setting) string {
 	p := b.Base.Apply(s)
-	return fmt.Sprintf("%d|%d|%d|%d|%d|%d|%d|%d",
-		b.effectiveSampleBytes(p), p.ChunkSize, p.NumTasks,
-		p.BatchSize, p.TotalSize, p.HeightSize, p.WidthSize, p.NumChannels)
+	return fmt.Sprintf("%d|%d|%d|%d", b.effectiveSampleBytes(p), p.ChunkSize, p.NumTasks, p.BatchSize)
 }
 
-// shapeKey renders a trace group's shape: the fields of traceKey except
-// the chunk size and the task count, which TraceStore matches separately.
+// shapeKey renders a trace group's shape: the input generator's arguments
+// (Benchmark.Input), the fields of traceKey other than the chunk size and
+// the task count, which TraceStore matches separately.
 func (b *Benchmark) shapeKey(p Params) string {
-	return fmt.Sprintf("%d|%d|%d|%d|%d|%d",
-		b.effectiveSampleBytes(p),
-		p.BatchSize, p.TotalSize, p.HeightSize, p.WidthSize, p.NumChannels)
+	return fmt.Sprintf("%d|%d", b.effectiveSampleBytes(p), p.BatchSize)
 }
 
 // taskCount is the number of tasks a group splits each edge's input for:
@@ -410,9 +407,9 @@ func taskCount(p Params) int {
 // edges then run in topological order.
 func (b *Benchmark) runGroup(cluster *sim.Cluster, settings []Setting, from *groupTrace, input *motif.Dataset) ([]sim.Report, *groupTrace, error) {
 	ps := b.apply(settings)
-	// All settings of a group share the trace shape; ps[0] supplies every
-	// shape parameter (the Benchmark.Input contract guarantees the generator
-	// reads neither DataSize nor Weight, the only fields varying in-group).
+	// All settings of a group share the trace key; ps[0] supplies every
+	// field of it.  DataSize and Weight, the only fields varying in-group,
+	// enter only the lane scales.
 	shape := ps[0]
 	edges, err := b.sortedEdges()
 	if err != nil {
@@ -442,7 +439,7 @@ func (b *Benchmark) runGroup(cluster *sim.Cluster, settings []Setting, from *gro
 			return nil, nil, fmt.Errorf("core: benchmark %s: resuming a trace group: %w", b.Name, err)
 		}
 		batch = sim.NewReplay(cluster, len(ps))
-		b.accountTrace(batch, from, from.fixed, ps, settings)
+		b.accountTrace(batch, from, from.fixed, ps)
 		tr.input, tr.edges = from.input, from.edges[:from.fixed:from.fixed]
 		tr.fixed, tr.resume, tr.resumed = from.fixed, from.resume, true
 		datasets = copyDatasets(from.resume.datasets)
@@ -460,7 +457,7 @@ func (b *Benchmark) runGroup(cluster *sim.Cluster, settings []Setting, from *gro
 				tr.resume = &resumePoint{state: cluster.ExportState(), datasets: copyDatasets(datasets)}
 			}
 		}
-		out, err := b.runEdgeBatch(batch, node, e, in, ps, settings, tr)
+		out, err := b.runEdgeBatch(batch, node, e, in, ps, tr)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -470,10 +467,10 @@ func (b *Benchmark) runGroup(cluster *sim.Cluster, settings []Setting, from *gro
 }
 
 // generateInput generates the sampled input of a group with the given
-// shape parameters; by the Benchmark.Input contract every group of the
-// shape gets the same data set.
+// effective parameters from the shape's generator arguments, so every
+// group of the shape gets the same data set.
 func (b *Benchmark) generateInput(shape Params) *motif.Dataset {
-	if in := b.Input(7, b.effectiveSampleBytes(shape), shape); in != nil {
+	if in := b.Input(7, b.effectiveSampleBytes(shape), shape.BatchSize); in != nil {
 		return in
 	}
 	return &motif.Dataset{}
@@ -485,19 +482,19 @@ func (b *Benchmark) generateInput(shape Params) *motif.Dataset {
 func (b *Benchmark) replayGroup(proto *sim.Cluster, tr *groupTrace, settings []Setting) []sim.Report {
 	ps := b.apply(settings)
 	batch := sim.NewReplay(proto, len(ps))
-	b.accountTrace(batch, tr, len(tr.edges), ps, settings)
+	b.accountTrace(batch, tr, len(tr.edges), ps)
 	return batch.Reports(b.Name)
 }
 
 // accountTrace accounts the input stage and the first n edges of a
 // recorded trace into the batch at each lane's factors and the group's
 // task count, as runGroup accounts the stages it runs.
-func (b *Benchmark) accountTrace(batch *sim.Batch, tr *groupTrace, n int, ps []Params, settings []Setting) {
+func (b *Benchmark) accountTrace(batch *sim.Batch, tr *groupTrace, n int, ps []Params) {
 	numTasks := taskCount(ps[0])
 	batch.Account(tr.input, 0, b.inputScales(ps, b.effectiveSampleBytes(ps[0])))
 	for i := range tr.edges[:n] {
 		et := &tr.edges[i]
-		batch.Account(et.stage, numTasks, edgeScales(et, numTasks, ps, settings))
+		batch.Account(et.stage, numTasks, edgeScales(et, numTasks, ps))
 	}
 }
 
@@ -520,7 +517,7 @@ func (b *Benchmark) inputScales(ps []Params, sampleBytes uint64) []float64 {
 	scales := make([]float64, len(ps))
 	for i, p := range ps {
 		scales[i] = 1
-		if b.SpillIntermediate && p.DataSize > 0 && sampleBytes > 0 {
+		if b.SpillIntermediate {
 			scales[i] = float64(p.DataSize) / float64(sampleBytes)
 		}
 	}
@@ -528,22 +525,14 @@ func (b *Benchmark) inputScales(ps []Params, sampleBytes uint64) []float64 {
 }
 
 // edgeScales returns each lane's per-task extrapolation factor for one
-// edge, so the edge represents that lane's DataSize * Weight bytes of
-// processed data (TotalSize for a proxy without a data size), never less
-// than the sample itself.  When the input could not be split, every task
-// processes the whole sample, so the lane's work is spread across the
-// numTasks tasks.
-func edgeScales(et *edgeTrace, numTasks int, ps []Params, settings []Setting) []float64 {
+// edge, so the edge represents DataSize times the lane's Weight times the
+// edge's DAG weight bytes of processed data, never less than the sample
+// itself.  When the input could not be split, every task processes the
+// whole sample, so the lane's work is spread across the numTasks tasks.
+func edgeScales(et *edgeTrace, numTasks int, ps []Params) []float64 {
 	scales := make([]float64, len(ps))
 	for i, p := range ps {
-		work := float64(p.DataSize) * et.weight * settings[i].Get("weight")
-		if p.DataSize == 0 {
-			work = float64(p.TotalSize) * et.weight * settings[i].Get("weight")
-		}
-		if work <= 0 {
-			work = float64(et.inBytes)
-		}
-		scale := work / float64(et.inBytes)
+		scale := float64(p.DataSize) * et.weight * p.Weight / float64(et.inBytes)
 		if scale < 1 {
 			scale = 1
 		}
@@ -560,7 +549,7 @@ func edgeScales(et *edgeTrace, numTasks int, ps []Params, settings []Setting) []
 // most ChunkSize bytes, once; each lane's counters are then extrapolated by
 // edgeScales.  It appends the edge, with its chunk record, to the group's
 // trace.
-func (b *Benchmark) runEdgeBatch(batch *sim.Batch, node int, e Edge, in *motif.Dataset, ps []Params, settings []Setting, tr *groupTrace) (*motif.Dataset, error) {
+func (b *Benchmark) runEdgeBatch(batch *sim.Batch, node int, e Edge, in *motif.Dataset, ps []Params, tr *groupTrace) (*motif.Dataset, error) {
 	impl, err := motif.Lookup(e.Impl)
 	if err != nil {
 		return nil, err
@@ -569,7 +558,7 @@ func (b *Benchmark) runEdgeBatch(batch *sim.Batch, node int, e Edge, in *motif.D
 	et := edgeTrace{weight: e.Weight, inBytes: max(in.SizeBytes(), 1)}
 	shares := splitDataset(in, tr.numTasks)
 	et.shares = len(shares)
-	taskScales := edgeScales(&et, tr.numTasks, ps, settings)
+	taskScales := edgeScales(&et, tr.numTasks, ps)
 
 	outputs := make([]*motif.Dataset, len(shares))
 	tasks := make([]sim.BatchTask, len(shares))

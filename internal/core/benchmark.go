@@ -42,18 +42,14 @@ type Benchmark struct {
 	// in-process; the remaining configured DataSize is extrapolated.
 	SampleBytes uint64
 	// Input generates the (sampled) source data set with the data type and
-	// distribution of the original workload's input.
-	//
-	// Contract (relied on by RunBatch): the generator derives the data set
-	// from seed, sampleBytes and the shape parameters of p only — it must
-	// not read p.DataSize, p.Weight, p.ChunkSize or p.NumTasks.  The first
-	// two enter the simulation purely as extrapolation factors, which is
-	// what lets batched execution share one generated input across settings
-	// that differ only in them; the chunk size only decides which task
-	// shares runChunked chunks, and the task count how splitDataset splits
-	// each edge's input, which is what lets a TraceStore serve a trace to
-	// other chunk sizes and task counts.
-	Input func(seed int64, sampleBytes uint64, p Params) *motif.Dataset
+	// distribution of the original workload's input, from the generation
+	// seed, the sample volume in bytes and the effective batch size.  It
+	// sees no other parameter: dataSize and weight enter the simulation
+	// only as extrapolation factors, chunkSize only through runChunked and
+	// numTasks only through splitDataset, which is what lets RunBatch share
+	// one generated input, and a TraceStore one trace, among settings that
+	// differ in them.
+	Input func(seed int64, sampleBytes uint64, batchSize int) *motif.Dataset
 	// Edges is the DAG.
 	Edges []Edge
 	// CodeFootprintBytes models the light-weight implementation's code

@@ -20,7 +20,7 @@ func testBenchmark() *Benchmark {
 		Workload:    "test",
 		Base:        Params{DataSize: 64 << 20, ChunkSize: 1 << 20, NumTasks: 4, Weight: 1},
 		SampleBytes: 256 << 10,
-		Input: func(seed int64, sampleBytes uint64, p Params) *motif.Dataset {
+		Input: func(seed int64, sampleBytes uint64, _ int) *motif.Dataset {
 			recs, _ := datagen.GenerateRecords(datagen.TextConfig{Seed: seed, Records: int(sampleBytes / datagen.RecordSize)})
 			return &motif.Dataset{Records: recs}
 		},
@@ -105,14 +105,13 @@ func TestSettingCanonical(t *testing.T) {
 }
 
 func TestParamsApply(t *testing.T) {
-	p := Params{DataSize: 1000, ChunkSize: 100, NumTasks: 8, Weight: 1, BatchSize: 16,
-		TotalSize: 2000, HeightSize: 32, WidthSize: 32, NumChannels: 3}
-	s := Setting{"dataSize": 2, "numTasks": 0.5, "batchSize": 2, "heightSize": 2}
+	p := Params{DataSize: 1000, ChunkSize: 100, NumTasks: 8, Weight: 1, BatchSize: 16}
+	s := Setting{"dataSize": 2, "numTasks": 0.5, "batchSize": 2, "weight": 0.25}
 	out := p.Apply(s)
-	if out.DataSize != 2000 || out.NumTasks != 4 || out.BatchSize != 32 || out.HeightSize != 64 {
+	if out.DataSize != 2000 || out.NumTasks != 4 || out.BatchSize != 32 || out.Weight != 0.25 {
 		t.Fatalf("Apply produced %+v", out)
 	}
-	if out.ChunkSize != 100 || out.WidthSize != 32 {
+	if out.ChunkSize != 100 {
 		t.Fatal("untouched parameters should be preserved")
 	}
 	// Factors never drive a non-zero parameter to zero.
@@ -134,10 +133,16 @@ func TestParamsValidate(t *testing.T) {
 	if err := (Params{DataSize: 1, Weight: -1}).Validate(); err == nil {
 		t.Fatal("negative weight should be rejected")
 	}
-	if err := (Params{DataSize: 1, NumTasks: -1}).Validate(); err == nil {
+	if err := (Params{DataSize: 1}).Validate(); err == nil {
+		t.Fatal("zero weight should be rejected: it would zero every edge's work")
+	}
+	if err := (Params{DataSize: 1, NumTasks: -1, Weight: 1}).Validate(); err == nil {
 		t.Fatal("negative task count should be rejected")
 	}
-	if err := (Params{TotalSize: 100, BatchSize: 4}).Validate(); err != nil {
+	if err := (Params{BatchSize: 4, Weight: 1}).Validate(); err == nil {
+		t.Fatal("parameters without a dataSize should be rejected")
+	}
+	if err := (Params{DataSize: 1 << 30, BatchSize: 4, Weight: 1}).Validate(); err != nil {
 		t.Fatalf("AI-style parameters should validate: %v", err)
 	}
 }
@@ -296,7 +301,7 @@ func TestNumTasksFactorAffectsRuntimeNotVolume(t *testing.T) {
 
 func TestRunEmptyInputStillCompletes(t *testing.T) {
 	b := testBenchmark()
-	b.Input = func(seed int64, sampleBytes uint64, p Params) *motif.Dataset { return nil }
+	b.Input = func(seed int64, sampleBytes uint64, _ int) *motif.Dataset { return nil }
 	rep, err := Run(singleNodeCluster(), b, nil)
 	if err != nil {
 		t.Fatal(err)

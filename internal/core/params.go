@@ -12,44 +12,35 @@ import (
 	"sort"
 )
 
-// Params is the tunable parameter vector P of Table I.  The first four
-// parameters apply to big data motifs, the remaining ones to AI data motifs;
-// a zero value means "not applicable" for the motif at hand, exactly as the
-// paper sets unrelated elements of P to zero.
+// Params is the part of Table I's tunable parameter vector P that
+// execution reads.  The paper's AI geometry knobs (totalSize, heightSize,
+// widthSize, numChannels) are not here: no proxy's input generator or motif
+// reads them, so they would tune nothing.  A zero ChunkSize, NumTasks or
+// BatchSize means "not applicable" for the proxy at hand, as the paper
+// sets unrelated elements of P to zero; DataSize and Weight are required.
 type Params struct {
-	// DataSize is the input data size processed by the proxy benchmark, in
-	// bytes.
+	// DataSize is the input data size the proxy benchmark represents, in
+	// bytes; every edge extrapolates its sample to DataSize * Weight times
+	// its own DAG weight.
 	DataSize uint64
 	// ChunkSize is the data block size processed by each thread, in bytes.
 	ChunkSize uint64
 	// NumTasks is the process/thread count per motif.
 	NumTasks int
-	// Weight is the default contribution of a motif when an edge does not
-	// specify its own.
+	// Weight multiplies every edge's DAG weight.
 	Weight float64
-
 	// BatchSize is the per-iteration batch size for AI data motifs.
 	BatchSize int
-	// TotalSize is the total number of input samples for AI data motifs.
-	TotalSize uint64
-	// HeightSize, WidthSize and NumChannels describe one AI input or filter.
-	HeightSize  int
-	WidthSize   int
-	NumChannels int
 }
 
-// ParameterNames lists the tunable parameter names of Table I in canonical
-// order; Setting keys must come from this list.
+// ParameterNames lists the tunable parameter names in canonical order;
+// Setting keys must come from this list.  Each names one field of Params.
 var ParameterNames = []string{
 	"dataSize",
 	"chunkSize",
 	"numTasks",
 	"weight",
 	"batchSize",
-	"totalSize",
-	"heightSize",
-	"widthSize",
-	"numChannels",
 }
 
 // Setting is a concrete assignment of the tunable parameters expressed as
@@ -166,10 +157,6 @@ func (p Params) Apply(s Setting) Params {
 	out.NumTasks = scaleInt(p.NumTasks, s.Get("numTasks"))
 	out.Weight = p.Weight * s.Get("weight")
 	out.BatchSize = scaleInt(p.BatchSize, s.Get("batchSize"))
-	out.TotalSize = scaleU64(p.TotalSize, s.Get("totalSize"))
-	out.HeightSize = scaleInt(p.HeightSize, s.Get("heightSize"))
-	out.WidthSize = scaleInt(p.WidthSize, s.Get("widthSize"))
-	out.NumChannels = scaleInt(p.NumChannels, s.Get("numChannels"))
 	return out
 }
 
@@ -197,14 +184,14 @@ func scaleInt(v int, f float64) int {
 
 // Validate rejects obviously broken base parameters.
 func (p Params) Validate() error {
-	if p.DataSize == 0 && p.TotalSize == 0 {
-		return fmt.Errorf("core: parameters define neither dataSize nor totalSize")
+	if p.DataSize == 0 {
+		return fmt.Errorf("core: parameters define no dataSize")
 	}
 	if p.NumTasks < 0 || p.BatchSize < 0 {
 		return fmt.Errorf("core: negative task or batch count")
 	}
-	if p.Weight < 0 {
-		return fmt.Errorf("core: negative weight")
+	if p.Weight <= 0 {
+		return fmt.Errorf("core: non-positive weight")
 	}
 	return nil
 }

@@ -9,7 +9,9 @@ import (
 	"dataproxy/internal/workloads"
 )
 
-// Table1 renders the tunable parameters of each data motif (Table I).
+// Table1 renders the tunable parameters of each data motif (Table I) as
+// the paper lists them.  core.ParameterNames holds the ones a proxy here
+// reads; the AI geometry rows (totalSize to numChannels) move no proxy.
 func Table1() string {
 	rows := [][]string{
 		{"dataSize", "The input data size for each big data motif"},

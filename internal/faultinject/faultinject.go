@@ -11,8 +11,7 @@
 // once per simulation or per snapshot, never per modelled access.
 //
 // Faults are armed programmatically (Set, from tests) or from a spec string
-// (Configure, from proxyd's -faults flag or the DATAPROXY_FAULTS
-// environment variable):
+// (Configure, from proxyd's -faults flag):
 //
 //	site=delay:50ms          sleep before proceeding
 //	site=error:message       return an injected error

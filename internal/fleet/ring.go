@@ -40,12 +40,8 @@ type Ring struct {
 }
 
 // NewRing builds a ring over the given node names (order-insensitive,
-// duplicates ignored) with vnodes points per node (<= 0 selects
-// DefaultVnodes).
+// duplicates ignored) with vnodes points per node.
 func NewRing(nodes []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
 	uniq := make([]string, 0, len(nodes))
 	seen := make(map[string]bool, len(nodes))
 	for _, n := range nodes {

@@ -30,7 +30,7 @@ func aliveAllBut(dead ...string) func(string) bool {
 // TestRingSingleNodeOwnsEverything is the degenerate fleet: with one node
 // every key maps to it and it owns the whole keyspace.
 func TestRingSingleNodeOwnsEverything(t *testing.T) {
-	r := NewRing([]string{"solo"}, 0)
+	r := NewRing([]string{"solo"}, DefaultVnodes)
 	for _, k := range testKeys(100) {
 		owner, ok := r.Owner(k, nil)
 		if !ok || owner != "solo" {
@@ -62,7 +62,7 @@ func TestRingOwnerIgnoresConstructionOrder(t *testing.T) {
 // key must land on a survivor.
 func TestRingRebalanceMovesOnlyDeadKeyspace(t *testing.T) {
 	nodes := []string{"s0", "s1", "s2", "s3", "s4"}
-	r := NewRing(nodes, 0)
+	r := NewRing(nodes, DefaultVnodes)
 	keys := testKeys(2000)
 	before := make(map[string]string, len(keys))
 	for _, k := range keys {
@@ -99,7 +99,7 @@ func TestRingRebalanceMovesOnlyDeadKeyspace(t *testing.T) {
 // TestRingSharesArePartition checks the keyspace shares form a probability
 // partition and stay reasonably balanced at the default vnode count.
 func TestRingSharesArePartition(t *testing.T) {
-	r := NewRing([]string{"s0", "s1", "s2"}, 0)
+	r := NewRing([]string{"s0", "s1", "s2"}, DefaultVnodes)
 	for _, alive := range []func(string) bool{nil, aliveAllBut("s1")} {
 		shares := r.Shares(alive)
 		sum := 0.0
@@ -182,7 +182,7 @@ func TestShardingKeys(t *testing.T) {
 	// weight with every dataSize inside the sample clamp, is one shape: it
 	// maps to one owner of a two-replica ring, so one replica's store serves
 	// all its trace groups.
-	ring := NewRing([]string{"r0", "r1"}, 0)
+	ring := NewRing([]string{"r0", "r1"}, DefaultVnodes)
 	for _, w := range []string{"terasort", "kmeans", "alexnet", "inception"} {
 		owners := map[string]bool{}
 		for _, chunk := range []float64{0.5, 1.2, 2} {

@@ -39,9 +39,6 @@ type Config struct {
 	// required; names must be unique and must not contain ".", the job-ID
 	// separator.
 	Backends []Backend
-	// Vnodes is the consistent-hash points per backend (<= 0 selects
-	// DefaultVnodes).
-	Vnodes int
 	// ProbeInterval is the cadence of background /readyz health probes.
 	// Zero selects 1 second.
 	ProbeInterval time.Duration
@@ -133,7 +130,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		names = append(names, b.Name)
 	}
 	sort.Slice(rt.backends, func(i, j int) bool { return rt.backends[i].name < rt.backends[j].name })
-	rt.ring = NewRing(names, cfg.Vnodes)
+	rt.ring = NewRing(names, DefaultVnodes)
 	rt.routes()
 	rt.done.Add(1)
 	go rt.probeLoop()

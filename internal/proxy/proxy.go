@@ -32,7 +32,7 @@ func TeraSort() *core.Benchmark {
 		Base:              core.Params{DataSize: 2 * gib, ChunkSize: 64 * mib, NumTasks: 8, Weight: 1},
 		SampleBytes:       1536 * 1024,
 		SpillIntermediate: true,
-		Input: func(seed int64, sampleBytes uint64, p core.Params) *motif.Dataset {
+		Input: func(seed int64, sampleBytes uint64, _ int) *motif.Dataset {
 			recs, err := datagen.GenerateRecords(datagen.TextConfig{
 				Seed:    seed,
 				Records: int(sampleBytes / datagen.RecordSize),
@@ -69,7 +69,7 @@ func KMeansWithSparsity(sparsity float64) *core.Benchmark {
 		Base:              core.Params{DataSize: 3 * gib, ChunkSize: 32 * mib, NumTasks: 8, Weight: 1},
 		SampleBytes:       2 * mib,
 		SpillIntermediate: true,
-		Input: func(seed int64, sampleBytes uint64, p core.Params) *motif.Dataset {
+		Input: func(seed int64, sampleBytes uint64, _ int) *motif.Dataset {
 			count := int(sampleBytes / (dim * 8))
 			vecs, err := datagen.GenerateVectors(datagen.VectorConfig{
 				Seed: seed, Count: count, Dim: dim, Sparsity: sparsity,
@@ -98,7 +98,7 @@ func PageRank() *core.Benchmark {
 		Base:              core.Params{DataSize: 2 * gib, ChunkSize: 32 * mib, NumTasks: 8, Weight: 1},
 		SampleBytes:       2 * mib,
 		SpillIntermediate: true,
-		Input: func(seed int64, sampleBytes uint64, p core.Params) *motif.Dataset {
+		Input: func(seed int64, sampleBytes uint64, _ int) *motif.Dataset {
 			vertices := int(sampleBytes / 200)
 			g, err := datagen.GeneratePowerLawGraph(datagen.GraphConfig{
 				Seed: seed, Vertices: vertices, AvgDegree: 16,
@@ -119,16 +119,17 @@ func PageRank() *core.Benchmark {
 }
 
 // imageInput builds an NCHW tensor data set of synthetic images with the
-// given geometry, standing in for CIFAR-10 / ILSVRC2012 samples.
-func imageInput(channels, height, width int) func(seed int64, sampleBytes uint64, p core.Params) *motif.Dataset {
-	return func(seed int64, sampleBytes uint64, p core.Params) *motif.Dataset {
+// given geometry, standing in for CIFAR-10 / ILSVRC2012 samples: as many
+// images as the sample holds, at least one and at most the batch size.
+func imageInput(channels, height, width int) func(seed int64, sampleBytes uint64, batchSize int) *motif.Dataset {
+	return func(seed int64, sampleBytes uint64, batchSize int) *motif.Dataset {
 		perImage := uint64(channels*height*width) * 4
 		count := int(sampleBytes / perImage)
 		if count < 1 {
 			count = 1
 		}
-		if p.BatchSize > 0 && count > p.BatchSize {
-			count = p.BatchSize
+		if batchSize > 0 && count > batchSize {
+			count = batchSize
 		}
 		images, err := datagen.GenerateImages(datagen.ImageConfig{
 			Seed: seed, Count: count, Channels: channels, Height: height, Width: width,
@@ -145,12 +146,9 @@ func imageInput(channels, height, width int) func(seed int64, sampleBytes uint64
 // and batch normalisation over CIFAR-10-shaped image batches (Table III).
 func AlexNet() *core.Benchmark {
 	return &core.Benchmark{
-		Name:     "Proxy AlexNet",
-		Workload: "alexnet",
-		Base: core.Params{
-			DataSize: 1 * gib, ChunkSize: 8 * mib, NumTasks: 8, Weight: 1,
-			BatchSize: 8, TotalSize: 1 * gib, HeightSize: 32, WidthSize: 32, NumChannels: 3,
-		},
+		Name:        "Proxy AlexNet",
+		Workload:    "alexnet",
+		Base:        core.Params{DataSize: 1 * gib, ChunkSize: 8 * mib, NumTasks: 8, Weight: 1, BatchSize: 8},
 		SampleBytes: 8 * uint64(3*32*32) * 4,
 		Input:       imageInput(3, 32, 32),
 		Edges: []core.Edge{
@@ -168,12 +166,9 @@ func AlexNet() *core.Benchmark {
 func InceptionV3() *core.Benchmark {
 	const side = 75 // 299/4, matching the scaled-down real-workload model
 	return &core.Benchmark{
-		Name:     "Proxy Inception-V3",
-		Workload: "inception",
-		Base: core.Params{
-			DataSize: 2 * gib, ChunkSize: 8 * mib, NumTasks: 8, Weight: 1,
-			BatchSize: 4, TotalSize: 2 * gib, HeightSize: side, WidthSize: side, NumChannels: 3,
-		},
+		Name:        "Proxy Inception-V3",
+		Workload:    "inception",
+		Base:        core.Params{DataSize: 2 * gib, ChunkSize: 8 * mib, NumTasks: 8, Weight: 1, BatchSize: 4},
 		SampleBytes: 4 * uint64(3*side*side) * 4,
 		Input:       imageInput(3, side, side),
 		Edges: []core.Edge{

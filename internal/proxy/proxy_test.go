@@ -186,3 +186,56 @@ func TestAIProxiesAreFloatHeavyAndBigDataProxiesAreNot(t *testing.T) {
 		t.Fatalf("Proxy AlexNet float ratio %.3f should be large", alex)
 	}
 }
+
+// knobCases names, for every tunable parameter, a proxy and a factor that
+// moves that proxy's report.  A knob that moves no proxy tunes nothing, so
+// it does not belong in core.ParameterNames.
+var knobCases = []struct {
+	name     string
+	workload string
+	factor   float64
+}{
+	{"dataSize", "terasort", 0.5},
+	{"chunkSize", "terasort", 0.001},
+	{"numTasks", "terasort", 0.5},
+	{"weight", "terasort", 0.5},
+	{"batchSize", "alexnet", 0.5},
+}
+
+// TestEveryKnobMovesAProxy fails when a name in core.ParameterNames has no
+// row in knobCases, or when a row's factor leaves its proxy's metrics and
+// runtime on Westmere exactly as the default setting leaves them.
+func TestEveryKnobMovesAProxy(t *testing.T) {
+	listed := map[string]bool{}
+	for _, c := range knobCases {
+		listed[c.name] = true
+	}
+	for _, name := range core.ParameterNames {
+		if !listed[name] {
+			t.Errorf("tunable parameter %q has no knobCases row naming a proxy it moves", name)
+		}
+	}
+	run := func(workload string, s core.Setting) sim.Report {
+		b, err := ForWorkload(workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := core.Run(sim.MustNewCluster(sim.SingleNode(arch.Westmere(), 0)), b, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	defaults := map[string]sim.Report{}
+	for _, c := range knobCases {
+		base, ok := defaults[c.workload]
+		if !ok {
+			base = run(c.workload, nil)
+			defaults[c.workload] = base
+		}
+		rep := run(c.workload, core.Setting{c.name: c.factor})
+		if rep.Metrics == base.Metrics && rep.Runtime == base.Runtime {
+			t.Errorf("%s=%g leaves %s's metrics and runtime unchanged", c.name, c.factor, c.workload)
+		}
+	}
+}

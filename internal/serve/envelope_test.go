@@ -47,7 +47,9 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 		{"unknown arch", "POST", "/v1/run", `{"workload":"terasort","arch":"alpha"}`, false, 400, client.CodeBadRequest},
 		{"setting and settings", "POST", "/v1/run", `{"workload":"terasort","setting":{},"settings":[{}]}`, false, 400, client.CodeBadRequest},
 		{"empty batch", "POST", "/v1/run", `{"workload":"terasort","settings":[]}`, false, 400, client.CodeBadRequest},
+		{"deleted run parameter", "POST", "/v1/run", `{"workload":"alexnet","setting":{"heightSize":2}}`, false, 400, client.CodeBadRequest},
 		{"bad tune threshold", "POST", "/v1/tune", `{"workload":"terasort","threshold":2}`, false, 400, client.CodeBadRequest},
+		{"deleted tune parameter", "POST", "/v1/tune", `{"workload":"alexnet","parameters":["totalSize"]}`, false, 400, client.CodeBadRequest},
 		{"unknown job", "GET", "/v1/jobs/job-999", "", false, 404, client.CodeNotFound},
 		{"unmatched route", "GET", "/v1/nope", "", false, 404, client.CodeNotFound},
 		{"wrong method", "GET", "/v1/run", "", false, 405, client.CodeBadRequest},

@@ -96,13 +96,13 @@ type peerManager struct {
 	skippedTotal   atomic.Int64
 }
 
-func newPeerManager(s *Server, peers []Peer, interval time.Duration, batch int) *peerManager {
+func newPeerManager(s *Server, peers []Peer, interval time.Duration) *peerManager {
 	pm := &peerManager{
 		srv:      s,
 		byName:   make(map[string]*peerState, len(peers)),
 		hc:       &http.Client{Timeout: 10 * time.Second},
 		interval: interval,
-		batch:    batch,
+		batch:    gossipBatch,
 	}
 	for _, p := range peers {
 		ps := &peerState{name: p.Name, url: p.URL, acked: make(map[string]struct{})}

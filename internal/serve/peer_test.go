@@ -31,7 +31,7 @@ func newPeerPair(t *testing.T) (a, b *Server, aURL, bURL string) {
 		GossipInterval: time.Hour,
 	})
 	// Point b back at a for the reverse direction.
-	bSrv.peers = newPeerManager(bSrv, []Peer{{Name: "s0", URL: aTS.URL}}, time.Hour, bSrv.cfg.GossipBatch)
+	bSrv.peers = newPeerManager(bSrv, []Peer{{Name: "s0", URL: aTS.URL}}, time.Hour)
 	return aSrv, bSrv, aTS.URL, bTS.URL
 }
 
@@ -123,7 +123,8 @@ func TestGossipNeverOverwritesLiveEntry(t *testing.T) {
 }
 
 // TestGossipBatchIsBounded pins the anti-entropy bound: one round sends at
-// most GossipBatch entries per peer, and later rounds drain the rest.
+// most the peer manager's batch of entries per peer, and later rounds drain
+// the rest.
 func TestGossipBatchIsBounded(t *testing.T) {
 	a, _, _, _ := newPeerPair(t)
 	a.peers.batch = 2

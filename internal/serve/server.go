@@ -84,10 +84,6 @@ type Config struct {
 	// request (method, route, status, duration, shard, coalesced flag).
 	// Nil disables request logging.
 	RequestLog *slog.Logger
-	// MaxJobHistory bounds the retained job records: beyond it the oldest
-	// finished jobs are pruned (queued/running jobs never are).  Zero
-	// selects 1024.
-	MaxJobHistory int
 	// StateDir, when non-empty, makes the server durable: the result cache
 	// and job table are restored from StateDir at startup and snapshotted
 	// back periodically and on graceful drain.  Empty disables persistence.
@@ -107,10 +103,16 @@ type Config struct {
 	// GossipInterval is the cadence of anti-entropy exchanges when Peers is
 	// non-empty.  Zero selects 2 seconds.
 	GossipInterval time.Duration
-	// GossipBatch bounds how many memo entries one exchange may carry per
-	// peer.  Zero selects 256.
-	GossipBatch int
 }
+
+const (
+	// maxJobHistory bounds the retained job records: beyond it the oldest
+	// finished jobs are pruned (queued/running jobs never are).
+	maxJobHistory = 1024
+	// gossipBatch bounds how many memo entries one gossip exchange may
+	// carry per peer.
+	gossipBatch = 256
+)
 
 func (c Config) withDefaults() Config {
 	if c.MaxInFlight <= 0 {
@@ -140,9 +142,6 @@ func (c Config) withDefaults() Config {
 	case c.CoalesceLanes < 0:
 		c.CoalesceLanes = 1
 	}
-	if c.MaxJobHistory <= 0 {
-		c.MaxJobHistory = 1024
-	}
 	if c.SnapshotInterval <= 0 {
 		c.SnapshotInterval = 30 * time.Second
 	}
@@ -154,9 +153,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.GossipInterval <= 0 {
 		c.GossipInterval = 2 * time.Second
-	}
-	if c.GossipBatch <= 0 {
-		c.GossipBatch = 256
 	}
 	return c
 }
@@ -216,7 +212,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		mux:       apihttp.NewMux(cfg.RequestLog, "shard", cfg.Name),
 		sched:     newScheduler(cfg.MaxInFlight, cfg.QueueDepth, cfg.MaxCacheEntries, cfg.CoalesceWindow, cfg.CoalesceLanes, protos),
-		jobs:      newJobStore(cfg.MaxJobHistory),
+		jobs:      newJobStore(maxJobHistory),
 		realMemo:  tuner.NewMemo(),
 		tuneQueue: make(chan tuneJob, cfg.JobQueueDepth),
 		stop:      make(chan struct{}),
@@ -232,7 +228,7 @@ func New(cfg Config) (*Server, error) {
 		go s.state.snapshotLoop(cfg.SnapshotInterval)
 	}
 	if len(cfg.Peers) > 0 {
-		s.peers = newPeerManager(s, cfg.Peers, cfg.GossipInterval, cfg.GossipBatch)
+		s.peers = newPeerManager(s, cfg.Peers, cfg.GossipInterval)
 		s.done.Add(1)
 		go s.peers.gossipLoop()
 	}

@@ -138,7 +138,7 @@ func SmallBenchmark() *core.Benchmark {
 		Workload:    "test",
 		Base:        core.Params{DataSize: 256 << 20, ChunkSize: 8 << 20, NumTasks: 4, Weight: 1},
 		SampleBytes: 128 << 10,
-		Input: func(seed int64, sampleBytes uint64, p core.Params) *motif.Dataset {
+		Input: func(seed int64, sampleBytes uint64, _ int) *motif.Dataset {
 			recs, _ := datagen.GenerateRecords(datagen.TextConfig{Seed: seed, Records: int(sampleBytes / datagen.RecordSize)})
 			return &motif.Dataset{Records: recs}
 		},
@@ -164,7 +164,7 @@ func GraphBenchmark() *core.Benchmark {
 		Base:              core.Params{DataSize: 256 << 20, ChunkSize: 1 << 20, NumTasks: 4, Weight: 1},
 		SampleBytes:       20000,
 		SpillIntermediate: true,
-		Input: func(seed int64, sampleBytes uint64, p core.Params) *motif.Dataset {
+		Input: func(seed int64, sampleBytes uint64, _ int) *motif.Dataset {
 			g, err := datagen.GeneratePowerLawGraph(datagen.GraphConfig{Seed: seed, Vertices: int(sampleBytes / 200), AvgDegree: 8})
 			if err != nil {
 				return &motif.Dataset{}
