@@ -137,8 +137,8 @@ func readSummary(r io.Reader) (summary, error) {
 }
 
 // stripProcSuffix removes the trailing `-P` GOMAXPROCS marker go test
-// appends to benchmark names ("BenchmarkCacheAccessRun-4" ->
-// "BenchmarkCacheAccessRun").  Sub-benchmark separators are untouched.
+// appends to benchmark names ("BenchmarkCacheAccessLine-4" ->
+// "BenchmarkCacheAccessLine").  Sub-benchmark separators are untouched.
 // Corollary: tracked benchmark (or sub-benchmark) names must not themselves
 // end in "-<digits>" — at GOMAXPROCS=1 go test omits its marker and such a
 // name would be over-stripped; prefer "size=1024" over "size-1024".

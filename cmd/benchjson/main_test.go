@@ -16,9 +16,9 @@ func bench(name string, ns float64, allocs float64) result {
 }
 
 func TestCompareWithinToleranceAndNewBenchPasses(t *testing.T) {
-	base := summary{Benchmarks: []result{bench("BenchmarkCacheAccessRun", 1000, 0)}}
+	base := summary{Benchmarks: []result{bench("BenchmarkCacheAccessLine", 1000, 0)}}
 	fresh := summary{Benchmarks: []result{
-		bench("BenchmarkCacheAccessRun", 1200, 0),
+		bench("BenchmarkCacheAccessLine", 1200, 0),
 		bench("BenchmarkBrandNew", 50, 3),
 	}}
 	if failures := compare(io.Discard, base, fresh, 0.25); len(failures) != 0 {
@@ -27,8 +27,8 @@ func TestCompareWithinToleranceAndNewBenchPasses(t *testing.T) {
 }
 
 func TestCompareFailsOnRegression(t *testing.T) {
-	base := summary{Benchmarks: []result{bench("BenchmarkCacheAccessRun", 1000, 0)}}
-	fresh := summary{Benchmarks: []result{bench("BenchmarkCacheAccessRun", 2000, 0)}}
+	base := summary{Benchmarks: []result{bench("BenchmarkCacheAccessLine", 1000, 0)}}
+	fresh := summary{Benchmarks: []result{bench("BenchmarkCacheAccessLine", 2000, 0)}}
 	failures := compare(io.Discard, base, fresh, 0.25)
 	if len(failures) != 1 || !strings.Contains(failures[0], "regressed") {
 		t.Fatalf("2x slowdown must fail the gate, got %v", failures)
@@ -67,9 +67,9 @@ func TestReadSummaryParsesGoTestJSON(t *testing.T) {
 
 func TestStripProcSuffix(t *testing.T) {
 	for in, want := range map[string]string{
-		"BenchmarkCacheAccessRun-4":       "BenchmarkCacheAccessRun",
-		"BenchmarkExecLoad/hot/perword-8": "BenchmarkExecLoad/hot/perword",
-		"BenchmarkCacheAccessRun":         "BenchmarkCacheAccessRun",
+		"BenchmarkCacheAccessLine-4":      "BenchmarkCacheAccessLine",
+		"BenchmarkExecLoad/hot/batched-8": "BenchmarkExecLoad/hot/batched",
+		"BenchmarkCacheAccessLine":        "BenchmarkCacheAccessLine",
 		"BenchmarkTune/sequential":        "BenchmarkTune/sequential",
 	} {
 		if got := stripProcSuffix(in); got != want {

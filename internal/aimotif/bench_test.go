@@ -32,7 +32,7 @@ func benchmarkConv(b *testing.B, workers int) {
 			if _, err := Conv2D(ex, nil, in, filters, ConvConfig{Stride: 1, Padding: 1}); err != nil {
 				b.Fatal(err)
 			}
-		}}}, 0)
+		}}}, 0, 1)
 	}
 }
 

@@ -31,7 +31,7 @@ func runKernel(t *testing.T, fn func(ex *sim.Exec) *tensor.Tensor) (*tensor.Tens
 	var out *tensor.Tensor
 	cluster.RunStage("kernel", []sim.Task{{Node: -1, Fn: func(ex *sim.Exec) {
 		out = fn(ex)
-	}}}, 0)
+	}}}, 0, 1)
 	cnt := cluster.Nodes()[0].Counters()
 	return out, cnt.Instructions(), cnt.Cycles
 }

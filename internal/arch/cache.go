@@ -15,11 +15,10 @@
 // it is organised for speed: each cache keeps its lines in one contiguous
 // slab indexed by set*ways+way, tag/valid/dirty are packed into a single
 // word, and the hierarchy is walked iteratively over a fixed level array
-// rather than by recursion.  AccessLine is that walk, the one way a probe
-// moves down the hierarchy: it returns the level that hit, and its callers
-// add up the rest.  Access loops over it once for one address, and the
-// batched AccessRun once per cache line of a sequential run instead of once
-// per word.
+// rather than by recursion.  AccessLine is that walk and the only way to
+// probe the hierarchy: it moves one line probe down the levels and returns
+// the level that hit, and its callers fold the levels into their own
+// statistics.
 package arch
 
 import "fmt"
@@ -63,7 +62,7 @@ func (c CacheConfig) Validate() error {
 	return nil
 }
 
-// maxLevels is the deepest hierarchy a single Access walks (L1 → L2 → L3 →
+// maxLevels is the deepest hierarchy a single AccessLine walks (L1 → L2 → L3 →
 // one spare).  Chains are fixed at construction, so the walk happens over a
 // fixed-size array with no pointer chasing beyond the per-level cache.
 const maxLevels = 4
@@ -99,12 +98,6 @@ type Cache struct {
 	// through next pointers.
 	levels [maxLevels]*Cache
 	depth  int
-	// latency[l] is the summed hit latency of levels 0..l, the latency of a
-	// probe that hit at level l; latency[depth] is that of a probe that went
-	// to memory.  memLineBytes is the last level's line size, the bytes one
-	// memory access moves.
-	latency      [maxLevels + 1]uint64
-	memLineBytes uint64
 
 	hits   uint64
 	misses uint64
@@ -146,13 +139,6 @@ func NewCache(cfg CacheConfig, next *Cache) *Cache {
 		c.levels[c.depth] = lvl
 		c.depth++
 	}
-	var sum uint64
-	for i, lvl := range c.levels[:c.depth] {
-		sum += uint64(lvl.cfg.LatencyCycles)
-		c.latency[i] = sum
-	}
-	c.latency[c.depth] = sum
-	c.memLineBytes = uint64(c.levels[c.depth-1].cfg.LineBytes)
 	return c
 }
 
@@ -233,37 +219,10 @@ func (c *Cache) probe(addr uint64, write bool) bool {
 	return false
 }
 
-// AccessResult describes the outcome of a cache access as it propagated
-// through the hierarchy.
-type AccessResult struct {
-	// HitLevel is 1-based index of the level that hit (1 = this cache);
-	// 0 means the access missed every level and went to memory.
-	HitLevel int
-	// Latency is the total modelled latency in cycles, excluding memory.
-	Latency int
-	// MemoryBytes is the number of bytes transferred from/to memory
-	// (one line per last-level miss).
-	MemoryBytes int
-}
-
-// Access simulates an access to addr.  write marks stores (used for
-// write-allocate accounting).  The access is forwarded down the hierarchy on
-// a miss and the aggregated result is returned.
-func (c *Cache) Access(addr uint64, write bool) AccessResult {
-	lvl := c.AccessLine(addr, write)
-	res := AccessResult{Latency: int(c.latency[lvl])}
-	if lvl < c.depth {
-		res.HitLevel = lvl + 1
-	} else {
-		res.MemoryBytes = int(c.memLineBytes)
-	}
-	return res
-}
-
 // AccessLine pushes one probe of the line holding addr through the level
 // array and returns the 0-based level that hit, or the hierarchy's depth
 // (Depth) when the probe missed every level and went to memory.  It is the
-// only walk of the hierarchy; Access and AccessRun loop over it.
+// only walk of the hierarchy: a multi-line run is one call per line.
 func (c *Cache) AccessLine(addr uint64, write bool) int {
 	addr &^= c.lineMask
 	for i := 0; i < c.depth; i++ {
@@ -277,67 +236,6 @@ func (c *Cache) AccessLine(addr uint64, write bool) int {
 // Depth returns the number of levels from this cache down to memory, the
 // level AccessLine reports for a probe that went to memory.
 func (c *Cache) Depth() int { return c.depth }
-
-// RunResult aggregates the outcome of a batched, line-granular run of
-// accesses through the hierarchy.  All counts are in line probes, not words:
-// a sequential run's intra-line word accesses are L1 hits by construction
-// and are accounted arithmetically by the caller.
-type RunResult struct {
-	// LineAccesses is the number of line-granular probes performed.
-	LineAccesses uint64
-	// LevelHits[i] is the number of probes that hit at level i+1 (relative
-	// to the cache AccessRun was called on).
-	LevelHits [maxLevels]uint64
-	// MemAccesses is the number of probes that missed every level.
-	MemAccesses uint64
-	// LatencyCycles is the summed hierarchy latency of all probes,
-	// excluding memory.
-	LatencyCycles uint64
-	// MemoryBytes is the number of bytes transferred from memory (one line
-	// per last-level miss).
-	MemoryBytes uint64
-}
-
-// Add merges o into r, so sampled sub-runs can be aggregated.
-func (r *RunResult) Add(o RunResult) {
-	r.LineAccesses += o.LineAccesses
-	for i := range r.LevelHits {
-		r.LevelHits[i] += o.LevelHits[i]
-	}
-	r.MemAccesses += o.MemAccesses
-	r.LatencyCycles += o.LatencyCycles
-	r.MemoryBytes += o.MemoryBytes
-}
-
-// AccessRun simulates a sequential run of bytes bytes starting at addr by
-// probing the hierarchy once per cache line the run touches, and returns the
-// aggregated per-level outcome.  It is equivalent — in per-level line
-// hit/miss counts and in replacement decisions — to issuing one Access per
-// touched line, but an order of magnitude cheaper than the per-word driving
-// style because intra-line accesses never reach the model.
-func (c *Cache) AccessRun(addr, bytes uint64, write bool) RunResult {
-	var rr RunResult
-	if bytes == 0 {
-		return rr
-	}
-	lineBytes := uint64(c.cfg.LineBytes)
-	last := (addr + bytes - 1) &^ c.lineMask
-	for a := addr &^ c.lineMask; ; a += lineBytes {
-		lvl := c.AccessLine(a, write)
-		rr.LineAccesses++
-		rr.LatencyCycles += c.latency[lvl]
-		if lvl < c.depth {
-			rr.LevelHits[lvl]++
-		} else {
-			rr.MemAccesses++
-			rr.MemoryBytes += c.memLineBytes
-		}
-		if a == last {
-			break
-		}
-	}
-	return rr
-}
 
 // Hierarchy bundles the per-core caches plus the shared last level cache of
 // one core's view of the memory system.

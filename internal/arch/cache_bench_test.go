@@ -10,34 +10,24 @@ func benchHierarchy() *Cache {
 	return NewCache(p.L1D, l2)
 }
 
-// The two benchmarks drive the hierarchy with the same trace — repeated
-// sequential 4 KB runs through a 1 MB window (an L2-straining working set) —
-// once word-by-word through Access and once line-granular through AccessRun,
-// so ns/op directly compares the per-word and batched driving styles on
-// identical work.
+// BenchmarkCacheAccessLine drives the hierarchy with repeated sequential
+// 4 KB runs through a 1 MB window (an L2-straining working set), one
+// AccessLine probe per line of each run: the probe loop sim.Exec runs for
+// a multi-line Load or Store.
 const (
 	benchRunBytes    = 4096
 	benchWindowBytes = 1 << 20
 )
 
-func BenchmarkCacheAccess(b *testing.B) {
+func BenchmarkCacheAccessLine(b *testing.B) {
 	c := benchHierarchy()
+	lineBytes := uint64(c.Config().LineBytes)
 	var addr uint64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		for off := uint64(0); off < benchRunBytes; off += 8 {
-			c.Access(addr+off, false)
+		for off := uint64(0); off < benchRunBytes; off += lineBytes {
+			c.AccessLine(addr+off, false)
 		}
-		addr = (addr + benchRunBytes) % benchWindowBytes
-	}
-}
-
-func BenchmarkCacheAccessRun(b *testing.B) {
-	c := benchHierarchy()
-	var addr uint64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.AccessRun(addr, benchRunBytes, false)
 		addr = (addr + benchRunBytes) % benchWindowBytes
 	}
 }

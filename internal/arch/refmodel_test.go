@@ -42,7 +42,10 @@ func newRefCache(cfg CacheConfig, next *refCache) *refCache {
 	return c
 }
 
-func (c *refCache) access(addr uint64, write bool, level int) AccessResult {
+// access probes addr's line down the chain and returns the 0-based level
+// that hit, or the chain's depth when every level missed: the level
+// Cache.AccessLine reports.
+func (c *refCache) access(addr uint64, write bool) int {
 	tag := addr >> c.lineBits
 	set := tag & c.setMask
 	lines := c.sets[set]
@@ -55,7 +58,7 @@ func (c *refCache) access(addr uint64, write bool, level int) AccessResult {
 			if write {
 				lines[i].dirty = true
 			}
-			return AccessResult{HitLevel: level, Latency: c.cfg.LatencyCycles}
+			return 0
 		}
 	}
 
@@ -72,16 +75,10 @@ func (c *refCache) access(addr uint64, write bool, level int) AccessResult {
 	}
 	lines[victim] = refLine{tag: tag, valid: true, dirty: write, lru: c.tick}
 
-	res := AccessResult{HitLevel: 0, Latency: c.cfg.LatencyCycles}
-	if c.next != nil {
-		down := c.next.access(addr, write, level+1)
-		res.HitLevel = down.HitLevel
-		res.Latency += down.Latency
-		res.MemoryBytes = down.MemoryBytes
-	} else {
-		res.MemoryBytes = c.cfg.LineBytes
+	if c.next == nil {
+		return 1
 	}
-	return res
+	return 1 + c.next.access(addr, write)
 }
 
 // refWay is one way of one set in a representation both implementations
@@ -171,52 +168,52 @@ func compareChains(t *testing.T, label string, flat *Cache, ref *refCache) {
 	}
 }
 
-// accessLineLevel converts the reference's 1-based HitLevel (0 = memory)
-// into AccessLine's 0-based level (depth = memory).
-func accessLineLevel(res AccessResult, depth int) int {
-	if res.HitLevel == 0 {
-		return depth
-	}
-	return res.HitLevel - 1
-}
-
 // traceProfiles returns the machine profiles the equivalence properties run
 // against, covering both generations used in the paper.
 func traceProfiles() map[string]Profile {
 	return map[string]Profile{"westmere": Westmere(), "haswell": Haswell()}
 }
 
-// Property: on randomized word-granular traces the flat engine and the slow
-// reference model agree access-by-access on the level that hit, the latency
-// and the memory traffic, and end with identical per-level hit/miss counts
-// and way contents (i.e. identical victim choices and stamps).  The trace
-// runs once through Access and once through AccessLine.
+// Property: the flat engine and the slow reference model agree probe by
+// probe on the level that hit, and end with identical per-level hit/miss
+// counts and way contents (i.e. identical victim choices and stamps), when
+// AccessLine is driven once per word of randomized word-granular traces and
+// once per line of randomized sequential runs.
 func TestFlatEngineMatchesReferenceOnWordTraces(t *testing.T) {
 	for name, p := range traceProfiles() {
 		t.Run(name, func(t *testing.T) {
-			t.Run("Access", func(t *testing.T) {
-				flat, ref := refHierarchy(p)
-				wordTrace(func(i int, addr uint64, write bool) {
-					got := flat.Access(addr, write)
-					want := ref.access(addr, write, 1)
-					if got != want {
-						t.Fatalf("access %d addr %#x write=%v: flat %+v, reference %+v", i, addr, write, got, want)
-					}
-				})
-				compareChains(t, name, flat, ref)
-			})
 			t.Run("AccessLine", func(t *testing.T) {
 				flat, ref := refHierarchy(p)
 				wordTrace(func(i int, addr uint64, write bool) {
-					got := flat.AccessLine(addr, write)
-					want := accessLineLevel(ref.access(addr, write, 1), flat.Depth())
+					got, want := flat.AccessLine(addr, write), ref.access(addr, write)
 					if got != want {
 						t.Fatalf("access %d addr %#x write=%v: flat level %d, reference level %d", i, addr, write, got, want)
 					}
 				})
 				compareChains(t, name, flat, ref)
 			})
+			t.Run("lines", func(t *testing.T) {
+				flat, ref := refHierarchy(p)
+				lineBytes := uint64(p.L1D.LineBytes)
+				runTrace(func(i int, addr, bytes uint64, write bool) {
+					forEachLine(addr, bytes, lineBytes, func(a uint64) {
+						got, want := flat.AccessLine(a, write), ref.access(a, write)
+						if got != want {
+							t.Fatalf("run %d line %#x write=%v: flat level %d, reference level %d", i, a, write, got, want)
+						}
+					})
+				})
+				compareChains(t, name, flat, ref)
+			})
 		})
+	}
+}
+
+// forEachLine calls probe with the address of every line of lineBytes that
+// the bytes-long run at addr touches, in address order.
+func forEachLine(addr, bytes, lineBytes uint64, probe func(a uint64)) {
+	for a := addr &^ (lineBytes - 1); a < addr+bytes; a += lineBytes {
+		probe(a)
 	}
 }
 
@@ -239,63 +236,6 @@ func wordTrace(access func(i int, addr uint64, write bool)) {
 	}
 }
 
-// Property: AccessRun is equivalent to issuing one per-line Access for every
-// line the run touches — identical per-level line hit/miss counts, latency,
-// memory traffic and replacement state — on randomized run traces.  The
-// same runs driven line by line through AccessLine report the reference's
-// level for every line and leave the same state.
-func TestAccessRunMatchesPerLineAccesses(t *testing.T) {
-	for name, p := range traceProfiles() {
-		lineBytes := uint64(p.L1D.LineBytes)
-		t.Run(name, func(t *testing.T) {
-			t.Run("AccessRun", func(t *testing.T) {
-				flat, ref := refHierarchy(p)
-				runTrace(func(i int, addr, bytes uint64, write bool) {
-					rr := flat.AccessRun(addr, bytes, write)
-
-					var want RunResult
-					last := (addr + bytes - 1) &^ (lineBytes - 1)
-					for a := addr &^ (lineBytes - 1); ; a += lineBytes {
-						res := ref.access(a, write, 1)
-						want.LineAccesses++
-						want.LatencyCycles += uint64(res.Latency)
-						if res.HitLevel > 0 {
-							want.LevelHits[res.HitLevel-1]++
-						} else {
-							want.MemAccesses++
-							want.MemoryBytes += uint64(res.MemoryBytes)
-						}
-						if a == last {
-							break
-						}
-					}
-					if rr != want {
-						t.Fatalf("run %d addr %#x bytes %d write=%v: flat %+v, reference %+v", i, addr, bytes, write, rr, want)
-					}
-				})
-				compareChains(t, name, flat, ref)
-			})
-			t.Run("AccessLine", func(t *testing.T) {
-				flat, ref := refHierarchy(p)
-				runTrace(func(i int, addr, bytes uint64, write bool) {
-					last := (addr + bytes - 1) &^ (lineBytes - 1)
-					for a := addr &^ (lineBytes - 1); ; a += lineBytes {
-						got := flat.AccessLine(a, write)
-						want := accessLineLevel(ref.access(a, write, 1), flat.Depth())
-						if got != want {
-							t.Fatalf("run %d line %#x write=%v: flat level %d, reference level %d", i, a, write, got, want)
-						}
-						if a == last {
-							break
-						}
-					}
-				})
-				compareChains(t, name, flat, ref)
-			})
-		})
-	}
-}
-
 // runTrace calls run with randomized sequential runs of 1 byte to 8 KiB at
 // random addresses, with occasional writes.
 func runTrace(run func(i int, addr, bytes uint64, write bool)) {
@@ -307,25 +247,26 @@ func runTrace(run func(i int, addr, bytes uint64, write bool)) {
 	}
 }
 
-// Property: driving the hierarchy word-by-word and line-by-line produces the
+// Property: driving AccessLine word by word and line by line produces the
 // same replacement decisions — the resident lines after a trace of
 // sequential runs are identical, even though the per-word drive records the
-// intra-line hits the batched drive accounts for arithmetically.
+// intra-line hits that sim.Exec accounts for arithmetically.
 func TestBatchedAndPerWordReplacementEquivalence(t *testing.T) {
 	for name, p := range traceProfiles() {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(99))
 			batched, _ := refHierarchy(p)
 			perWord, _ := refHierarchy(p)
+			lineBytes := uint64(p.L1D.LineBytes)
 			for i := 0; i < 3000; i++ {
 				// Word-aligned runs of whole words, so the per-word drive
 				// touches exactly the lines the batched drive probes.
 				addr := 8 * uint64(rng.Intn(1024*1024))
 				bytes := uint64(8 * (1 + rng.Intn(512)))
 				write := rng.Intn(5) == 0
-				batched.AccessRun(addr, bytes, write)
+				forEachLine(addr, bytes, lineBytes, func(a uint64) { batched.AccessLine(a, write) })
 				for off := uint64(0); off < bytes; off += 8 {
-					perWord.Access(addr+off, write)
+					perWord.AccessLine(addr+off, write)
 				}
 			}
 			for b, w := batched, perWord; b != nil; b, w = b.next, w.next {

@@ -14,8 +14,8 @@ func dirtyMachine(m *Machine) {
 		core := m.Core(ci)
 		for i := uint64(0); i < 300; i++ {
 			addr := i*97 + uint64(ci)*131071
-			core.Caches.L1D.Access(addr*64, i%3 == 0)
-			core.Caches.L1I.Access(addr*64+7, false)
+			core.Caches.L1D.AccessLine(addr*64, i%3 == 0)
+			core.Caches.L1I.AccessLine(addr*64+7, false)
 			core.Branch.Record(addr, i%5 != 0)
 		}
 	}
@@ -35,7 +35,7 @@ func TestMachineStateRoundTrip(t *testing.T) {
 			dst := MustNewMachine(p)
 			// Pre-dirty differently: the load must fully overwrite.
 			for i := uint64(0); i < 50; i++ {
-				dst.Core(0).Caches.L1D.Access(i*4096, true)
+				dst.Core(0).Caches.L1D.AccessLine(i*4096, true)
 			}
 			rest, err := dst.LoadState(state)
 			if err != nil {
@@ -81,8 +81,8 @@ func TestMachineLoadRejectsMismatchedGeometry(t *testing.T) {
 
 func TestCacheLoadRejectsCorruptLineIndexes(t *testing.T) {
 	c := NewCache(CacheConfig{Name: "L1D", SizeBytes: 4096, LineBytes: 64, Associativity: 2, LatencyCycles: 1}, nil)
-	c.Access(0, true)
-	c.Access(64, false)
+	c.AccessLine(0, true)
+	c.AccessLine(64, false)
 	state := c.AppendState(nil)
 
 	// Flip the second sparse entry's index to repeat the first: indexes

@@ -159,11 +159,18 @@ func TestResumeRejectsDamagedState(t *testing.T) {
 	}
 	bad = *good
 	bad.MemoEntries = append([]snapshot.MemoEntry(nil), good.MemoEntries...)
-	if len(bad.MemoEntries) > 0 {
-		bad.MemoEntries[0].Metrics = []byte("{")
-		if _, err := Resume(&bad); err == nil {
-			t.Fatal("corrupt memo metrics must be rejected")
-		}
+	if len(bad.MemoEntries) == 0 {
+		t.Fatal("two steps left no memo entry to damage")
+	}
+	bad.MemoEntries[0].Metrics = []byte("{")
+	if _, err := Resume(&bad); err == nil {
+		t.Fatal("corrupt memo metrics must be rejected")
+	}
+	// Well-formed JSON is not proof: a restored vector re-proves its
+	// invariants, so a hit ratio above 1 or a negative IPC is rejected.
+	bad.MemoEntries[0].Metrics = []byte(`{"L1I_hit":1.5,"IPC":-2}`)
+	if _, err := Resume(&bad); err == nil {
+		t.Fatal("memo metrics that violate their invariants must be rejected")
 	}
 }
 

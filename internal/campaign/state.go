@@ -95,9 +95,9 @@ func Resume(st *snapshot.State) (*Runner, error) {
 		return nil, fmt.Errorf("campaign: cursor at step %d with %d records over a %d-step instance", cur.Next, len(cur.Steps), len(r.inst.Steps))
 	}
 	for _, e := range st.MemoEntries {
-		var m perf.Metrics
-		if err := json.Unmarshal(e.Metrics, &m); err != nil {
-			return nil, fmt.Errorf("campaign: decoding memo entry %q: %w", e.Key, err)
+		m, err := perf.DecodeMetrics(e.Metrics)
+		if err != nil {
+			return nil, fmt.Errorf("campaign: restoring memo entry %q: %w", e.Key, err)
 		}
 		r.memo.Restore(e.Key, m)
 		// The bookkeeping gate's seen set is exactly the set of measured

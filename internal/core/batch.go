@@ -558,10 +558,8 @@ func (b *Benchmark) runEdgeBatch(batch *sim.Batch, node int, e Edge, in *motif.D
 	et := edgeTrace{weight: e.Weight, inBytes: max(in.SizeBytes(), 1)}
 	shares := splitDataset(in, tr.numTasks)
 	et.shares = len(shares)
-	taskScales := edgeScales(&et, tr.numTasks, ps)
-
 	outputs := make([]*motif.Dataset, len(shares))
-	tasks := make([]sim.BatchTask, len(shares))
+	tasks := make([]sim.Task, len(shares))
 	stageName := b.Name + ":" + e.name()
 	for i := range shares {
 		i := i
@@ -571,7 +569,7 @@ func (b *Benchmark) runEdgeBatch(batch *sim.Batch, node int, e Edge, in *motif.D
 		} else {
 			et.maxShare = max(et.maxShare, share.SizeBytes())
 		}
-		tasks[i] = sim.BatchTask{Node: node, Scales: taskScales, Fn: func(ex *sim.Exec) {
+		tasks[i] = sim.Task{Node: node, Fn: func(ex *sim.Exec) {
 			ex.SetCodeFootprint(b.codeFootprint(), proxyJumpsPer1k)
 			outputs[i] = runChunked(ex, impl, share, chunkSize)
 			if b.SpillIntermediate && outputs[i] != nil {
@@ -579,7 +577,7 @@ func (b *Benchmark) runEdgeBatch(batch *sim.Batch, node int, e Edge, in *motif.D
 			}
 		}}
 	}
-	et.stage = batch.RunStage(stageName, tasks, tr.numTasks)
+	et.stage = batch.RunStage(stageName, tasks, tr.numTasks, edgeScales(&et, tr.numTasks, ps))
 	tr.edges = append(tr.edges, et)
 	return mergeDatasets(outputs), nil
 }

@@ -169,7 +169,7 @@ func Train(cluster *sim.Cluster, net *Network, cfg SessionConfig) (Result, error
 	errs := make([]error, workers)
 	for w := 0; w < workers; w++ {
 		w := w
-		tasks[w] = sim.Task{Node: -1, Scale: scale, Fn: func(ex *sim.Exec) {
+		tasks[w] = sim.Task{Node: -1, Fn: func(ex *sim.Exec) {
 			ex.SetCodeFootprint(tensorflowCodeFootprintBytes, tensorflowJumpsPer1k)
 			sess := aimotif.NewSession()
 			for step := 0; step < sampleSteps; step++ {
@@ -182,7 +182,7 @@ func Train(cluster *sim.Cluster, net *Network, cfg SessionConfig) (Result, error
 			}
 		}}
 	}
-	cluster.RunStage(cfg.Name+":train", tasks, cores)
+	cluster.RunStage(cfg.Name+":train", tasks, cores, scale)
 	for _, err := range errs {
 		if err != nil {
 			return Result{}, fmt.Errorf("dataflow: session %q: %w", cfg.Name, err)

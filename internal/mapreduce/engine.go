@@ -97,7 +97,7 @@ func Run(cluster *sim.Cluster, job Job) (Result, error) {
 	outputs := make([][]KV, sampleTasks)
 	for i := 0; i < sampleTasks; i++ {
 		i := i
-		mapTasks[i] = sim.Task{Node: -1, Scale: scale, Fn: func(ex *sim.Exec) {
+		mapTasks[i] = sim.Task{Node: -1, Fn: func(ex *sim.Exec) {
 			ex.SetCodeFootprint(hadoopCodeFootprintBytes, hadoopJumpsPer1k)
 			// Read the split from HDFS (local read) and parse it.
 			ex.ReadDisk(cfg.SampleBytesPerTask)
@@ -118,9 +118,9 @@ func Run(cluster *sim.Cluster, job Job) (Result, error) {
 			outputs[i] = kvs
 		}}
 	}
-	// Each sampled task carries the global extrapolation factor: together the
+	// The stage carries the global extrapolation factor: together the
 	// sampled tasks' scaled counters cover the whole configured input once.
-	cluster.RunStage(cfg.Name+":map", mapTasks, mapParallel)
+	cluster.RunStage(cfg.Name+":map", mapTasks, mapParallel, scale)
 	for _, kvs := range outputs {
 		mapOutput = append(mapOutput, kvs...)
 		mapOutSampleBytes += kvBytes(kvs)
@@ -143,7 +143,7 @@ func Run(cluster *sim.Cluster, job Job) (Result, error) {
 			g := g
 			slot := idx
 			idx++
-			reduceTasks = append(reduceTasks, sim.Task{Node: -1, Scale: scale, Fn: func(ex *sim.Exec) {
+			reduceTasks = append(reduceTasks, sim.Task{Node: -1, Fn: func(ex *sim.Exec) {
 				ex.SetCodeFootprint(hadoopCodeFootprintBytes, hadoopJumpsPer1k)
 				shareBytes := kvBytes(g.kvs)
 				// Fetch map output from every mapper over the network, merge
@@ -167,7 +167,7 @@ func Run(cluster *sim.Cluster, job Job) (Result, error) {
 				reduceOutputs[slot] = out
 			}})
 		}
-		cluster.RunStage(cfg.Name+":shuffle+reduce", reduceTasks, reduceParallel)
+		cluster.RunStage(cfg.Name+":shuffle+reduce", reduceTasks, reduceParallel, scale)
 		for _, out := range reduceOutputs {
 			output = append(output, out...)
 			outSampleBytes += kvBytes(out)

@@ -49,6 +49,22 @@ func (m Metrics) Validate() error {
 	return nil
 }
 
+// DecodeMetrics decodes a metric vector that arrives from outside the
+// process, a snapshot's memo entry or a peer's gossiped one, and re-proves
+// its invariants (Validate) before the caller may install it: a snapshot
+// is input, not truth.  It is the one decode-and-validate step of every
+// restored entry.
+func DecodeMetrics(data []byte) (Metrics, error) {
+	var m Metrics
+	if err := m.UnmarshalJSON(data); err != nil {
+		return Metrics{}, err
+	}
+	if err := m.Validate(); err != nil {
+		return Metrics{}, err
+	}
+	return m, nil
+}
+
 // invariantChecks gates the per-measurement invariant pass of CheckReport.
 // It is off by default — the checks cost a handful of comparisons per
 // simulation, but campaigns run millions — and is enabled for a debugging

@@ -217,12 +217,8 @@ func (s *Server) handlePeerEntries(w http.ResponseWriter, r *http.Request) {
 	}
 	var installed, skipped int
 	for _, e := range st.MemoEntries {
-		var metrics perf.Metrics
-		if err := metrics.UnmarshalJSON(e.Metrics); err != nil {
-			skipped++
-			continue
-		}
-		if err := metrics.Validate(); err != nil {
+		metrics, err := perf.DecodeMetrics(e.Metrics)
+		if err != nil {
 			skipped++
 			continue
 		}

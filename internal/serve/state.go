@@ -88,17 +88,12 @@ func (m *stateManager) restore() {
 		return
 	}
 	for _, e := range st.MemoEntries {
-		var metrics perf.Metrics
-		if err := metrics.UnmarshalJSON(e.Metrics); err != nil {
-			m.invalidEntries.Add(1)
-			log.Printf("proxyd: snapshot entry %q: undecodable metrics: %v; skipped", e.Key, err)
-			continue
-		}
 		// Contract #8: restored state re-proves its invariants before it may
 		// answer requests — a snapshot is input, not truth.
-		if err := metrics.Validate(); err != nil {
+		metrics, err := perf.DecodeMetrics(e.Metrics)
+		if err != nil {
 			m.invalidEntries.Add(1)
-			log.Printf("proxyd: snapshot entry %q violates invariants: %v; skipped", e.Key, err)
+			log.Printf("proxyd: snapshot entry %q: %v; skipped", e.Key, err)
 			continue
 		}
 		if m.srv.sched.memo.Restore(e.Key, metrics) {

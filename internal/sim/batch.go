@@ -2,23 +2,9 @@ package sim
 
 import "dataproxy/internal/perf"
 
-// BatchTask is one unit of work of a lockstep batch stage: the task's trace
-// is executed once and accounted into every lane of the batch under that
-// lane's extrapolation factor.
-type BatchTask struct {
-	// Fn performs the work, reporting it to the shared Exec.
-	Fn func(ex *Exec)
-	// Node pins the task to a specific node index; -1 distributes tasks
-	// round-robin across the worker nodes, like Task.Node.
-	Node int
-	// Scales holds one extrapolation factor per lane.  A nil slice, a
-	// missing entry or an entry that is not positive means 1, Task.Scale's
-	// rule per lane.
-	Scales []float64
-}
-
-// laneScale resolves the effective extrapolation factor of one lane: the
-// lane's entry when it is positive, otherwise 1.
+// laneScale resolves one lane's extrapolation factor from a stage's
+// per-lane factors: the lane's entry when it is positive, otherwise 1 (also
+// when a nil or short slice has no entry for the lane).
 func laneScale(scales []float64, lane int) float64 {
 	if lane >= len(scales) {
 		return 1
@@ -49,7 +35,7 @@ type nodeTrace struct {
 }
 
 // taskTrace is one finished task of a stage trace; index is its position
-// in the stage's task list, which the lane factors are looked up by.
+// in the stage's task list.
 type taskTrace struct {
 	index       int
 	counters    perf.Counters
@@ -98,24 +84,25 @@ func NewReplay(c *Cluster, k int) *Batch {
 }
 
 // RunStage executes the tasks once, accounts the stage into every lane,
-// each at its own factors, and returns the stage trace; Cluster.RunStage
-// documents the scheduling and the virtual-time composition.
-func (bt *Batch) RunStage(stage string, tasks []BatchTask, parallelismPerNode int) StageTrace {
-	return bt.c.runStage(stage, tasks, parallelismPerNode, bt.lanes)
+// every task at the lane's entry of scales (laneScale), and returns the
+// stage trace; Cluster.RunStage documents the scheduling and the
+// virtual-time composition.
+func (bt *Batch) RunStage(stage string, tasks []Task, parallelismPerNode int, scales []float64) StageTrace {
+	return bt.c.runStage(stage, tasks, parallelismPerNode, scales, bt.lanes)
 }
 
 // RunOnNode runs a single task pinned to the given node as its own stage,
 // with one extrapolation factor per lane, and returns the stage trace.
 func (bt *Batch) RunOnNode(stage string, node int, scales []float64, fn func(ex *Exec)) StageTrace {
-	return bt.RunStage(stage, []BatchTask{{Node: node, Scales: scales, Fn: fn}}, 0)
+	return bt.RunStage(stage, []Task{{Node: node, Fn: fn}}, 0, scales)
 }
 
 // Account accounts a recorded stage trace into every lane, every task of
-// it at the lane's entry of scales (BatchTask.Scales' rule) and the stage
-// at the given per-node parallelism (Cluster.RunStage's rule), as if the
-// stage had run in this batch with those factors.
+// it at the lane's entry of scales (laneScale) and the stage at the given
+// per-node parallelism (Cluster.RunStage's rule), as if the stage had run
+// in this batch with those factors.
 func (bt *Batch) Account(tr StageTrace, parallelismPerNode int, scales []float64) {
-	bt.c.account(tr, parallelismPerNode, func(int) []float64 { return scales }, bt.lanes)
+	bt.c.account(tr, parallelismPerNode, scales, bt.lanes)
 }
 
 // Reports builds one report per lane under the given name.

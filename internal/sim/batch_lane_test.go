@@ -12,9 +12,10 @@ import (
 // layer: each lane of a K-lane batch must be bit-identical — counters,
 // virtual time, stages, derived metrics — to a Cluster run (the one-lane
 // case of the same stage executor) of the same trace at that lane's
-// extrapolation factor, on both architecture profiles.
+// extrapolation factor, on both architecture profiles.  A stage whose
+// factors are nil accounts every lane at 1.
 func TestBatchLanesMatchSoloRuns(t *testing.T) {
-	scales := []float64{1, 2.5, 0, 0.5} // 0 means 1, mirroring Task.Scale
+	scales := []float64{1, 2.5, 0, 0.5} // 0 means 1, as in Cluster.RunStage
 	for _, np := range testutil.Profiles() {
 		np := np
 		t.Run(np.Name, func(t *testing.T) {
@@ -24,19 +25,15 @@ func TestBatchLanesMatchSoloRuns(t *testing.T) {
 
 			bt := sim.NewBatch(testutil.Cluster(np.Profile), len(scales))
 			bt.RunOnNode("stage-0", 0, scales, drive(0))
-			bt.RunStage("stage-1", []sim.BatchTask{
-				{Node: -1, Scales: scales, Fn: drive(1)},
-				{Node: -1, Scales: nil, Fn: drive(2)}, // nil scales: every lane at 1
-			}, 0)
+			bt.RunStage("stage-1", []sim.Task{{Node: -1, Fn: drive(1)}}, 0, scales)
+			bt.RunStage("stage-2", []sim.Task{{Node: -1, Fn: drive(2)}}, 0, nil)
 			got := bt.Reports("lane")
 
 			for lane, s := range scales {
 				solo := testutil.Cluster(np.Profile)
 				solo.RunOnNode("stage-0", 0, s, drive(0))
-				solo.RunStage("stage-1", []sim.Task{
-					{Node: -1, Scale: s, Fn: drive(1)},
-					{Node: -1, Scale: 1, Fn: drive(2)},
-				}, 0)
+				solo.RunStage("stage-1", []sim.Task{{Node: -1, Fn: drive(1)}}, 0, s)
+				solo.RunStage("stage-2", []sim.Task{{Node: -1, Fn: drive(2)}}, 0, 1)
 				want := solo.Report("lane")
 				if !reflect.DeepEqual(got[lane], want) {
 					t.Errorf("lane %d (scale %g): batched report diverges\n got: %+v\nwant: %+v",

@@ -8,18 +8,14 @@ import (
 	"dataproxy/internal/perf"
 )
 
-// Task is one unit of work scheduled on the cluster.
+// Task is one unit of work of a stage.  Its extrapolation factor is the
+// stage's: Cluster.RunStage takes one, Batch.RunStage one per lane.
 type Task struct {
 	// Fn performs the work, reporting it to the Exec.
 	Fn func(ex *Exec)
 	// Node pins the task to a specific node index; -1 distributes tasks
 	// round-robin across the worker nodes.
 	Node int
-	// Scale extrapolates the task's counters and I/O time by this factor,
-	// used when the task processes only a sample of its configured data.
-	// A factor that is not positive (zero, negative or NaN) means 1 (no
-	// extrapolation).
-	Scale float64
 }
 
 // StageResult summarises one cluster execution stage.
@@ -168,22 +164,19 @@ func (c *Cluster) Reset() {
 // concurrently on the parallel engine.  It is the one-lane case of the
 // stage executor Batch.RunStage also runs on.
 //
+// scale extrapolates every task's counters and I/O time, used when the
+// tasks process only a sample of the stage's configured data; a factor
+// that is not positive (zero, negative or NaN) means 1 (no extrapolation).
 // parallelismPerNode is the per-node parallelism of the virtual-time
 // composition.  It matters when the executed tasks are a scaled-up sample
 // of a larger real task population (e.g. eight sampled map tasks standing
-// in for eight hundred): the counters extrapolate through the task Scale
-// factors, while parallelismPerNode describes how many real tasks would
-// have run concurrently on each node.  Zero derives the parallelism from
-// the number of sampled tasks per node, which is the right default when
-// tasks are not scaled.
-func (c *Cluster) RunStage(stage string, tasks []Task, parallelismPerNode int) StageResult {
-	scales := make([]float64, len(tasks))
-	oneLane := make([]BatchTask, len(tasks))
-	for i, t := range tasks {
-		scales[i] = t.Scale
-		oneLane[i] = BatchTask{Fn: t.Fn, Node: t.Node, Scales: scales[i : i+1]}
-	}
-	c.runStage(stage, oneLane, parallelismPerNode, c.own[:])
+// in for eight hundred): the counters extrapolate through scale, while
+// parallelismPerNode describes how many real tasks would have run
+// concurrently on each node.  Zero derives the parallelism from the number
+// of sampled tasks per node, which is the right default when tasks are not
+// scaled.
+func (c *Cluster) RunStage(stage string, tasks []Task, parallelismPerNode int, scale float64) StageResult {
+	c.runStage(stage, tasks, parallelismPerNode, []float64{scale}, c.own[:])
 	l := &c.own[0]
 	return l.stages[len(l.stages)-1]
 }
@@ -198,8 +191,8 @@ func (c *Cluster) RunStage(stage string, tasks []Task, parallelismPerNode int) S
 // sequential execution, so stage results are independent of the host
 // worker count.  Each task runs and finishes once, unscaled, and its totals
 // go into the returned stage trace.  It then accounts that trace into every
-// lane (account).
-func (c *Cluster) runStage(stage string, tasks []BatchTask, parallelismPerNode int, lanes []ledger) StageTrace {
+// lane at the lane's entry of scales (account).
+func (c *Cluster) runStage(stage string, tasks []Task, parallelismPerNode int, scales []float64, lanes []ledger) StageTrace {
 	workers := c.Workers()
 	if len(workers) == 0 {
 		workers = c.nodes
@@ -234,32 +227,32 @@ func (c *Cluster) runStage(stage string, tasks []BatchTask, parallelismPerNode i
 		}
 	})
 
-	c.account(tr, parallelismPerNode, func(task int) []float64 { return tasks[task].Scales }, lanes)
+	c.account(tr, parallelismPerNode, scales, lanes)
 	return tr
 }
 
 // account is the one stage accounting function: it accounts an executed
-// stage trace into every lane, each task under that lane's factor
-// (laneScale over scales(task)) and the stage at parallelismPerNode
-// (RunStage's rule), whether the stage just ran or the trace was recorded
-// earlier (Batch.Account).  Counters scale through
+// stage trace into every lane, every task under that lane's factor
+// (laneScale over scales) and the stage at parallelismPerNode (RunStage's
+// rule), whether the stage just ran or the trace was recorded earlier
+// (Batch.Account).  Counters scale through
 // perf.Counters.ScaledBy and I/O seconds are multiplied only when the
 // factor is not 1, so an unscaled lane never rounds through a float.  A
 // node's counters and I/O seconds grow task by task, in task order, and its
 // CPU seconds once per stage; the stage's virtual duration (slots, CPU
 // seconds, I/O overlap) is composed once per lane.  It reads only the
 // cluster's configuration, so it may run on a shared prototype.
-func (c *Cluster) account(tr StageTrace, parallelismPerNode int, scales func(task int) []float64, lanes []ledger) {
+func (c *Cluster) account(tr StageTrace, parallelismPerNode int, scales []float64, lanes []ledger) {
 	p := c.cfg.Profile
 	for lane := range lanes {
 		l := &lanes[lane]
+		s := laneScale(scales, lane)
 		res := StageResult{Name: tr.name, Tasks: tr.tasks, PerNodeSeconds: make(map[int]float64)}
 		for _, nt := range tr.nodes {
 			acct := &l.nodes[nt.node]
 			var cycles uint64
 			var diskSec, netSec float64
 			for _, tt := range nt.tasks {
-				s := laneScale(scales(tt.index), lane)
 				cnt := tt.counters.ScaledBy(s)
 				disk, net := tt.diskSeconds, tt.netSeconds
 				if s != 1 {
@@ -315,19 +308,19 @@ func composeTime(cpu, io, overlap float64) float64 {
 }
 
 // RunTasks is a convenience wrapper that builds n unpinned tasks invoking fn
-// with the task index and runs them as one stage.
+// with the task index and runs them as one stage at the given factor.
 func (c *Cluster) RunTasks(stage string, n int, scale float64, fn func(i int, ex *Exec)) StageResult {
 	tasks := make([]Task, n)
 	for i := range tasks {
 		i := i
-		tasks[i] = Task{Node: -1, Scale: scale, Fn: func(ex *Exec) { fn(i, ex) }}
+		tasks[i] = Task{Node: -1, Fn: func(ex *Exec) { fn(i, ex) }}
 	}
-	return c.RunStage(stage, tasks, 0)
+	return c.RunStage(stage, tasks, 0, scale)
 }
 
 // RunOnNode runs a single task pinned to the given node as its own stage.
 func (c *Cluster) RunOnNode(stage string, node int, scale float64, fn func(ex *Exec)) StageResult {
-	return c.RunStage(stage, []Task{{Node: node, Scale: scale, Fn: fn}}, 0)
+	return c.RunStage(stage, []Task{{Node: node, Fn: fn}}, 0, scale)
 }
 
 // Report summarises the execution observed so far: total virtual runtime,

@@ -45,7 +45,7 @@ type ClusterConfig struct {
 
 	// MaxModelOpsPerCall caps the number of cache *lines* probed through the
 	// hierarchy for one bulk Load/Store call.  The engine simulates runs at
-	// line granularity (arch.Cache.AccessRun): a capped call spreads its
+	// line granularity (arch.Cache.AccessLine): a capped call spreads its
 	// modelled lines evenly across the run and the remainder of the call is
 	// extrapolated when the task finishes.  Intra-line word accesses are
 	// never probed — they are L1 hits by construction and are accounted

@@ -33,7 +33,7 @@ type Exec struct {
 	instr sampleStats
 	// memLevel is the level arch.Cache.AccessLine reports for a probe that
 	// went to memory, and memLineBytes the bytes such a probe moves
-	// (probeLine).
+	// (sampleStats.fold).
 	memLevel     int
 	memLineBytes uint64
 
@@ -47,10 +47,10 @@ type Exec struct {
 }
 
 // sampleStats aggregates the outcome of the accesses actually pushed through
-// the cache hierarchy.  The engine probes at line granularity (probeLine for
-// one line, an arch.RunResult for a multi-line run) while the counters it
-// extrapolates to are word granular, so each recorded probe or run carries
-// both the line-probe outcomes and the number of word ops they stand for.
+// the cache hierarchy.  The engine probes at line granularity, one
+// arch.Cache.AccessLine call per line, while the counters it extrapolates
+// to are word granular, so the sample counts both the line-probe outcomes
+// (fold) and the number of word ops they stand for (accesses).
 type sampleStats struct {
 	accesses uint64 // word ops the modelled probes stand for
 	l1Miss   uint64
@@ -62,29 +62,30 @@ type sampleStats struct {
 	memWrite uint64 // bytes
 }
 
-// recordRun folds the aggregated outcome of one batched run into the sample.
-// ops is the number of word-granular operations the run's probes stand for;
-// intra-line word accesses of a sequential run are L1 hits by construction,
-// so they appear in ops (and later in the extrapolation denominator) without
-// ever having been simulated.
-func (s *sampleStats) recordRun(rr arch.RunResult, ops uint64, write bool) {
-	if rr.LineAccesses > ops {
-		// A tiny unaligned run can straddle more lines than it has words;
-		// never let sampled misses outnumber the accesses they stand for.
-		ops = rr.LineAccesses
+// fold counts one line probe that resolved at level lvl, as
+// arch.Cache.AccessLine reports it: every level it missed, and the line of
+// lineBytes it moved from memory (and, for a write, back: write-allocate
+// with eventual write-back of the dirty line) when lvl is memLevel.  It is
+// the one fold of a probe, for the data and the instruction side; the
+// caller adds the word ops the probe stands for.
+func (s *sampleStats) fold(lvl, memLevel int, lineBytes uint64, write bool) {
+	if lvl == 0 {
+		return
 	}
-	s.accesses += ops
-	l1Miss := rr.LineAccesses - rr.LevelHits[0]
-	l2Miss := l1Miss - rr.LevelHits[1]
-	s.l1Miss += l1Miss
-	s.l2Acc += l1Miss
-	s.l2Miss += l2Miss
-	s.l3Acc += l2Miss
-	s.l3Miss += rr.MemAccesses
-	s.memRead += rr.MemoryBytes
+	s.l1Miss++
+	s.l2Acc++
+	if lvl == 1 {
+		return
+	}
+	s.l2Miss++
+	s.l3Acc++
+	if lvl < memLevel {
+		return
+	}
+	s.l3Miss++
+	s.memRead += lineBytes
 	if write {
-		// Write-allocate with eventual write-back of the dirty lines.
-		s.memWrite += rr.MemoryBytes
+		s.memWrite += lineBytes
 	}
 }
 
@@ -201,28 +202,28 @@ func (e *Exec) modelFetch(skip uint64) {
 }
 
 // probeLine pushes one probe of addr's line through the hierarchy under l1
-// and folds the level it resolved at into s, counting exactly what
-// recordRun counts for a one-probe run; the caller adds the word ops the
-// probe stands for.
+// and folds the level it resolved at into s; the caller adds the word ops
+// the probe stands for.
 func (e *Exec) probeLine(s *sampleStats, l1 *arch.Cache, addr uint64, write bool) {
-	lvl := l1.AccessLine(addr, write)
-	if lvl == 0 {
-		return
+	s.fold(l1.AccessLine(addr, write), e.memLevel, e.memLineBytes, write)
+}
+
+// probeRun probes each line of the bytes-long run at addr once, in address
+// order, folds it into the data sample and returns the number of probes.
+// The loop calls AccessLine and the inlined fold directly, so a line costs
+// one call.
+func (e *Exec) probeRun(l1 *arch.Cache, addr, bytes, lineBytes uint64, write bool) uint64 {
+	if bytes == 0 {
+		return 0
 	}
-	s.l1Miss++
-	s.l2Acc++
-	if lvl == 1 {
-		return
-	}
-	s.l2Miss++
-	s.l3Acc++
-	if lvl < e.memLevel {
-		return
-	}
-	s.l3Miss++
-	s.memRead += e.memLineBytes
-	if write {
-		s.memWrite += e.memLineBytes
+	var probes uint64
+	last := (addr + bytes - 1) &^ (lineBytes - 1)
+	for a := addr &^ (lineBytes - 1); ; a += lineBytes {
+		e.data.fold(l1.AccessLine(a, write), e.memLevel, e.memLineBytes, write)
+		probes++
+		if a == last {
+			return probes
+		}
 	}
 }
 
@@ -332,30 +333,30 @@ func (e *Exec) access(r Region, off, size uint64, write bool) {
 			line := i * lines / limit
 			e.probeLine(&e.data, l1, r.Addr(off+line*lineBytes), write)
 		}
-		// As in recordRun, the sample never stands for fewer word ops
-		// than it has probes.
+		// As below, the sample never stands for fewer word ops than it has
+		// probes.
 		e.data.accesses += max(ops*limit/lines, limit)
 		return
 	}
-	var rr arch.RunResult
 	covered := ops
+	var probes uint64
 	if size <= r.size-off {
 		// Common case: the run is contiguous inside the region.  A run
 		// inside one line (every aligned word access) is one probe;
-		// otherwise one batched walk probes each touched line exactly once.
+		// otherwise each touched line is probed exactly once.
 		addr := r.Addr(off)
 		if size > 0 && addr&(lineBytes-1)+size <= lineBytes {
 			e.data.accesses += ops
 			e.probeLine(&e.data, l1, addr, write)
 			return
 		}
-		rr = l1.AccessRun(addr, size, write)
+		probes = e.probeRun(l1, addr, size, lineBytes, write)
 	} else {
-		// The run wraps around the region; walk it in contiguous chunks the
-		// way the per-word engine's wrapping addresses did.  A sub-line
-		// region makes every chunk tiny, so the number of chunk walks is
-		// bounded by the same per-call cap as the strided branch and the
-		// unwalked remainder is extrapolated at finish.
+		// The run wraps around the region; walk it in contiguous chunks,
+		// each starting again at the region's base.  A sub-line region
+		// makes every chunk tiny, so the number of chunk walks is bounded
+		// by the same per-call cap as the strided branch and the unwalked
+		// remainder is extrapolated at finish.
 		walked := uint64(0)
 		chunks := uint64(e.cfg.MaxModelOpsPerCall)
 		for remaining := size; remaining > 0 && chunks > 0; chunks-- {
@@ -363,19 +364,20 @@ func (e *Exec) access(r Region, off, size uint64, write bool) {
 			if chunk > remaining {
 				chunk = remaining
 			}
-			rr.Add(l1.AccessRun(r.Addr(off), chunk, write))
+			probes += e.probeRun(l1, r.Addr(off), chunk, lineBytes, write)
 			off += chunk
 			walked += chunk
 			remaining -= chunk
 		}
 		if walked < size {
 			covered = ops * walked / size
-			if covered == 0 {
-				covered = 1
-			}
 		}
 	}
-	e.data.recordRun(rr, covered, write)
+	// The sample never stands for fewer word ops than it has probes: a
+	// tiny unaligned run can straddle more lines than it has words, and a
+	// wrapping walk cut off after its first chunks stands for their share
+	// of the word ops, which can be fewer than the probes it made.
+	e.data.accesses += max(covered, probes)
 }
 
 // Touch records a single word-sized access at offset off of region r; it is

@@ -16,64 +16,22 @@ func benchExec(b *testing.B) *Exec {
 	return newExec(n, 0)
 }
 
-// accessPerWord replicates the pre-batching Exec.access hot path — one
-// hierarchy probe per machine word, capped at MaxModelOpsPerCall words with
-// a strided walk — so BenchmarkExecLoad can compare the retired per-word
-// driving style against the batched AccessRun path on the same trace.
-func (e *Exec) accessPerWord(r Region, off, size uint64, write bool) {
-	ops := wordOps(size)
-	if write {
-		e.counters.StoreInstrs += ops
-	} else {
-		e.counters.LoadInstrs += ops
-	}
-	e.counters.L1DAccesses += ops
-	e.countInstr(ops)
-
-	model := ops
-	if model > uint64(e.cfg.MaxModelOpsPerCall) {
-		model = uint64(e.cfg.MaxModelOpsPerCall)
-	}
-	stride := uint64(wordBytes)
-	if model < ops {
-		stride = (size / model) / wordBytes * wordBytes
-		if stride < wordBytes {
-			stride = wordBytes
-		}
-	}
-	addr := off
-	for i := uint64(0); i < model; i++ {
-		res := e.core.Caches.L1D.Access(r.Addr(addr), write)
-		var rr arch.RunResult
-		rr.LineAccesses = 1
-		rr.LatencyCycles = uint64(res.Latency)
-		if res.HitLevel > 0 {
-			rr.LevelHits[res.HitLevel-1]++
-		} else {
-			rr.MemAccesses = 1
-			rr.MemoryBytes = uint64(res.MemoryBytes)
-		}
-		e.data.recordRun(rr, 1, write)
-		addr += stride
-	}
-}
-
 // Each Exec.Load trace replays sequential 4 KB reads walking a region.  The
 // hot trace re-streams a 128 KB (L2-resident) working set — the shape of the
-// motifs' inner loops over a matrix tile or centroid block, where the
-// batched path pays one cheap probe per line instead of eight word probes.
-// The stream trace walks a 16 MB (L3-straining) region where every line
-// probe walks deep into the hierarchy on either path.
+// motifs' inner loops over a matrix tile or centroid block, where a probe
+// per line resolves in the L1 or L2.  The stream trace walks a 16 MB
+// (L3-straining) region where every line probe walks deep into the
+// hierarchy.
 const execBenchLoadBytes = 4096
 
-func benchmarkExecLoadTrace(b *testing.B, regionBytes uint64, load func(e *Exec, r Region, off, size uint64)) {
+func benchmarkExecLoadTrace(b *testing.B, regionBytes uint64) {
 	e := benchExec(b)
 	r := e.node.Alloc(regionBytes)
 	var off uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		load(e, r, off, execBenchLoadBytes)
+		e.Load(r, off, execBenchLoadBytes)
 		off = (off + execBenchLoadBytes) % regionBytes
 	}
 }
@@ -103,8 +61,6 @@ func benchmarkExecColumn(b *testing.B) {
 }
 
 func BenchmarkExecLoad(b *testing.B) {
-	perword := func(e *Exec, r Region, off, size uint64) { e.accessPerWord(r, off, size, false) }
-	batched := func(e *Exec, r Region, off, size uint64) { e.Load(r, off, size) }
 	for _, trace := range []struct {
 		name        string
 		regionBytes uint64
@@ -112,11 +68,8 @@ func BenchmarkExecLoad(b *testing.B) {
 		{"hot", 128 << 10},
 		{"stream", 16 << 20},
 	} {
-		b.Run(trace.name+"/perword", func(b *testing.B) {
-			benchmarkExecLoadTrace(b, trace.regionBytes, perword)
-		})
 		b.Run(trace.name+"/batched", func(b *testing.B) {
-			benchmarkExecLoadTrace(b, trace.regionBytes, batched)
+			benchmarkExecLoadTrace(b, trace.regionBytes)
 		})
 	}
 	b.Run("column", benchmarkExecColumn)

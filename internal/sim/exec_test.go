@@ -20,7 +20,7 @@ func testCluster(t *testing.T) *Cluster {
 func runSingle(t *testing.T, fn func(ex *Exec)) (*Cluster, StageResult) {
 	t.Helper()
 	c := testCluster(t)
-	res := c.RunStage("stage", []Task{{Node: -1, Fn: fn}}, 0)
+	res := c.RunStage("stage", []Task{{Node: -1, Fn: fn}}, 0, 1)
 	return c, res
 }
 
@@ -143,15 +143,15 @@ func TestExecDiskAndNetworkAccounting(t *testing.T) {
 
 func TestExecScaleExtrapolatesCountersAndTime(t *testing.T) {
 	base := testCluster(t)
-	base.RunStage("s", []Task{{Node: -1, Scale: 1, Fn: func(ex *Exec) {
+	base.RunStage("s", []Task{{Node: -1, Fn: func(ex *Exec) {
 		ex.Int(1000)
 		ex.ReadDisk(1 << 20)
-	}}}, 0)
+	}}}, 0, 1)
 	scaled := testCluster(t)
-	scaled.RunStage("s", []Task{{Node: -1, Scale: 10, Fn: func(ex *Exec) {
+	scaled.RunStage("s", []Task{{Node: -1, Fn: func(ex *Exec) {
 		ex.Int(1000)
 		ex.ReadDisk(1 << 20)
-	}}}, 0)
+	}}}, 0, 10)
 	b := base.Nodes()[0].Counters()
 	s := scaled.Nodes()[0].Counters()
 	if s.IntInstrs != 10*b.IntInstrs {
@@ -236,7 +236,7 @@ func TestExecCountersConsistencyProperty(t *testing.T) {
 			for i := 0; i < int(loads); i++ {
 				ex.Touch(r, uint64(i*8), false)
 			}
-		}}}, 0)
+		}}}, 0, 1)
 		cnt := c.Nodes()[0].Counters()
 		if err := cnt.Validate(); err != nil {
 			return false
