@@ -5,7 +5,7 @@
 // Usage:
 //
 //	proxyd [-addr :8080] [-inflight N] [-queue N] [-jobqueue N] [-cache N] [-parallel N]
-//	       [-coalesce-window 2ms] [-coalesce-lanes N] [-log-level LEVEL]
+//	       [-coalesce-window 2ms] [-log-level LEVEL]
 //	       [-state-dir DIR] [-snapshot-interval 30s] [-shutdown-timeout 10s]
 //	       [-name SHARD] [-peers name=url,...] [-gossip-interval 2s]
 //	       [-faults SPEC] [-check-invariants] [-pprof addr]
@@ -24,11 +24,12 @@
 //
 // Identical /v1/run requests coalesce through the server's result cache
 // (keyed bit-exactly like the auto-tuner's memo); overload is shed with 429.
-// Concurrent cold requests additionally micro-batch: settings arriving
-// within -coalesce-window (default 2ms; negative disables) gather up to
-// -coalesce-lanes per (architecture, benchmark) group and execute as one
-// lockstep sweep — a lone request drains its window immediately, so the
-// window is a worst-case latency bound, not a tax.  All /v1 errors carry the
+// Every cold setting, of a single run or a batch, executes through a
+// collection window of its (architecture, benchmark) group: cold single
+// runs arriving within -coalesce-window (default 2ms) gather up to 16 lanes
+// and execute as one lockstep sweep, and a batch joins the open window and
+// seals it — a lone request drains its window immediately, so the window is
+// a worst-case latency bound, not a tax.  All /v1 errors carry the
 // versioned envelope {"error":{"code":"...","message":"...","retry_after_ms":N}}.
 //
 // With -log-level the daemon writes one structured (slog) line per request
@@ -78,8 +79,7 @@ func main() {
 	queue := flag.Int("queue", 0, "admission queue depth beyond the in-flight slots (0 = default 16, negative = none)")
 	jobQueue := flag.Int("jobqueue", 0, "queued tune jobs before shedding (0 = default 16)")
 	cache := flag.Int("cache", 0, "most completed result-cache entries held; beyond it entries are evicted one at a time (0 = default 4096)")
-	coalesceWindow := flag.Duration("coalesce-window", 0, "max wait for cross-request batching of cold runs (0 = default 2ms, negative = disabled)")
-	coalesceLanes := flag.Int("coalesce-lanes", 0, "max requests per coalesced sweep (0 = default 16)")
+	coalesceWindow := flag.Duration("coalesce-window", 0, "max wait of a cold single run for cross-request batching (0 or negative = default 2ms)")
 	logLevel := flag.String("log-level", "", "structured request logging to stderr at this level (debug|info|warn|error); empty disables")
 	par := flag.Int("parallel", 0, "host worker count of the shared execution engine (0 = all CPUs, 1 = sequential)")
 	stateDir := flag.String("state-dir", "", "directory for crash-safe state snapshots; empty disables persistence")
@@ -140,7 +140,6 @@ func main() {
 		JobQueueDepth:    *jobQueue,
 		MaxCacheEntries:  *cache,
 		CoalesceWindow:   *coalesceWindow,
-		CoalesceLanes:    *coalesceLanes,
 		RequestLog:       requestLog,
 		StateDir:         *stateDir,
 		SnapshotInterval: *snapInterval,

@@ -236,9 +236,17 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 	_, _ = io.Copy(w, resp.Body)
 }
 
-// handleRun serves POST /v1/run: a single-setting body forwards verbatim to
-// the setting's owner (so the response bytes are exactly what the replica
-// produced), a batch splits per owner; see handleRunBatch.
+// handleRun serves POST /v1/run.  A single-setting body is planned as a
+// one-setting batch, so single runs and batches take one path: each trace
+// shape is owned by one shard, the request splits into one sub-batch per
+// owner, the sub-batches execute concurrently, and the results rejoin in
+// request order.  The shed contract stays all-or-nothing across the whole
+// batch: any sub-batch error (a 429 included) fails the entire request with
+// that error relayed, so a retried batch is answered consistently — and
+// mostly from the shards' caches.  A request whose settings all map to one
+// owner — a single run always — forwards verbatim, so the response bytes
+// are exactly what the replica produced, and a single-backend fleet is a
+// pure passthrough.
 func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req client.RunRequest
 	body, err := apihttp.DecodeBody(w, r, &req)
@@ -246,34 +254,13 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 		apihttp.Fail(w, http.StatusBadRequest, fmt.Errorf("fleet: %w", err))
 		return
 	}
-	if req.Settings != nil {
-		rt.handleRunBatch(w, r, req, body)
-		return
-	}
-	key := RunKey(req.Workload, req.Arch, core.Setting(req.Setting))
-	_, resp, ok := rt.forwardRaw(r.Context(), key, http.MethodPost, "/v1/run", body)
-	if !ok {
-		rt.unavailable(w, "fleet: no backend reachable for /v1/run")
-		return
-	}
-	relay(w, resp)
-}
-
-// handleRunBatch serves the Settings form of POST /v1/run.  Each trace shape
-// is owned by one shard; the batch splits into one sub-batch per owner, the
-// sub-batches execute concurrently, and the results rejoin in request order.
-// The shed contract stays all-or-nothing across the whole batch: any
-// sub-batch error (a 429 included) fails the entire request with that
-// error relayed, so a retried batch is answered consistently — and mostly
-// from the shards' caches.  A batch whose settings all map to one owner
-// forwards verbatim, which also makes a single-backend fleet a pure
-// passthrough.
-func (rt *Router) handleRunBatch(w http.ResponseWriter, r *http.Request, req client.RunRequest, body []byte) {
-	if req.Setting != nil {
+	switch {
+	case req.Settings == nil:
+		req.Settings = []map[string]float64{req.Setting}
+	case req.Setting != nil:
 		apihttp.Fail(w, http.StatusBadRequest, errors.New(`fleet: request must set "setting" or "settings", not both`))
 		return
-	}
-	if len(req.Settings) == 0 {
+	case len(req.Settings) == 0:
 		apihttp.Fail(w, http.StatusBadRequest, errors.New(`fleet: "settings" must contain at least one setting`))
 		return
 	}
@@ -286,7 +273,7 @@ func (rt *Router) handleRunBatch(w http.ResponseWriter, r *http.Request, req cli
 			break
 		}
 		if len(groups) == 1 {
-			_, resp, ok := rt.forwardRaw(r.Context(), RunKey(req.Workload, req.Arch, core.Setting(req.Settings[0])), http.MethodPost, "/v1/run", body)
+			_, resp, ok := rt.forwardRaw(r.Context(), groups[0].key, http.MethodPost, "/v1/run", body)
 			if !ok {
 				break
 			}
@@ -310,7 +297,8 @@ func (rt *Router) handleRunBatch(w http.ResponseWriter, r *http.Request, req cli
 // batchGroup is the slice of a batch owned by one backend.
 type batchGroup struct {
 	backend *backend
-	indices []int // positions in the original Settings array
+	key     string // RunKey of the group's first setting; a verbatim forward routes by it
+	indices []int  // positions in the original Settings array
 }
 
 // planBatch assigns every setting of a batch to its live owner, returning
@@ -319,13 +307,14 @@ type batchGroup struct {
 func (rt *Router) planBatch(req client.RunRequest) ([]*batchGroup, bool) {
 	byOwner := make(map[string]*batchGroup)
 	for i, s := range req.Settings {
-		owner, ok := rt.ring.Owner(RunKey(req.Workload, req.Arch, core.Setting(s)), rt.alive)
+		key := RunKey(req.Workload, req.Arch, core.Setting(s))
+		owner, ok := rt.ring.Owner(key, rt.alive)
 		if !ok {
 			return nil, false
 		}
 		g := byOwner[owner]
 		if g == nil {
-			g = &batchGroup{backend: rt.byName[owner]}
+			g = &batchGroup{backend: rt.byName[owner], key: key}
 			byOwner[owner] = g
 		}
 		g.indices = append(g.indices, i)

@@ -4,13 +4,10 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"dataproxy/internal/core"
 	"dataproxy/internal/perf"
 	"dataproxy/internal/proxy"
-	"dataproxy/internal/sim"
-	"dataproxy/internal/testutil"
 	"dataproxy/internal/tuner"
 )
 
@@ -21,28 +18,28 @@ import (
 // more often than they invent new ones — and it must stay allocation-free,
 // which the bench gate enforces via the committed baseline.
 func BenchmarkServeRun(b *testing.B) {
-	proto := testutil.WestmereCluster()
-	sc := newScheduler(2, 16, 4096, 0, 1, map[string]*sim.Cluster{"westmere": proto})
+	sc := coalesceScheduler(b, 2, 1)
 	bench, err := proxy.ForWorkload("terasort")
 	if err != nil {
 		b.Fatal(err)
 	}
-	setting := core.DefaultSetting()
+	settings := []core.Setting{core.DefaultSetting()}
+	metrics := make([]perf.Metrics, 1)
+	coalesced := make([]bool, 1)
 	ctx := context.Background()
 
 	// First round-trip executes the simulation and fills the cache.
-	if _, _, err := sc.run(ctx, "westmere", bench, setting); err != nil {
+	if err := sc.run(ctx, "westmere", bench, settings, metrics, coalesced); err != nil {
 		b.Fatal(err)
 	}
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, coalesced, err := sc.run(ctx, "westmere", bench, setting)
-		if err != nil {
+		if err := sc.run(ctx, "westmere", bench, settings, metrics, coalesced); err != nil {
 			b.Fatal(err)
 		}
-		if !coalesced || m.Runtime == 0 {
+		if !coalesced[0] || metrics[0].Runtime == 0 {
 			b.Fatal("steady-state request should be served from the cache")
 		}
 	}
@@ -51,12 +48,11 @@ func BenchmarkServeRun(b *testing.B) {
 // BenchmarkServeRunBatch measures the scheduler round-trip of a repeated
 // batched /v1/run: four warm settings peeked byte-wise against the cache and
 // copied into caller-provided result slices.  Like the single-request steady
-// state this must stay allocation-free — the dst-slice shape of runBatch
-// exists precisely so an all-warm batch touches no heap — and the bench gate
+// state this must stay allocation-free — the dst-slice shape of run exists
+// precisely so an all-warm request touches no heap — and the bench gate
 // enforces 0 allocs/op via the committed baseline.
 func BenchmarkServeRunBatch(b *testing.B) {
-	proto := testutil.WestmereCluster()
-	sc := newScheduler(2, 16, 4096, 0, 1, map[string]*sim.Cluster{"westmere": proto})
+	sc := coalesceScheduler(b, 2, 1)
 	bench, err := proxy.ForWorkload("terasort")
 	if err != nil {
 		b.Fatal(err)
@@ -72,14 +68,14 @@ func BenchmarkServeRunBatch(b *testing.B) {
 	ctx := context.Background()
 
 	// First round-trip executes the cold sweep and fills the cache.
-	if err := sc.runBatch(ctx, "westmere", bench, settings, metrics, coalesced); err != nil {
+	if err := sc.run(ctx, "westmere", bench, settings, metrics, coalesced); err != nil {
 		b.Fatal(err)
 	}
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sc.runBatch(ctx, "westmere", bench, settings, metrics, coalesced); err != nil {
+		if err := sc.run(ctx, "westmere", bench, settings, metrics, coalesced); err != nil {
 			b.Fatal(err)
 		}
 		if !coalesced[0] || metrics[0].Runtime == 0 {
@@ -104,14 +100,13 @@ func benchColdSettings() []core.Setting {
 
 // BenchmarkServeConcurrentCold measures the tentpole win of cross-request
 // micro-batching: eight concurrent cold /v1/run requests whose settings span
-// two trace groups, served request-per-sweep (solo: coalescing disabled,
-// eight simulations) versus through one collection window (coalesced: the
-// size cap seals at eight lanes, two simulations).  Each iteration starts
+// two trace groups, served request-per-sweep (solo: one-lane windows, eight
+// simulations) versus through one collection window (coalesced: the lane cap
+// seals at eight lanes, two simulations).  Each iteration starts
 // from a fresh result cache so every request is genuinely cold.  The bench
 // gate tracks both; coalesced must sustain at least twice solo's
 // throughput.
 func BenchmarkServeConcurrentCold(b *testing.B) {
-	proto := testutil.WestmereCluster()
 	bench, err := proxy.ForWorkload("terasort")
 	if err != nil {
 		b.Fatal(err)
@@ -127,7 +122,7 @@ func BenchmarkServeConcurrentCold(b *testing.B) {
 				wg.Add(1)
 				go func(s core.Setting) {
 					defer wg.Done()
-					if _, _, err := sc.run(ctx, "westmere", bench, s); err != nil {
+					if _, _, err := runOne(ctx, sc, bench, s); err != nil {
 						b.Error(err)
 					}
 				}(s)
@@ -136,13 +131,9 @@ func BenchmarkServeConcurrentCold(b *testing.B) {
 		}
 	}
 	b.Run("solo", func(b *testing.B) {
-		sc := newScheduler(8, 16, 1<<20, 0, 1, map[string]*sim.Cluster{"westmere": proto})
-		sc.idleDrain = false
-		burst(b, sc)
+		burst(b, coalesceScheduler(b, 8, 1))
 	})
 	b.Run("coalesced", func(b *testing.B) {
-		sc := newScheduler(8, 16, 1<<20, time.Second, len(settings), map[string]*sim.Cluster{"westmere": proto})
-		sc.idleDrain = false
-		burst(b, sc)
+		burst(b, coalesceScheduler(b, 8, len(settings)))
 	})
 }

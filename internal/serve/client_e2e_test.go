@@ -139,10 +139,8 @@ func TestClientDecodesEnvelopes(t *testing.T) {
 		t.Errorf("missing job should classify IsNotFound, got %v", err)
 	}
 
-	s.draining.Store(true)
 	s.sched.draining.Store(true)
 	defer func() {
-		s.draining.Store(false)
 		s.sched.draining.Store(false)
 	}()
 	_, err = c.Run(ctx, client.RunRequest{Workload: "terasort"})

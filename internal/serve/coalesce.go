@@ -13,30 +13,32 @@ import (
 	"dataproxy/internal/perf"
 )
 
-// Cross-request micro-batching.  PR 6 made K settings sharing a trace key
-// ride ONE simulation — but only within a single request.  The coalescer
-// extends that amortization across the request boundary: cold single-run
-// requests for the same (architecture, benchmark) group gather in a bounded
-// collection window and execute as one tuner lockstep sweep on one
-// execution slot, with per-lane results (success, error or recovered panic)
-// fanned back to each waiting request.  A window seals — no further lanes
-// join — when the first of three bounds hits: the collection window
-// elapses, the batch reaches maxLanes, or the system is idle (a lone
-// request never waits; its window drains immediately).  Coalescing must be
-// invisible in results: one merged sweep funnels through the same
-// tuner.Memo claim protocol as per-request execution, so metrics, memo
-// bookkeeping and fresh accounting stay bit-identical to the sequential
-// order — the property coalesce_test.go pins at several worker counts.
+// Cross-request micro-batching.  K settings sharing a trace key ride ONE
+// simulation within a sweep; the coalescer extends that amortization across
+// the request boundary, and it is the only cold path: the cold settings of
+// every /v1/run request — one for a single run, n for a batch — join the
+// collection window of their (architecture, benchmark) group as lanes, and
+// the window executes as one tuner lockstep sweep on one execution slot,
+// with per-lane results (success, error or recovered panic) fanned back to
+// each waiting request.  A window seals — no further lanes join — when the
+// first of four bounds hits: the collection window elapses, the window
+// reaches maxLanes, the system is idle (a lone request never waits; its
+// window drains immediately), or a batch joins (a batch brings its own
+// lanes, so it never waits).  Coalescing must be invisible in results: one
+// merged sweep funnels through the same tuner.Memo claim protocol as
+// per-request execution, so metrics, memo bookkeeping and fresh accounting
+// stay bit-identical to one request per sweep — the property
+// coalesce_test.go pins at several worker counts against one-lane windows.
 
-// cwindow is one open collection window: the cold single-run settings of
-// one (architecture, benchmark) group, gathered while the window accepts
+// cwindow is one open collection window: the cold settings of one
+// (architecture, benchmark) group, gathered while the window accepts
 // joiners and executed as one sweep after it seals.
 type cwindow struct {
 	archName string
 	b        *core.Benchmark
 	openedAt time.Time
 
-	// settings accumulates one lane per joined request, guarded by the
+	// settings accumulates the joined requests' lanes, guarded by the
 	// scheduler's cmu until sealed closes (after which it is immutable).
 	settings []core.Setting
 
@@ -57,12 +59,13 @@ type cwindow struct {
 	errs    []error
 }
 
-// joinWindow adds setting s to the open collection window of its group —
-// opening one if needed — and returns the window and the caller's lane
-// index.  It seals the window at the size cap, and immediately when the
-// joining request is the only admitted one (idle drain: a lone request must
-// not pay the window bound).
-func (sc *scheduler) joinWindow(archName string, b *core.Benchmark, s core.Setting) (*cwindow, int) {
+// joinWindow adds settings[i] for each i in cold as lanes of the open
+// collection window of its group — opening one if needed — and returns the
+// window and the first of the caller's consecutive lane indices.  It seals
+// the window when a batch (more than one setting) joins, at the lane cap,
+// and immediately when the joining request is the only admitted one (idle
+// drain: a lone request must not pay the window bound).
+func (sc *scheduler) joinWindow(archName string, b *core.Benchmark, settings []core.Setting, cold []int) (*cwindow, int) {
 	key := archName + "|" + b.Name
 	sc.cmu.Lock()
 	w := sc.windows[key]
@@ -79,14 +82,16 @@ func (sc *scheduler) joinWindow(archName string, b *core.Benchmark, s core.Setti
 		sc.windows[key] = w
 		w.timer = time.AfterFunc(sc.window, func() { sc.seal(key, w) })
 	}
-	idx := len(w.settings)
-	w.settings = append(w.settings, s)
-	if len(w.settings) >= sc.maxLanes ||
-		(idx == 0 && sc.idleDrain && sc.admitted.Load() == 1) {
+	first := len(w.settings)
+	for _, i := range cold {
+		w.settings = append(w.settings, settings[i])
+	}
+	if len(settings) > 1 || len(w.settings) >= sc.maxLanes ||
+		(first == 0 && sc.idleDrain && sc.admitted.Load() == 1) {
 		sc.sealLocked(key, w)
 	}
 	sc.cmu.Unlock()
-	return w, idx
+	return w, first
 }
 
 // seal is the timer-driven entry to sealLocked.
@@ -99,7 +104,7 @@ func (sc *scheduler) seal(key string, w *cwindow) {
 // sealLocked (cmu held) closes window w for joining: it leaves the open-
 // window map, so the next cold request of the group opens a fresh window.
 // The map check makes sealing idempotent across its racing triggers (timer,
-// size cap, idle drain).
+// lane cap, idle drain, a joining batch).
 func (sc *scheduler) sealLocked(key string, w *cwindow) {
 	if sc.windows[key] != w {
 		return
@@ -109,28 +114,36 @@ func (sc *scheduler) sealLocked(key string, w *cwindow) {
 	close(w.sealed)
 }
 
-// runCoalesced executes one admitted cold single-run request through the
-// collection window of its group: join, wait for the window to seal, race
-// for the executor role, and read this request's own lane back out.  The
-// returned coalesced flag reports whether the lane was answered without a
-// fresh simulation (a duplicate of another lane or an earlier memo entry).
-func (sc *scheduler) runCoalesced(ctx context.Context, archName string, b *core.Benchmark, s core.Setting) (perf.Metrics, bool, error) {
-	w, idx := sc.joinWindow(archName, b, s)
+// runCold executes the cold settings of one admitted request (settings[i]
+// for each i in cold) through the collection window of its group: join,
+// wait for the window to seal, race for the executor role, and copy this
+// request's own lanes back out.  A lane's coalesced flag reports whether it
+// was answered without a fresh simulation (a duplicate of another lane or
+// an earlier memo entry); the first lane error, in request order, fails the
+// request.
+func (sc *scheduler) runCold(ctx context.Context, archName string, b *core.Benchmark, settings []core.Setting, cold []int, metrics []perf.Metrics, coalesced []bool) error {
+	w, first := sc.joinWindow(archName, b, settings, cold)
 	select {
 	case <-w.sealed:
 	case <-ctx.Done():
-		return perf.Metrics{}, false, ctx.Err()
+		return ctx.Err()
 	}
 	for {
 		select {
 		case <-w.done:
-			return w.metrics[idx], !w.fresh[idx], w.errs[idx]
+			for j, i := range cold {
+				if err := w.errs[first+j]; err != nil {
+					return err
+				}
+				metrics[i], coalesced[i] = w.metrics[first+j], !w.fresh[first+j]
+			}
+			return nil
 		case <-w.lead:
 			if err := sc.executeWindow(ctx, w); err != nil {
-				return perf.Metrics{}, false, err
+				return err
 			}
 		case <-ctx.Done():
-			return perf.Metrics{}, false, ctx.Err()
+			return ctx.Err()
 		}
 	}
 }

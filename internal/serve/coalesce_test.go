@@ -16,28 +16,40 @@ import (
 	"dataproxy/internal/core"
 	"dataproxy/internal/faultinject"
 	"dataproxy/internal/parallel"
+	"dataproxy/internal/perf"
 	"dataproxy/internal/proxy"
 	"dataproxy/internal/sim"
 	"dataproxy/internal/testutil"
 	"dataproxy/pkg/client"
 )
 
-// coalesceScheduler builds a scheduler whose collection window seals only at
-// the lanes size cap (idle drain off, a long timer as the failsafe), so tests
-// compose batches deterministically.
+// coalesceScheduler builds a scheduler that seals a single run's window
+// only at the lanes cap (idle drain off, a long timer as the failsafe), so
+// tests compose sweeps deterministically.  One lane is the reference
+// schedule: one request per sweep.
 func coalesceScheduler(t testing.TB, maxInFlight, lanes int) *scheduler {
 	t.Helper()
 	proto := testutil.WestmereCluster()
-	sc := newScheduler(maxInFlight, 16, 1<<20, time.Second, lanes, map[string]*sim.Cluster{"westmere": proto})
+	sc := newScheduler(maxInFlight, 16, 1<<20, time.Second, map[string]*sim.Cluster{"westmere": proto})
+	sc.maxLanes = lanes
 	sc.idleDrain = false
 	return sc
+}
+
+// runOne runs a single-setting request on Westmere through the scheduler's
+// one entry and returns its metrics and coalesced flag.
+func runOne(ctx context.Context, sc *scheduler, b *core.Benchmark, s core.Setting) (perf.Metrics, bool, error) {
+	metrics, coalesced := make([]perf.Metrics, 1), make([]bool, 1)
+	err := sc.run(ctx, "westmere", b, []core.Setting{s}, metrics, coalesced)
+	return metrics[0], coalesced[0], err
 }
 
 // TestCoalescedBitIdenticalToSequential is the tentpole's correctness
 // property: a burst of concurrent cold requests merged into one collection
 // window must return metric vectors byte-identical (JSON encoding) to the
-// same settings executed sequentially, one request per sweep, with identical
-// memo bookkeeping — at several host worker counts, under -race.
+// same settings executed sequentially in one-lane windows, one request per
+// sweep, with identical memo bookkeeping — at several host worker counts,
+// under -race.
 func TestCoalescedBitIdenticalToSequential(t *testing.T) {
 	bench, err := proxy.ForWorkload("terasort")
 	if err != nil {
@@ -49,11 +61,11 @@ func TestCoalescedBitIdenticalToSequential(t *testing.T) {
 		prev := parallel.SetWorkers(workers)
 		t.Cleanup(func() { parallel.SetWorkers(prev) })
 
-		// Sequential reference: coalescing disabled, one request per sweep.
-		seq := newScheduler(8, 16, 1<<20, 0, 1, map[string]*sim.Cluster{"westmere": testutil.WestmereCluster()})
+		// Sequential reference: one-lane windows, one request per sweep.
+		seq := coalesceScheduler(t, 8, 1)
 		want := make([]string, len(settings))
 		for i, s := range settings {
-			m, coalesced, err := seq.run(ctx, "westmere", bench, s)
+			m, coalesced, err := runOne(ctx, seq, bench, s)
 			if err != nil {
 				t.Fatalf("workers=%d sequential %d: %v", workers, i, err)
 			}
@@ -75,7 +87,7 @@ func TestCoalescedBitIdenticalToSequential(t *testing.T) {
 			wg.Add(1)
 			go func(i int, s core.Setting) {
 				defer wg.Done()
-				m, coalesced, err := coal.run(ctx, "westmere", bench, s)
+				m, coalesced, err := runOne(ctx, coal, bench, s)
 				if err != nil {
 					t.Errorf("workers=%d coalesced %d: %v", workers, i, err)
 					return
@@ -107,10 +119,117 @@ func TestCoalescedBitIdenticalToSequential(t *testing.T) {
 		if got := seq.executed.Load(); got != int64(len(settings)) {
 			t.Fatalf("workers=%d: sequential executed %d simulations, want %d", workers, got, len(settings))
 		}
+		if got := seq.windowBatches.Load(); got != int64(len(settings)) {
+			t.Fatalf("workers=%d: sequential ran %d window sweeps, want %d", workers, got, len(settings))
+		}
 		if got := coal.windowBatches.Load(); got != 1 {
 			t.Fatalf("workers=%d: %d window batches, want 1", workers, got)
 		}
 	}
+}
+
+// TestBatchJoinsOpenWindow pins the one cold path: a batch whose
+// (architecture, benchmark) group has a window open, held by concurrent cold
+// single runs, joins that window as lanes and seals it, so singles and batch
+// ride ONE sweep that evaluates each shared trace group once — and every
+// request reads the metric bytes a one-lane window gives it.
+func TestBatchJoinsOpenWindow(t *testing.T) {
+	bench, err := proxy.ForWorkload("terasort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two trace groups (chunkSize 1 and 2), each shared by two singles and
+	// two batch settings that differ only in dataSize.
+	var singles, batch []core.Setting
+	for _, chunk := range []float64{1, 2} {
+		singles = append(singles, core.Setting{"chunkSize": chunk, "dataSize": 1.1}, core.Setting{"chunkSize": chunk, "dataSize": 1.2})
+		batch = append(batch, core.Setting{"chunkSize": chunk, "dataSize": 1.3}, core.Setting{"chunkSize": chunk, "dataSize": 1.4})
+	}
+	ctx := context.Background()
+
+	// Idle drain off and a lane cap the singles never reach: only the
+	// timer, a minute away, or the batch can seal their window.
+	sc := coalesceScheduler(t, 8, coalesceLanes)
+	sc.window = time.Minute
+	key := "westmere|" + bench.Name
+	laneCount := func() int {
+		sc.cmu.Lock()
+		defer sc.cmu.Unlock()
+		if w := sc.windows[key]; w != nil {
+			return len(w.settings)
+		}
+		return 0
+	}
+	got := make([]string, len(singles)+len(batch))
+	var wg sync.WaitGroup
+	for i, s := range singles {
+		wg.Add(1)
+		go func(i int, s core.Setting) {
+			defer wg.Done()
+			m, coalesced, err := runOne(ctx, sc, bench, s)
+			if err != nil || coalesced {
+				t.Errorf("single %d: coalesced=%v err=%v, want a fresh lane", i, coalesced, err)
+			}
+			got[i] = metricsJSON(t, m)
+		}(i, s)
+	}
+	for deadline := time.Now().Add(30 * time.Second); laneCount() < len(singles); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the singles never held a window of %d lanes open (have %d)", len(singles), laneCount())
+		}
+	}
+
+	metrics, coalesced := make([]perf.Metrics, len(batch)), make([]bool, len(batch))
+	if err := sc.run(ctx, "westmere", bench, batch, metrics, coalesced); err != nil {
+		t.Fatal(err)
+	}
+	if n := laneCount(); n != 0 {
+		sc.cmu.Lock()
+		sc.sealLocked(key, sc.windows[key]) // release the singles before failing
+		sc.cmu.Unlock()
+		wg.Wait()
+		t.Fatalf("the batch left the singles' window open with %d lanes: it did not join and seal it", n)
+	}
+	wg.Wait()
+	for i, m := range metrics {
+		if coalesced[i] {
+			t.Errorf("batch setting %d: distinct cold lane reported coalesced", i)
+		}
+		got[len(singles)+i] = metricsJSON(t, m)
+	}
+
+	if n := sc.windowBatches.Load(); n != 1 {
+		t.Fatalf("%d sweeps ran, want 1: singles and batch share one window", n)
+	}
+	groups := map[string]bool{}
+	for _, s := range append(append([]core.Setting{}, singles...), batch...) {
+		groups[bench.TraceKey(s)] = true
+	}
+	if n := sc.executed.Load(); n != int64(len(groups)) {
+		t.Fatalf("executed %d trace keys, want %d: the merged sweep evaluates each shared group once", n, len(groups))
+	}
+
+	// Reference: every setting alone in a one-lane window.
+	ref := coalesceScheduler(t, 8, 1)
+	for i, s := range append(append([]core.Setting{}, singles...), batch...) {
+		m, _, err := runOne(ctx, ref, bench, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := metricsJSON(t, m); got[i] != want {
+			t.Fatalf("request setting %d: merged-sweep metrics diverge from a one-lane window:\n%s\nvs\n%s", i, got[i], want)
+		}
+	}
+}
+
+// metricsJSON is the wire encoding of a metric vector.
+func metricsJSON(t *testing.T, m perf.Metrics) string {
+	t.Helper()
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }
 
 // TestCoalescedPanicFailsOnlyContributors injects a panic into the middle of
@@ -137,7 +256,7 @@ func TestCoalescedPanicFailsOnlyContributors(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = sc.run(ctx, "westmere", bench, core.Setting{"dataSize": 1 + float64(i)*0.1})
+			_, _, errs[i] = runOne(ctx, sc, bench, core.Setting{"dataSize": 1 + float64(i)*0.1})
 		}(i)
 	}
 	done := make(chan struct{})
@@ -156,7 +275,7 @@ func TestCoalescedPanicFailsOnlyContributors(t *testing.T) {
 	// The panic is cached per entry: repeating a failed setting replays the
 	// error from the cache (no admission, no new sweep).
 	batches := sc.windowBatches.Load()
-	_, coalesced, err := sc.run(ctx, "westmere", bench, core.Setting{"dataSize": 1.1})
+	_, coalesced, err := runOne(ctx, sc, bench, core.Setting{"dataSize": 1.1})
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("repeat of a failed setting: error %v, want the cached panic error", err)
 	}
@@ -174,7 +293,7 @@ func TestCoalescedPanicFailsOnlyContributors(t *testing.T) {
 		wg2.Add(1)
 		go func(i int) {
 			defer wg2.Done()
-			m, _, err := sc.run(ctx, "westmere", bench, core.Setting{"dataSize": 2 + float64(i)*0.1})
+			m, _, err := runOne(ctx, sc, bench, core.Setting{"dataSize": 2 + float64(i)*0.1})
 			if err == nil && m.Runtime == 0 {
 				err = fmt.Errorf("healthy sweep returned zero metrics")
 			}
@@ -197,12 +316,12 @@ func TestCoalescedPanicFailsOnlyContributors(t *testing.T) {
 // simulation and varies with the host and the race detector.
 func TestLoneRequestDrainsIdleWindow(t *testing.T) {
 	proto := testutil.WestmereCluster()
-	sc := newScheduler(2, 16, 1<<20, 5*time.Second, 16, map[string]*sim.Cluster{"westmere": proto})
+	sc := newScheduler(2, 16, 1<<20, 5*time.Second, map[string]*sim.Cluster{"westmere": proto})
 	bench, err := proxy.ForWorkload("terasort")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sc.run(context.Background(), "westmere", bench, core.DefaultSetting()); err != nil {
+	if _, _, err := runOne(context.Background(), sc, bench, core.DefaultSetting()); err != nil {
 		t.Fatal(err)
 	}
 	if n := sc.windowBatches.Load(); n != 1 {
@@ -216,7 +335,8 @@ func TestLoneRequestDrainsIdleWindow(t *testing.T) {
 // TestCoalesceMetricsExposition checks /metrics carries the coalescer
 // counters and histograms after a forced cross-request batch.
 func TestCoalesceMetricsExposition(t *testing.T) {
-	s, ts := newTestServer(t, Config{CoalesceWindow: time.Second, CoalesceLanes: 2})
+	s, ts := newTestServer(t, Config{CoalesceWindow: time.Second})
+	s.sched.maxLanes = 2
 	s.sched.idleDrain = false
 
 	var wg sync.WaitGroup
@@ -261,18 +381,12 @@ func TestConfigCoalesceDefaults(t *testing.T) {
 	if cfg.CoalesceWindow != 2*time.Millisecond {
 		t.Errorf("CoalesceWindow default %v, want 2ms", cfg.CoalesceWindow)
 	}
-	if cfg.CoalesceLanes != 16 {
-		t.Errorf("CoalesceLanes default %d, want 16", cfg.CoalesceLanes)
-	}
 	if cfg.RequestLog != nil {
 		t.Error("RequestLog must default to nil (logging off)")
 	}
-	cfg = Config{CoalesceWindow: -1, CoalesceLanes: -1}.withDefaults()
-	if cfg.CoalesceWindow != 0 {
-		t.Errorf("negative CoalesceWindow should disable coalescing, got %v", cfg.CoalesceWindow)
-	}
-	if cfg.CoalesceLanes != 1 {
-		t.Errorf("negative CoalesceLanes should select 1, got %d", cfg.CoalesceLanes)
+	cfg = Config{CoalesceWindow: -1}.withDefaults()
+	if cfg.CoalesceWindow != 2*time.Millisecond {
+		t.Errorf("negative CoalesceWindow should select the 2ms default, got %v", cfg.CoalesceWindow)
 	}
 }
 

@@ -58,10 +58,8 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s.draining.Store(tc.draining)
 			s.sched.draining.Store(tc.draining)
 			defer func() {
-				s.draining.Store(false)
 				s.sched.draining.Store(false)
 			}()
 

@@ -28,7 +28,7 @@ type jobStore struct {
 	seq   int
 	cap   int
 	jobs  map[string]*jobRecord
-	order []string // creation order, for pruning oldest finished jobs first
+	order []string // every job's ID in creation order, for pruning oldest finished jobs first
 }
 
 func newJobStore(cap int) *jobStore {
@@ -89,26 +89,20 @@ func (js *jobStore) snapshot() []jobRecord {
 	defer js.mu.Unlock()
 	out := make([]jobRecord, 0, len(js.jobs))
 	for _, id := range js.order {
-		if rec, ok := js.jobs[id]; ok {
-			out = append(out, *rec)
-		}
+		out = append(out, *js.jobs[id])
 	}
 	return out
 }
 
-// pruneLocked drops the oldest finished jobs until the store fits the cap,
-// compacting order entries of removed jobs along the way.  Callers hold mu.
+// pruneLocked drops the oldest finished jobs until the store fits the cap.
+// Callers hold mu.
 func (js *jobStore) pruneLocked() {
 	if js.cap <= 0 || len(js.jobs) <= js.cap {
 		return
 	}
 	kept := js.order[:0]
 	for _, id := range js.order {
-		rec, ok := js.jobs[id]
-		if !ok {
-			continue // removed out of band (e.g. a shed tune)
-		}
-		if len(js.jobs) > js.cap && rec.Job.IsFinished() {
+		if len(js.jobs) > js.cap && js.jobs[id].Job.IsFinished() {
 			delete(js.jobs, id)
 			continue
 		}
@@ -128,13 +122,20 @@ func (js *jobStore) get(id string) (client.JobResponse, bool) {
 	return rec.Job, true
 }
 
-// remove deletes a job record outright.  It is used when a job was created
-// but could not be queued (the client got a 429 and never saw the ID), so
-// shed requests do not grow the store.
+// remove deletes a job record and its place in the creation order
+// outright.  It is used when a job was created but could not be queued (the
+// client got a 429 and never saw the ID), so shed requests do not grow the
+// store.  A shed job was just created, so the scan starts at the newest.
 func (js *jobStore) remove(id string) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
 	delete(js.jobs, id)
+	for i := len(js.order) - 1; i >= 0; i-- {
+		if js.order[i] == id {
+			js.order = append(js.order[:i], js.order[i+1:]...)
+			return
+		}
+	}
 }
 
 // setRunning marks the job as executing.

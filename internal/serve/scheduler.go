@@ -36,14 +36,14 @@ var ErrOverloaded = errors.New("serve: admission queue full")
 // float factors), so the memo is bounded: it evicts completed entries one
 // at a time, and the scheduler keeps that one memo for its whole life.
 //
-// Non-identical cold requests coalesce too, when window > 0: concurrent
-// single-run requests for the same (architecture, benchmark) gather in a
-// bounded collection window and execute as ONE lockstep sweep on one
-// execution slot, with per-lane results fanned back to each waiting request
-// (see coalesce.go).  Admission is therefore split in two: admit/unadmit
-// account every contributing request individually (so overload sheds each
-// request on its own), while acquireSlot/releaseSlot meter actual
-// executions — one slot per sweep, however many requests ride it.
+// Every cold request goes through one path: the cold settings of concurrent
+// requests for the same (architecture, benchmark) gather in a bounded
+// collection window and execute as ONE lockstep sweep on one execution slot,
+// with per-lane results fanned back to each waiting request (see
+// coalesce.go).  Admission is therefore split in two: admit/unadmit account
+// every contributing request individually (so overload sheds each request on
+// its own), while acquireSlot/releaseSlot meter actual executions — one slot
+// per sweep, however many requests ride it.
 type scheduler struct {
 	maxInFlight int
 	queueDepth  int
@@ -53,12 +53,12 @@ type scheduler struct {
 	admitted atomic.Int64
 	slots    chan struct{}
 
-	// window bounds how long a cold request may wait for cross-request
-	// companions before its batch drains (0 disables cross-request
-	// coalescing); maxLanes caps the batch size (a full window drains
-	// immediately).  idleDrain, default true, drains a lone request's window
-	// with no wait at all — tests and benchmarks clear it to make batch
-	// composition deterministic.
+	// window bounds how long a cold single run may wait for cross-request
+	// companions before its window drains; maxLanes (coalesceLanes) caps
+	// the lanes single runs gather (a full window drains immediately).
+	// idleDrain, default true, drains a lone request's window with no wait
+	// at all.  Tests and benchmarks clear idleDrain and set maxLanes to
+	// compose sweeps deterministically; one lane is one request per sweep.
 	window    time.Duration
 	maxLanes  int
 	idleDrain bool
@@ -96,7 +96,7 @@ type scheduler struct {
 	draining atomic.Bool
 
 	executed  atomic.Int64 // distinct trace keys evaluated cold, per sweep
-	coalesced atomic.Int64 // requests served from the result cache / singleflight
+	coalesced atomic.Int64 // settings served from the result cache / singleflight
 	shed      atomic.Int64 // requests rejected with ErrOverloaded
 
 	// simulatedGroups and resumedGroups count the trace groups the sweeps'
@@ -105,25 +105,25 @@ type scheduler struct {
 	simulatedGroups atomic.Int64
 	resumedGroups   atomic.Int64
 
-	windowBatches atomic.Int64 // coalesced sweeps executed from collection windows
-	laneHist      *histogram   // lanes per coalesced sweep
+	windowBatches atomic.Int64 // cold sweeps executed, one per sealed window
+	laneHist      *histogram   // lanes per sweep
 	waitHist      *histogram   // seconds from window open to sweep start
 }
 
-func newScheduler(maxInFlight, queueDepth, maxCacheEntries int, window time.Duration, maxLanes int, protos map[string]*sim.Cluster) *scheduler {
+// coalesceLanes is the lane cap at which single runs seal their window.
+const coalesceLanes = 16
+
+func newScheduler(maxInFlight, queueDepth, maxCacheEntries int, window time.Duration, protos map[string]*sim.Cluster) *scheduler {
 	pools := make(map[string]*sim.ClusterPool, len(protos))
 	for name, proto := range protos {
 		pools[name] = sim.NewClusterPool(proto)
-	}
-	if maxLanes < 1 {
-		maxLanes = 1
 	}
 	sc := &scheduler{
 		maxInFlight: maxInFlight,
 		queueDepth:  queueDepth,
 		slots:       make(chan struct{}, maxInFlight),
 		window:      window,
-		maxLanes:    maxLanes,
+		maxLanes:    coalesceLanes,
 		idleDrain:   true,
 		windows:     make(map[string]*cwindow),
 		memo:        tuner.NewBoundedMemo(maxCacheEntries),
@@ -158,124 +158,65 @@ func (sc *scheduler) pool(archName string) (*sim.ClusterPool, error) {
 	return p, nil
 }
 
-// run executes benchmark b under setting s on the named architecture,
-// returning the metric vector and whether the result was coalesced with a
-// previous or concurrent identical request.  Completed results are answered
-// straight from the cache with no admission — and with zero allocations:
-// the key is built into a pooled scratch buffer against the prototype's
-// cached fingerprint and looked up byte-wise.  A cache miss materialises
-// the key string, passes admission, and — when cross-request coalescing is
-// enabled — joins the open collection window of its (architecture,
-// benchmark) group to ride one lockstep sweep with concurrent cold
-// requests; with coalescing disabled it executes alone on a pooled cluster
-// (or blocks on an in-flight twin).
-func (sc *scheduler) run(ctx context.Context, archName string, b *core.Benchmark, s core.Setting) (perf.Metrics, bool, error) {
-	pool, err := sc.pool(archName)
-	if err != nil {
-		return perf.Metrics{}, false, err
-	}
-	buf := sc.keyBufs.Get().(*[]byte)
-	keyBytes := tuner.AppendMemoKey((*buf)[:0], pool.Proto(), b, s)
-	if m, ok, err := sc.memo.PeekBytes(keyBytes); ok {
-		*buf = keyBytes
-		sc.keyBufs.Put(buf)
-		sc.coalesced.Add(1)
-		return m, true, err
-	}
-	*buf = keyBytes
-	sc.keyBufs.Put(buf)
-	if err := sc.admit(); err != nil {
-		return perf.Metrics{}, false, err
-	}
-	defer sc.unadmit()
-	if sc.window > 0 {
-		return sc.runCoalesced(ctx, archName, b, s)
-	}
-	if err := sc.acquireSlot(ctx); err != nil {
-		return perf.Metrics{}, false, err
-	}
-	defer sc.releaseSlot()
-	ms, fresh, errs := sc.evaluate(pool, b, []core.Setting{s})
-	return ms[0], !fresh[0], errs[0]
-}
-
-// runBatch executes benchmark b under a batch of settings on the named
-// architecture, writing the per-setting metric vector and coalesced flag into
-// the caller-provided metrics and coalesced slices (both len(settings)), in
-// request order.  The dst-slice shape keeps an all-warm batch — every setting
-// already completed in the cache — fully allocation-free: it is answered from
-// pooled key buffers with no admission and no new simulation.
+// run answers one /v1/run request: benchmark b under settings — one for a
+// single run, n for a batch — on the named architecture, writing each
+// setting's metric vector and coalesced flag into the caller's metrics and
+// coalesced slices (both len(settings)), in request order.  Settings already
+// completed in the cache are answered with no admission, and an all-warm
+// request allocates nothing: each key is built into a pooled scratch buffer
+// against the prototype's cached fingerprint and looked up byte-wise.  A
+// cached failure on any setting fails the request with that error.
 //
-// A batch with any cold setting passes admission ONCE, as a single unit:
-// either the whole cold remainder is admitted on one slot, or — when the
-// admission queue is full — the ENTIRE batch is shed with ErrOverloaded and
-// no partial results are produced.  Admitted cold settings execute as one
-// trace-sharing evaluation through the shared memo, so each is keyed
-// individually for future requests (and duplicates within the batch simulate
-// once).  A cached failure on any setting fails the whole batch with that
-// error, matching the single-run path where cached errors are replayed.
-// Batches are already batch-shaped and do not join collection windows.
-func (sc *scheduler) runBatch(ctx context.Context, archName string, b *core.Benchmark, settings []core.Setting, metrics []perf.Metrics, coalesced []bool) error {
+// A request with any cold setting passes admission ONCE, as a unit: either
+// it is admitted, or — when the admission queue is full — it is shed whole
+// with ErrOverloaded and produces no partial results.  Its cold settings
+// then ride the collection window of their (architecture, benchmark) group
+// (runCold), so each is keyed individually for future requests, and
+// duplicates — within the request or across the window — simulate once.
+func (sc *scheduler) run(ctx context.Context, archName string, b *core.Benchmark, settings []core.Setting, metrics []perf.Metrics, coalesced []bool) error {
 	pool, err := sc.pool(archName)
 	if err != nil {
 		return err
 	}
 	buf := sc.keyBufs.Get().(*[]byte)
 	keyBytes := (*buf)[:0]
-	var coldIdx []int
+	var cold []int
+	var cachedErr error
 	for i, s := range settings {
 		keyBytes = tuner.AppendMemoKey(keyBytes[:0], pool.Proto(), b, s)
 		m, ok, err := sc.memo.PeekBytes(keyBytes)
-		if ok && err != nil {
-			*buf = keyBytes
-			sc.keyBufs.Put(buf)
-			return err
-		}
-		if ok {
-			metrics[i] = m
-			coalesced[i] = true
+		if !ok {
+			cold = append(cold, i)
 			continue
 		}
-		coldIdx = append(coldIdx, i)
+		metrics[i], coalesced[i] = m, true
+		if cachedErr = err; err != nil {
+			break
+		}
 	}
 	*buf = keyBytes
 	sc.keyBufs.Put(buf)
-	if len(coldIdx) == 0 {
-		sc.coalesced.Add(int64(len(settings)))
-		return nil
+	if cachedErr != nil {
+		return cachedErr
 	}
-	coldSettings := make([]core.Setting, len(coldIdx))
-	for j, i := range coldIdx {
-		coldSettings[j] = settings[i]
-	}
-	if err := sc.admit(); err != nil {
-		return err
-	}
-	defer sc.unadmit()
-	if err := sc.acquireSlot(ctx); err != nil {
-		return err
-	}
-	defer sc.releaseSlot()
-	ms, fresh, errs := sc.evaluate(pool, b, coldSettings)
-	for _, err := range errs {
-		if err != nil {
+	if len(cold) > 0 {
+		if err := sc.admit(); err != nil {
+			return err
+		}
+		defer sc.unadmit()
+		if err := sc.runCold(ctx, archName, b, settings, cold, metrics, coalesced); err != nil {
 			return err
 		}
 	}
-	for j, i := range coldIdx {
-		metrics[i] = ms[j]
-		coalesced[i] = !fresh[j]
-	}
-	sc.coalesced.Add(int64(len(settings) - len(coldIdx)))
+	sc.coalesced.Add(int64(len(settings) - len(cold)))
 	return nil
 }
 
-// evaluate runs one cold sweep over settings and accounts it; every cold
-// path — a sealed window, a batch, a single run with coalescing disabled —
-// goes through it.  It normalises every failure mode into per-lane errors
-// of the right length: a panicking sweep is recovered here (the memo has
-// already cached the panic on each claimed entry, so twins replay it) and
-// fails every lane without taking the serving goroutine down, and a
+// evaluate runs one cold sweep over settings and accounts it; every sealed
+// window goes through it.  It normalises every failure mode into per-lane
+// errors of the right length: a panicking sweep is recovered here (the memo
+// has already cached the panic on each claimed entry, so twins replay it)
+// and fails every lane without taking the serving goroutine down, and a
 // malformed evaluator result fails them all too.  Such a sweep has no fresh
 // flags to account, so it adds to neither run counter: none of its lanes
 // was answered from the cache or from another request's work.
@@ -309,8 +250,8 @@ func (sc *scheduler) evaluate(pool *sim.ClusterPool, b *core.Benchmark, settings
 // trace key — the trace groups core.RunBatch evaluated cold, including one
 // it accounted from a trace recorded earlier in the same sweep — and every
 // other lane counts in coalesced.  The single-fresh fast path avoids the
-// map (and the key rendering) on the overwhelmingly common one-cold-setting
-// request.
+// map (and the key rendering) on the overwhelmingly common sweep of one
+// cold setting.
 func (sc *scheduler) recordSweep(b *core.Benchmark, settings []core.Setting, fresh []bool) {
 	n := 0
 	for _, f := range fresh {

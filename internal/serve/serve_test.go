@@ -816,25 +816,27 @@ func TestHotSettingStaysWarmPastCap(t *testing.T) {
 	}
 }
 
-// TestSweepPanicAnswers500 arms a panic inside the cold sweep on the paths
-// that do not run in a collection window — a batch, and a single run with
-// coalescing disabled — and checks the scheduler recovers it: the client
-// gets the 500 internal envelope instead of a dropped connection, and the
-// failed sweep adds to neither run counter, since none of its lanes was
-// answered from the cache or from another request's work.
+// TestSweepPanicAnswers500 arms a panic inside the cold sweep of a batch and
+// of a single run in a one-lane window, and checks the scheduler recovers
+// it: the client gets the 500 internal envelope instead of a dropped
+// connection, and the failed sweep adds to neither run counter, since none
+// of its lanes was answered from the cache or from another request's work.
 func TestSweepPanicAnswers500(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  Config
-		req  client.RunRequest
+		name  string
+		lanes int // the scheduler's lane cap; 0 keeps the default
+		req   client.RunRequest
 	}{
-		{"batch", Config{}, client.RunRequest{Workload: "terasort", Settings: []map[string]float64{{"dataSize": 1.1}, {"dataSize": 1.2}}}},
-		{"single without window", Config{CoalesceWindow: -1}, client.RunRequest{Workload: "terasort", Setting: map[string]float64{"dataSize": 1.1}}},
+		{"batch", 0, client.RunRequest{Workload: "terasort", Settings: []map[string]float64{{"dataSize": 1.1}, {"dataSize": 1.2}}}},
+		{"single in a one-lane window", 1, client.RunRequest{Workload: "terasort", Setting: map[string]float64{"dataSize": 1.1}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Cleanup(faultinject.Reset)
 			faultinject.Set("serve.evaluate", faultinject.Fault{Panic: true, PanicMsg: "boom", Times: 1})
-			_, ts := newTestServer(t, tc.cfg)
+			s, ts := newTestServer(t, Config{})
+			if tc.lanes > 0 {
+				s.sched.maxLanes = tc.lanes
+			}
 			resp, body := postJSON(t, ts.URL+"/v1/run", tc.req)
 			var env client.ErrorEnvelope
 			if err := json.Unmarshal(body, &env); err != nil {
@@ -888,6 +890,12 @@ func TestShedTuneLeavesNoJobRecord(t *testing.T) {
 	}
 	if want := 5 - shed; total != want {
 		t.Fatalf("job store holds %d records (%v), want only the %d accepted jobs", total, counts, want)
+	}
+	s.jobs.mu.Lock()
+	order, jobs := len(s.jobs.order), len(s.jobs.jobs)
+	s.jobs.mu.Unlock()
+	if order != jobs {
+		t.Fatalf("job store orders %d IDs for %d records: shed tunes leak their IDs", order, jobs)
 	}
 }
 

@@ -70,16 +70,12 @@ type Config struct {
 	// ones hit since the eviction hand last passed.  Entries still in flight
 	// are never evicted and may exceed the cap.  Zero selects 4096.
 	MaxCacheEntries int
-	// CoalesceWindow bounds how long a cold /v1/run request may wait for
-	// concurrent cold companions before its cross-request batch drains; a
-	// lone request drains immediately, so the window is a worst-case bound,
-	// not a tax.  Zero selects 2ms; negative disables cross-request
-	// coalescing (identical-request singleflight always stays on).
+	// CoalesceWindow bounds how long a cold single /v1/run may wait for
+	// concurrent cold companions before its collection window drains; a
+	// lone request, a batch and a window of 16 lanes drain immediately, so
+	// the window is a worst-case bound, not a tax.  Non-positive selects
+	// 2ms.
 	CoalesceWindow time.Duration
-	// CoalesceLanes caps how many requests one coalesced sweep may carry; a
-	// full window drains without waiting out CoalesceWindow.  Zero selects
-	// 16; negative selects 1.
-	CoalesceLanes int
 	// RequestLog, when non-nil, receives one structured line per HTTP
 	// request (method, route, status, duration, shard, coalesced flag).
 	// Nil disables request logging.
@@ -130,17 +126,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxCacheEntries <= 0 {
 		c.MaxCacheEntries = 4096
 	}
-	switch {
-	case c.CoalesceWindow == 0:
+	if c.CoalesceWindow <= 0 {
 		c.CoalesceWindow = 2 * time.Millisecond
-	case c.CoalesceWindow < 0:
-		c.CoalesceWindow = 0
-	}
-	switch {
-	case c.CoalesceLanes == 0:
-		c.CoalesceLanes = 16
-	case c.CoalesceLanes < 0:
-		c.CoalesceLanes = 1
 	}
 	if c.SnapshotInterval <= 0 {
 		c.SnapshotInterval = 30 * time.Second
@@ -176,12 +163,11 @@ type Server struct {
 	done      sync.WaitGroup
 
 	// state is the durability manager, nil unless Config.StateDir is set.
-	// ready flips once startup restore has finished; draining flips when a
-	// graceful drain begins.  /readyz reports 503 outside the window between
-	// them while /healthz stays pure liveness.
-	state    *stateManager
-	ready    atomic.Bool
-	draining atomic.Bool
+	// ready flips once startup restore has finished; the scheduler's
+	// draining flag flips when a graceful drain begins.  /readyz reports 503
+	// outside the window between them while /healthz stays pure liveness.
+	state *stateManager
+	ready atomic.Bool
 
 	// peers is the gossip manager, nil unless Config.Peers is set.
 	peers *peerManager
@@ -211,7 +197,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		mux:       apihttp.NewMux(cfg.RequestLog, "shard", cfg.Name),
-		sched:     newScheduler(cfg.MaxInFlight, cfg.QueueDepth, cfg.MaxCacheEntries, cfg.CoalesceWindow, cfg.CoalesceLanes, protos),
+		sched:     newScheduler(cfg.MaxInFlight, cfg.QueueDepth, cfg.MaxCacheEntries, cfg.CoalesceWindow, protos),
 		jobs:      newJobStore(maxJobHistory),
 		realMemo:  tuner.NewMemo(),
 		tuneQueue: make(chan tuneJob, cfg.JobQueueDepth),
@@ -247,7 +233,6 @@ func New(cfg Config) (*Server, error) {
 // the next start, which is the same recovery path a crash takes — and
 // returns the timeout error.
 func (s *Server) Drain(ctx context.Context) error {
-	s.draining.Store(true)
 	s.sched.draining.Store(true)
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.ShutdownTimeout)
 	defer cancel()
@@ -327,13 +312,14 @@ func (s *Server) routes() {
 // body ("setting", or neither field) is answered with a client.RunResponse;
 // a batch body ("settings") with a client.RunBatchResponse carrying one
 // result per setting in request order.  Setting and Settings are mutually
-// exclusive and an empty Settings array is rejected, both with 400.
+// exclusive and an empty Settings array is rejected (it is always a client
+// bug), both with 400.  Both forms run through the one scheduler entry.
 //
-// Shed and 429 semantics for batches are all-or-nothing.  Settings already
-// completed in the result cache are answered without admission; a batch whose
-// settings are all warm never spends an admission slot.  The cold remainder
-// is admitted as ONE unit on a single slot and executes as one trace-sharing
-// sweep — when the admission queue is full, the ENTIRE batch (warm results
+// Shed and 429 semantics are all-or-nothing.  Settings already completed in
+// the result cache are answered without admission; a request whose
+// settings are all warm never spends an admission slot.  The cold
+// remainder is admitted as ONE unit and rides one trace-sharing sweep —
+// when the admission queue is full, the ENTIRE request (warm results
 // included) is shed with 429 + Retry-After and no partial result set is
 // returned, so a retried batch is answered consistently and mostly from
 // cache.  Each cold setting is memoized individually, which means partial
@@ -349,50 +335,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		apihttp.Fail(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Settings != nil {
-		s.handleRunBatch(w, r, req, b)
-		return
-	}
-	archName, err := resolveArch(req.Arch)
-	if err != nil {
-		apihttp.Fail(w, http.StatusBadRequest, err)
-		return
-	}
-	setting, err := resolveSetting(req.Setting)
-	if err != nil {
-		apihttp.Fail(w, http.StatusBadRequest, err)
-		return
-	}
-	metrics, coalesced, err := s.sched.run(r.Context(), archName, b, setting)
-	if err != nil {
-		runError(w, err)
-		return
-	}
-	raw, err := metrics.MarshalJSON()
-	if err != nil {
-		apihttp.Fail(w, http.StatusInternalServerError, err)
-		return
-	}
-	apihttp.Annotate(r.Context(), "coalesced", coalesced)
-	apihttp.WriteJSON(w, http.StatusOK, client.RunResponse{
-		Workload:       req.Workload,
-		Benchmark:      b.Name,
-		Arch:           archName,
-		RuntimeSeconds: metrics.Runtime,
-		Coalesced:      coalesced,
-		Metrics:        raw,
-	})
-}
-
-// handleRunBatch answers the Settings form of POST /v1/run; see handleRun for
-// the shed/429 contract.  An empty batch is an error rather than an empty
-// success: it is always a client bug.
-func (s *Server) handleRunBatch(w http.ResponseWriter, r *http.Request, req client.RunRequest, b *core.Benchmark) {
-	if req.Setting != nil {
+	batch := req.Settings != nil
+	if batch && req.Setting != nil {
 		apihttp.Fail(w, http.StatusBadRequest, errors.New(`serve: request must set "setting" or "settings", not both`))
 		return
 	}
-	if len(req.Settings) == 0 {
+	if batch && len(req.Settings) == 0 {
 		apihttp.Fail(w, http.StatusBadRequest, errors.New(`serve: "settings" must contain at least one setting`))
 		return
 	}
@@ -401,20 +349,37 @@ func (s *Server) handleRunBatch(w http.ResponseWriter, r *http.Request, req clie
 		apihttp.Fail(w, http.StatusBadRequest, err)
 		return
 	}
-	settings := make([]core.Setting, len(req.Settings))
-	for i, m := range req.Settings {
+	// A single run works in one-element arrays on the stack, so sharing the
+	// batch's slice shape costs a warm single no allocation.
+	var (
+		settingBuf   [1]core.Setting
+		metricBuf    [1]perf.Metrics
+		coalescedBuf [1]bool
+	)
+	settings, metrics, coalesced := settingBuf[:], metricBuf[:], coalescedBuf[:]
+	var results []client.RunResult
+	if batch {
+		n := len(req.Settings)
+		settings, metrics, coalesced, results = make([]core.Setting, n), make([]perf.Metrics, n), make([]bool, n), make([]client.RunResult, n)
+	}
+	for i := range settings {
+		m := req.Setting
+		if batch {
+			m = req.Settings[i]
+		}
 		if settings[i], err = resolveSetting(m); err != nil {
-			apihttp.Fail(w, http.StatusBadRequest, fmt.Errorf("serve: settings[%d]: %w", i, err))
+			if batch {
+				err = fmt.Errorf("serve: settings[%d]: %w", i, err)
+			}
+			apihttp.Fail(w, http.StatusBadRequest, err)
 			return
 		}
 	}
-	metrics := make([]perf.Metrics, len(settings))
-	coalesced := make([]bool, len(settings))
-	if err := s.sched.runBatch(r.Context(), archName, b, settings, metrics, coalesced); err != nil {
+	if err := s.sched.run(r.Context(), archName, b, settings, metrics, coalesced); err != nil {
 		runError(w, err)
 		return
 	}
-	results := make([]client.RunResult, len(settings))
+	var last client.RunResult
 	allCoalesced := true
 	for i := range settings {
 		raw, err := metrics[i].MarshalJSON()
@@ -422,14 +387,28 @@ func (s *Server) handleRunBatch(w http.ResponseWriter, r *http.Request, req clie
 			apihttp.Fail(w, http.StatusInternalServerError, err)
 			return
 		}
-		results[i] = client.RunResult{
+		last = client.RunResult{
 			RuntimeSeconds: metrics[i].Runtime,
 			Coalesced:      coalesced[i],
 			Metrics:        raw,
 		}
+		if batch {
+			results[i] = last
+		}
 		allCoalesced = allCoalesced && coalesced[i]
 	}
 	apihttp.Annotate(r.Context(), "coalesced", allCoalesced)
+	if !batch {
+		apihttp.WriteJSON(w, http.StatusOK, client.RunResponse{
+			Workload:       req.Workload,
+			Benchmark:      b.Name,
+			Arch:           archName,
+			RuntimeSeconds: last.RuntimeSeconds,
+			Coalesced:      last.Coalesced,
+			Metrics:        last.Metrics,
+		})
+		return
+	}
 	apihttp.WriteJSON(w, http.StatusOK, client.RunBatchResponse{
 		Workload:  req.Workload,
 		Benchmark: b.Name,
@@ -494,7 +473,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		apihttp.Fail(w, http.StatusBadRequest, err)
 		return
 	}
-	if s.draining.Load() {
+	if s.sched.draining.Load() {
 		apihttp.Error(w, http.StatusTooManyRequests, client.CodeDraining, "serve: draining", apihttp.ShedRetryAfter)
 		return
 	}
@@ -570,7 +549,7 @@ func (s *Server) dispatch() {
 		case <-s.stop:
 			return
 		case tj := <-s.tuneQueue:
-			if s.draining.Load() {
+			if s.sched.draining.Load() {
 				// The job record stays queued; the drain snapshot persists it
 				// and the next start re-enqueues it, exactly like a job that
 				// never left the queue.
@@ -744,7 +723,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case !s.ready.Load():
 		apihttp.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "restoring"})
-	case s.draining.Load():
+	case s.sched.draining.Load():
 		apihttp.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 	default:
 		apihttp.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
@@ -773,7 +752,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "proxyd_jobs{state=%q} %d\n", state, counts[state])
 	}
 	fmt.Fprintf(w, "proxyd_ready %d\n", boolGauge(s.ready.Load()))
-	fmt.Fprintf(w, "proxyd_draining %d\n", boolGauge(s.draining.Load()))
+	fmt.Fprintf(w, "proxyd_draining %d\n", boolGauge(s.sched.draining.Load()))
 	s.writeGossipMetrics(w)
 	s.writeDurabilityMetrics(w)
 }

@@ -388,8 +388,7 @@ func (e *Exec) Touch(r Region, off uint64, write bool) {
 }
 
 // ReadDisk records reading size bytes from the node's local disk.  Disk time
-// is charged at the profile's sequential bandwidth; seek-dominated access
-// patterns can add explicit time through DiskSecondsHint.
+// is charged at the profile's sequential bandwidth.
 func (e *Exec) ReadDisk(size uint64) {
 	e.counters.DiskReadBytes += size
 	p := e.cfg.Profile
@@ -433,15 +432,6 @@ func (e *Exec) ioPathInstructions(size uint64) {
 	e.counters.IntInstrs += lines * 2
 	e.counters.BranchInstrs += lines / 8
 	e.countInstr(lines*2 + lines/8)
-}
-
-// DiskSecondsHint adds extra virtual disk time without byte accounting, used
-// by framework models for seek-dominated activity (e.g. shuffle of many
-// small spill files).
-func (e *Exec) DiskSecondsHint(sec float64) {
-	if sec > 0 {
-		e.diskSeconds += sec
-	}
 }
 
 // finish extrapolates the sampled model observations onto the full counter

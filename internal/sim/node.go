@@ -37,9 +37,6 @@ func (n *Node) account() *nodeAccount { return &n.cluster.own[0].nodes[n.id] }
 // accumulated on this node.
 func (n *Node) Counters() perf.Counters { return n.account().counters }
 
-// MemoryBytes returns the node's configured memory capacity.
-func (n *Node) MemoryBytes() uint64 { return n.cluster.cfg.MemoryPerNodeBytes }
-
 // AllocatedBytes returns the total bytes of regions allocated on this node.
 func (n *Node) AllocatedBytes() uint64 { return n.allocatedBytes }
 
