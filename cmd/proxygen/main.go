@@ -19,7 +19,6 @@ import (
 	"log"
 	"strings"
 
-	"dataproxy/internal/arch"
 	"dataproxy/internal/parallel"
 	"dataproxy/internal/proxy"
 	"dataproxy/internal/sim"
@@ -27,27 +26,23 @@ import (
 	"dataproxy/internal/workloads"
 )
 
-// qualTarget is one architecture the proxy is qualified on: the profile the
-// proxy benchmark is tuned for and the cluster deployment the real workload
-// is measured on (the paper's deployment of that generation).
-type qualTarget struct {
-	profile arch.Profile
-	realCfg sim.ClusterConfig
-}
-
-func qualTargets(sel string) ([]qualTarget, error) {
-	westmere := qualTarget{profile: arch.Westmere(), realCfg: sim.FiveNodeWestmere()}
-	haswell := qualTarget{profile: arch.Haswell(), realCfg: sim.ThreeNodeHaswell64GB()}
-	switch sel {
-	case "westmere":
-		return []qualTarget{westmere}, nil
-	case "haswell":
-		return []qualTarget{haswell}, nil
-	case "all":
-		return []qualTarget{westmere, haswell}, nil
-	default:
-		return nil, fmt.Errorf("unknown -arch %q (want westmere, haswell or all)", sel)
+// qualTargets returns the real deployment of each selected architecture:
+// the proxy is tuned for the deployment's processor profile against the
+// real workload measured on its cluster (workloads.RealDeployment).
+func qualTargets(sel string) ([]workloads.Deployment, error) {
+	names := []string{sel}
+	if sel == "all" {
+		names = []string{"westmere", "haswell"}
 	}
+	var targets []workloads.Deployment
+	for _, name := range names {
+		d, err := workloads.RealDeployment(name)
+		if err != nil {
+			return nil, fmt.Errorf("unknown -arch %q (want westmere, haswell or all)", sel)
+		}
+		targets = append(targets, d)
+	}
+	return targets, nil
 }
 
 func main() {
@@ -88,10 +83,13 @@ func main() {
 // generate measures the real workload on every target architecture, tunes
 // the proxy per architecture (concurrently, sharing one measurement memo)
 // and prints the qualification results.
-func generate(short string, targets []qualTarget, opts tuner.Options) error {
-	spec, err := workloads.ByShortName(short)
-	if err != nil {
-		return err
+func generate(short string, targets []workloads.Deployment, opts tuner.Options) error {
+	specs := make([]workloads.Spec, len(targets))
+	for i, d := range targets {
+		var err error
+		if specs[i], err = d.Workload(short); err != nil {
+			return err
+		}
 	}
 	b, err := proxy.ForWorkload(short)
 	if err != nil {
@@ -104,16 +102,16 @@ func generate(short string, targets []qualTarget, opts tuner.Options) error {
 	errs := make([]error, len(targets))
 	parallel.For(len(targets), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			realReports[i], errs[i] = measureReal(spec, targets[i].realCfg)
+			realReports[i], errs[i] = measureReal(specs[i], targets[i].Cluster)
 		}
 	})
 	tuneTargets := make([]tuner.Target, len(targets))
-	for i, qt := range targets {
+	for i, d := range targets {
 		if errs[i] != nil {
 			return errs[i]
 		}
-		fmt.Printf("measured %s on %s: %.0f virtual seconds\n", spec.Name, qt.realCfg.Name, realReports[i].Runtime)
-		tuneTargets[i] = tuner.Target{Profile: qt.profile, Metrics: realReports[i].Metrics}
+		fmt.Printf("measured %s on %s: %.0f virtual seconds\n", specs[i].Name, d.Cluster.Name, realReports[i].Runtime)
+		tuneTargets[i] = tuner.Target{Profile: d.Cluster.Profile, Metrics: realReports[i].Metrics}
 	}
 
 	fmt.Printf("auto-tuning %s on %d architecture(s) (threshold %.0f%%, max %d iterations)...\n",
@@ -143,7 +141,7 @@ func generate(short string, targets []qualTarget, opts tuner.Options) error {
 	if len(results) > 1 {
 		fmt.Printf("\nper-profile accuracy matrix for %s:\n%s", b.Name, tuner.FormatAccuracyMatrix(results, nil))
 	} else {
-		fmt.Printf("\naccuracy against %s:\n%s", spec.Name, results[0].Result.Report.String())
+		fmt.Printf("\naccuracy against %s:\n%s", specs[0].Name, results[0].Result.Report.String())
 	}
 	return nil
 }

@@ -430,7 +430,7 @@ func (b *Benchmark) runGroup(cluster *sim.Cluster, settings []Setting, from *gro
 		in := *input
 		batch = sim.NewBatch(cluster, len(ps))
 		tr.input = batch.RunOnNode(b.Name+":input", node, b.inputScales(ps, b.effectiveSampleBytes(shape)), func(ex *sim.Exec) {
-			ex.SetCodeFootprint(b.codeFootprint(), proxyJumpsPer1k)
+			ex.SetCodeFootprint(proxyCodeFootprintBytes, proxyJumpsPer1k)
 			ex.ReadDisk(in.SizeBytes())
 		})
 		datasets = map[string]*motif.Dataset{InputNode: &in}
@@ -570,7 +570,7 @@ func (b *Benchmark) runEdgeBatch(batch *sim.Batch, node int, e Edge, in *motif.D
 			et.maxShare = max(et.maxShare, share.SizeBytes())
 		}
 		tasks[i] = sim.Task{Node: node, Fn: func(ex *sim.Exec) {
-			ex.SetCodeFootprint(b.codeFootprint(), proxyJumpsPer1k)
+			ex.SetCodeFootprint(proxyCodeFootprintBytes, proxyJumpsPer1k)
 			outputs[i] = runChunked(ex, impl, share, chunkSize)
 			if b.SpillIntermediate && outputs[i] != nil {
 				ex.WriteDisk(outputs[i].SizeBytes())

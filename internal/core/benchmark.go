@@ -52,9 +52,6 @@ type Benchmark struct {
 	Input func(seed int64, sampleBytes uint64, batchSize int) *motif.Dataset
 	// Edges is the DAG.
 	Edges []Edge
-	// CodeFootprintBytes models the light-weight implementation's code
-	// working set (defaults to the simulation engine's light-weight value).
-	CodeFootprintBytes uint64
 	// SpillIntermediate makes every motif edge write its intermediate data
 	// set to local disk, mirroring the big data motif implementations'
 	// "intermediate data written to disk" behaviour (Section II-A).  The AI

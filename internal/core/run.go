@@ -74,13 +74,6 @@ func (b *Benchmark) effectiveSampleBytes(p Params) uint64 {
 	return sampleBytes
 }
 
-func (b *Benchmark) codeFootprint() uint64 {
-	if b.CodeFootprintBytes > 0 {
-		return b.CodeFootprintBytes
-	}
-	return proxyCodeFootprintBytes
-}
-
 func (e Edge) name() string {
 	if e.Name != "" {
 		return e.Name

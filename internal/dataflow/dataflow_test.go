@@ -32,7 +32,6 @@ func tinyConfig() SessionConfig {
 		Name:        "tiny",
 		BatchSize:   32,
 		TotalSteps:  400,
-		SampleSteps: 1,
 		SampleBatch: 2,
 		Input:       datagen.ImageConfig{Seed: 3, Channels: 3, Height: 16, Width: 16},
 	}
@@ -114,11 +113,6 @@ func TestTrainValidation(t *testing.T) {
 	cfg.BatchSize = 0
 	if _, err := Train(cluster, tinyNet(), cfg); err == nil {
 		t.Fatal("zero batch size should be rejected")
-	}
-	cfg = tinyConfig()
-	cfg.SampleSteps = 0
-	if _, err := Train(cluster, tinyNet(), cfg); err == nil {
-		t.Fatal("zero sample steps should be rejected")
 	}
 	cfg = tinyConfig()
 	cfg.Input.Channels = 0

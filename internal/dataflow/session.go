@@ -52,17 +52,14 @@ func (n *Network) Forward(ex *sim.Exec, sess *aimotif.Session, in *tensor.Tensor
 
 // SessionConfig describes a distributed training run in the paper's setup:
 // one parameter-server node and the remaining nodes as workers, a total step
-// count split evenly across workers, and a per-step batch size.  SampleSteps
-// controls how many steps are actually executed per worker; the rest are
-// extrapolated.  CostScale additionally extrapolates per-step cost when the
-// in-process network is a structurally faithful but numerically scaled-down
-// version of the real one.
+// count split evenly across workers, and a per-step batch size.  Each worker
+// executes sampleSteps steps; the rest are extrapolated.  CostScale
+// additionally extrapolates per-step cost when the in-process network is a
+// structurally faithful but numerically scaled-down version of the real one.
 type SessionConfig struct {
 	Name       string
 	BatchSize  int
 	TotalSteps int
-	// SampleSteps is the number of steps actually executed per worker.
-	SampleSteps int
 	// SampleBatch is the batch size actually executed (defaults to BatchSize
 	// capped at 8); the difference is folded into the extrapolation factor.
 	SampleBatch int
@@ -71,10 +68,15 @@ type SessionConfig struct {
 	CostScale float64
 	// Input describes the image data set.
 	Input datagen.ImageConfig
-	// BackwardCostFactor is the modelled cost of the backward pass relative
-	// to forward (defaults to 2.0, the usual rule of thumb).
-	BackwardCostFactor float64
 }
+
+const (
+	// sampleSteps is the number of steps each worker executes in-process.
+	sampleSteps = 1
+	// backwardCostFactor is the modelled cost of the backward pass relative
+	// to forward, the usual rule of thumb.
+	backwardCostFactor = 2
+)
 
 // tensorflowCodeFootprintBytes models the instruction working set of the
 // TensorFlow runtime (graph executor, Eigen kernels, protobuf/RPC stack).
@@ -86,9 +88,6 @@ const tensorflowJumpsPer1k = 110
 func (c SessionConfig) Validate() error {
 	if c.BatchSize <= 0 || c.TotalSteps <= 0 {
 		return fmt.Errorf("dataflow: session %q needs positive batch size and steps", c.Name)
-	}
-	if c.SampleSteps <= 0 {
-		return fmt.Errorf("dataflow: session %q needs at least one sampled step", c.Name)
 	}
 	return c.Input.Validate()
 }
@@ -102,9 +101,6 @@ func (c SessionConfig) withDefaults() SessionConfig {
 	}
 	if c.CostScale <= 0 {
 		c.CostScale = 1
-	}
-	if c.BackwardCostFactor <= 0 {
-		c.BackwardCostFactor = 2
 	}
 	return c
 }
@@ -146,10 +142,6 @@ func Train(cluster *sim.Cluster, net *Network, cfg SessionConfig) (Result, error
 	if stepsPerWorker < 1 {
 		stepsPerWorker = 1
 	}
-	sampleSteps := cfg.SampleSteps
-	if sampleSteps > stepsPerWorker {
-		sampleSteps = stepsPerWorker
-	}
 	// Per-step extrapolation: configured batch vs sampled batch, total steps
 	// vs sampled steps, and the cost of the real network vs the in-process
 	// one.
@@ -173,7 +165,7 @@ func Train(cluster *sim.Cluster, net *Network, cfg SessionConfig) (Result, error
 			ex.SetCodeFootprint(tensorflowCodeFootprintBytes, tensorflowJumpsPer1k)
 			sess := aimotif.NewSession()
 			for step := 0; step < sampleSteps; step++ {
-				loss, err := runStep(ex, sess, net, cfg, int64(w*1000+step), paramBytes, cfg.BackwardCostFactor)
+				loss, err := runStep(ex, sess, net, cfg, int64(w*1000+step), paramBytes)
 				if err != nil {
 					errs[w] = err
 					return
@@ -214,7 +206,7 @@ func Train(cluster *sim.Cluster, net *Network, cfg SessionConfig) (Result, error
 // step's batch and output are released back to the session before it
 // returns, so the session's region cache stays bounded by the network size
 // however many steps a long-lived server runs.
-func runStep(ex *sim.Exec, sess *aimotif.Session, net *Network, cfg SessionConfig, seed int64, paramBytes uint64, backward float64) (float64, error) {
+func runStep(ex *sim.Exec, sess *aimotif.Session, net *Network, cfg SessionConfig, seed int64, paramBytes uint64) (float64, error) {
 	imgCfg := cfg.Input
 	imgCfg.Count = cfg.SampleBatch
 	imgCfg.Seed = seed
@@ -234,7 +226,7 @@ func runStep(ex *sim.Exec, sess *aimotif.Session, net *Network, cfg SessionConfi
 	}
 	// Backward pass: modelled as an additional pass over the network's
 	// parameters and activations, weighted by the backward cost factor.
-	extra := uint64(float64(net.ParamCount()) * backward)
+	extra := uint64(float64(net.ParamCount()) * backwardCostFactor)
 	ex.Float(extra * uint64(cfg.SampleBatch))
 	actRegion := ex.Node().Alloc(uint64(net.ParamCount()) * 4)
 	ex.Load(actRegion, 0, uint64(net.ParamCount())*4)

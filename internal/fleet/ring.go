@@ -161,17 +161,6 @@ func appendUint(dst []byte, v int) []byte {
 	return append(dst, byte('0'+v%10))
 }
 
-// benchmarks maps each proxied workload to its benchmark.  It is built once
-// because proxy.ForWorkload rebuilds every proxy DAG on each call, and
-// RunKey runs once per routed setting; the table is only ever read.
-var benchmarks = func() map[string]*core.Benchmark {
-	m := make(map[string]*core.Benchmark)
-	for _, b := range proxy.All() {
-		m[b.Workload] = b
-	}
-	return m
-}()
-
 // RunKey is the sharding key of one /v1/run evaluation: workload, effective
 // architecture and the shape of the setting's trace group
 // (core.Benchmark.ShapeKey), the unit a replica's core.TraceStore keeps
@@ -188,8 +177,8 @@ func RunKey(workload, archName string, setting core.Setting) string {
 	if archName == "" {
 		archName = "westmere"
 	}
-	b := benchmarks[workload]
-	if b == nil {
+	b, err := proxy.ForWorkload(workload)
+	if err != nil {
 		return workload + "|" + archName
 	}
 	return workload + "|" + archName + "|" + b.ShapeKey(setting)

@@ -222,6 +222,11 @@ func (rt *Router) forwardRaw(ctx context.Context, key, method, path string, body
 	}
 }
 
+// relayBufs recycles the buffers relay copies bodies through.  A backend
+// body has no WriteTo and the route middleware's writer hides ReadFrom, so
+// a plain io.Copy would allocate a 32 KB buffer per forwarded response.
+var relayBufs = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
+
 // relay copies a backend response to the client byte-for-byte: status,
 // content type, retry hint and body.
 func relay(w http.ResponseWriter, resp *http.Response) {
@@ -233,7 +238,9 @@ func relay(w http.ResponseWriter, resp *http.Response) {
 		w.Header().Set("Retry-After", ra)
 	}
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	buf := relayBufs.Get().(*[]byte)
+	_, _ = io.CopyBuffer(w, resp.Body, *buf)
+	relayBufs.Put(buf)
 }
 
 // handleRun serves POST /v1/run.  A single-setting body is planned as a

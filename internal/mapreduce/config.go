@@ -22,9 +22,12 @@ const (
 )
 
 // Config describes one MapReduce job the way a Hadoop job configuration
-// would: data volume, split size, task counts and memory settings.  The
-// sampling fields control how much real data is processed in-process; the
-// engine extrapolates counters and virtual time to the configured volume.
+// would: data volume, reducer count, output replication and how much real
+// data each sampled map task processes; the engine extrapolates counters
+// and virtual time to the configured volume.  Split size, sort buffer and
+// the sampled task count are fixed (splitBytes, mapOutputBufferBytes,
+// sampleMapTasks), and Run derives the task slots and the heap per task
+// from the cluster.
 type Config struct {
 	// Name identifies the job in stage results.
 	Name string
@@ -32,103 +35,68 @@ type Config struct {
 	// TotalInputBytes is the configured (full) input volume, e.g. 100 GB of
 	// gensort text for TeraSort.
 	TotalInputBytes uint64
-	// SplitBytes is the HDFS block / input split size (default 128 MiB).
-	SplitBytes uint64
 	// NumReduceTasks is the configured number of reducers (default: two per
 	// worker node).
 	NumReduceTasks int
-
-	// MapSlotsPerNode / ReduceSlotsPerNode bound per-node task parallelism
-	// (default: the node's core count for maps, half for reduces).
-	MapSlotsPerNode    int
-	ReduceSlotsPerNode int
-
-	// MapOutputBufferBytes models mapreduce.task.io.sort.mb: map output
-	// beyond this size spills to disk and is merged in extra passes.
-	MapOutputBufferBytes uint64
-	// HeapPerTaskBytes is the JVM heap per task used by the GC model.
-	HeapPerTaskBytes uint64
-	// ReplicationFactor is the HDFS replication of the job output.
+	// ReplicationFactor is the HDFS replication of the job output (default
+	// 3).
 	ReplicationFactor int
 
-	// MapOutputRatio estimates output volume relative to input volume for a
-	// map task (1.0 for TeraSort, small for aggregations); it is only used
-	// for spill estimation before the real ratio is known.
-	MapOutputRatio float64
-
-	// SampleMapTasks is the number of map tasks actually executed on sample
-	// data (the rest are extrapolated).
-	SampleMapTasks int
 	// SampleBytesPerTask is the amount of real data each sampled map task
 	// processes in memory.
 	SampleBytesPerTask uint64
 }
+
+const (
+	// splitBytes is the HDFS block / input split size.
+	splitBytes = 128 * MiB
+	// mapOutputBufferBytes models mapreduce.task.io.sort.mb: map output
+	// beyond this size spills to disk and is merged in extra passes.
+	mapOutputBufferBytes = 256 * MiB
+	// sampleMapTasks is the number of map tasks actually executed on sample
+	// data (the rest are extrapolated).
+	sampleMapTasks = 4
+)
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.TotalInputBytes == 0 {
 		return fmt.Errorf("mapreduce: job %q has no input", c.Name)
 	}
-	if c.SplitBytes == 0 {
-		return fmt.Errorf("mapreduce: job %q has zero split size", c.Name)
-	}
-	if c.SampleBytesPerTask == 0 || c.SampleMapTasks <= 0 {
+	if c.SampleBytesPerTask == 0 {
 		return fmt.Errorf("mapreduce: job %q has no sampling configuration", c.Name)
-	}
-	if c.MapOutputRatio < 0 {
-		return fmt.Errorf("mapreduce: job %q has negative map output ratio", c.Name)
 	}
 	return nil
 }
 
-// withDefaults fills in Hadoop-like defaults that depend on the cluster.
-func (c Config) withDefaults(cluster *sim.Cluster) Config {
-	cores := cluster.Config().Profile.TotalCores()
-	workers := cluster.Config().WorkerNodes()
-	if workers <= 0 {
-		workers = 1
-	}
-	if c.SplitBytes == 0 {
-		c.SplitBytes = 128 * MiB
-	}
+// withDefaults fills in the Hadoop-like defaults of a cluster with the
+// given number of worker nodes.
+func (c Config) withDefaults(workers int) Config {
 	if c.NumReduceTasks <= 0 {
 		c.NumReduceTasks = 2 * workers
-	}
-	if c.MapSlotsPerNode <= 0 {
-		c.MapSlotsPerNode = cores
-	}
-	if c.ReduceSlotsPerNode <= 0 {
-		c.ReduceSlotsPerNode = cores / 2
-		if c.ReduceSlotsPerNode < 1 {
-			c.ReduceSlotsPerNode = 1
-		}
-	}
-	if c.MapOutputBufferBytes == 0 {
-		c.MapOutputBufferBytes = 256 * MiB
-	}
-	if c.HeapPerTaskBytes == 0 {
-		// Scale the per-task heap with the node memory, as the paper's
-		// "optimized Hadoop configurations ... memory allocation for each
-		// map/reduce job according to the cluster scales" does.
-		perTask := cluster.Config().MemoryPerNodeBytes / uint64(cores) / 2
-		if perTask < 512*MiB {
-			perTask = 512 * MiB
-		}
-		c.HeapPerTaskBytes = perTask
 	}
 	if c.ReplicationFactor <= 0 {
 		c.ReplicationFactor = 3
 	}
-	if c.MapOutputRatio == 0 {
-		c.MapOutputRatio = 1
-	}
 	return c
+}
+
+// heapPerTask is the JVM heap per task the GC model uses.  It scales with
+// the node memory, as the paper's "optimized Hadoop configurations ...
+// memory allocation for each map/reduce job according to the cluster
+// scales" does: half the memory per core, at least 512 MiB.
+func heapPerTask(cfg sim.ClusterConfig) uint64 {
+	heap := cfg.MemoryPerNodeBytes / uint64(cfg.Profile.TotalCores()) / 2
+	if heap < 512*MiB {
+		heap = 512 * MiB
+	}
+	return heap
 }
 
 // NumMapTasks returns the number of real map tasks implied by the input
 // volume and split size.
 func (c Config) NumMapTasks() int {
-	n := int((c.TotalInputBytes + c.SplitBytes - 1) / c.SplitBytes)
+	n := int((c.TotalInputBytes + splitBytes - 1) / splitBytes)
 	if n < 1 {
 		n = 1
 	}

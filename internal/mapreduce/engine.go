@@ -59,23 +59,22 @@ type Result struct {
 // Run executes the job on the cluster, advancing its virtual clock through
 // the job setup, map, shuffle/reduce and cleanup phases.
 func Run(cluster *sim.Cluster, job Job) (Result, error) {
-	cfg := job.Config.withDefaults(cluster)
+	workers := cluster.Config().WorkerNodes()
+	if workers <= 0 {
+		workers = 1
+	}
+	cfg := job.Config.withDefaults(workers)
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	if job.Map == nil {
 		return Result{}, fmt.Errorf("mapreduce: job %q has no map function", cfg.Name)
 	}
+	cores := cluster.Config().Profile.TotalCores()
+	heap := heapPerTask(cluster.Config())
 
-	workers := cluster.Config().WorkerNodes()
-	if workers <= 0 {
-		workers = 1
-	}
 	numMapTasks := cfg.NumMapTasks()
-	sampleTasks := cfg.SampleMapTasks
-	if sampleTasks > numMapTasks {
-		sampleTasks = numMapTasks
-	}
+	sampleTasks := min(sampleMapTasks, numMapTasks)
 	// Extrapolation factor: sampled work -> full input volume.
 	sampledBytes := uint64(sampleTasks) * cfg.SampleBytesPerTask
 	scale := float64(cfg.TotalInputBytes) / float64(sampledBytes)
@@ -86,8 +85,8 @@ func Run(cluster *sim.Cluster, job Job) (Result, error) {
 	// --- Job setup: client submission, container/JVM startup, scheduling.
 	cluster.AdvanceTime(cfg.Name+":setup", 8+0.02*float64(numMapTasks)/float64(workers))
 
-	// --- Map phase.
-	mapParallel := cfg.MapSlotsPerNode
+	// --- Map phase: a node runs as many maps at once as it has cores.
+	mapParallel := cores
 	if perNode := (numMapTasks + workers - 1) / workers; perNode < mapParallel {
 		mapParallel = perNode
 	}
@@ -108,13 +107,13 @@ func Run(cluster *sim.Cluster, job Job) (Result, error) {
 			// extrapolated per-task output exceeds the sort buffer.
 			frameworkPerKV(ex, kvs)
 			ex.WriteDisk(outBytes)
-			realTaskOut := float64(outBytes) * float64(cfg.SplitBytes) / float64(cfg.SampleBytesPerTask)
-			if realTaskOut > float64(cfg.MapOutputBufferBytes) {
+			realTaskOut := float64(outBytes) * float64(splitBytes) / float64(cfg.SampleBytesPerTask)
+			if realTaskOut > float64(mapOutputBufferBytes) {
 				// Extra spill-merge pass.
 				ex.ReadDisk(outBytes)
 				ex.WriteDisk(outBytes)
 			}
-			gcPause(ex, cfg.SampleBytesPerTask+2*outBytes, cfg.HeapPerTaskBytes)
+			gcPause(ex, cfg.SampleBytesPerTask+2*outBytes, heap)
 			outputs[i] = kvs
 		}}
 	}
@@ -131,7 +130,8 @@ func Run(cluster *sim.Cluster, job Job) (Result, error) {
 	var outSampleBytes uint64
 	if job.Reduce != nil && len(mapOutput) > 0 {
 		groups := partition(mapOutput, cfg.NumReduceTasks)
-		reduceParallel := cfg.ReduceSlotsPerNode
+		// A node runs half as many reduces at once as maps, at least one.
+		reduceParallel := max(cores/2, 1)
 		if perNode := (cfg.NumReduceTasks + workers - 1) / workers; perNode < reduceParallel {
 			reduceParallel = perNode
 		}
@@ -163,7 +163,7 @@ func Run(cluster *sim.Cluster, job Job) (Result, error) {
 				if cfg.ReplicationFactor > 1 {
 					ex.NetSend(outBytes * uint64(cfg.ReplicationFactor-1))
 				}
-				gcPause(ex, 2*shareBytes+outBytes, cfg.HeapPerTaskBytes)
+				gcPause(ex, 2*shareBytes+outBytes, heap)
 				reduceOutputs[slot] = out
 			}})
 		}

@@ -12,10 +12,7 @@ func wordCountJob(totalBytes uint64) Job {
 		Config: Config{
 			Name:               "wordcount",
 			TotalInputBytes:    totalBytes,
-			SplitBytes:         128 * MiB,
-			SampleMapTasks:     4,
 			SampleBytesPerTask: 64 * KiB,
-			MapOutputRatio:     0.2,
 		},
 		Map: func(ex *sim.Exec, split Split) []KV {
 			// Emit (wordID, 1) pairs; the amount of work tracks the split
@@ -97,12 +94,7 @@ func TestRunValidation(t *testing.T) {
 		t.Fatal("missing map function should be rejected")
 	}
 	bad := wordCountJob(GiB)
-	bad.Config.MapOutputRatio = -1
-	if _, err := Run(cluster, bad); err == nil {
-		t.Fatal("negative output ratio should be rejected")
-	}
-	bad = wordCountJob(GiB)
-	bad.Config.SampleMapTasks = 0
+	bad.Config.SampleBytesPerTask = 0
 	if _, err := Run(cluster, bad); err == nil {
 		t.Fatal("missing sampling configuration should be rejected")
 	}
@@ -125,28 +117,26 @@ func TestMapOnlyJob(t *testing.T) {
 }
 
 func TestConfigDefaultsScaleWithCluster(t *testing.T) {
-	small := sim.MustNewCluster(sim.FiveNodeWestmere())
-	big := sim.MustNewCluster(sim.ThreeNodeWestmere64GB())
-	cfgSmall := Config{Name: "a", TotalInputBytes: GiB, SampleMapTasks: 1, SampleBytesPerTask: KiB}.withDefaults(small)
-	cfgBig := Config{Name: "a", TotalInputBytes: GiB, SampleMapTasks: 1, SampleBytesPerTask: KiB}.withDefaults(big)
-	if cfgBig.HeapPerTaskBytes <= cfgSmall.HeapPerTaskBytes {
+	if heapPerTask(sim.ThreeNodeWestmere64GB()) <= heapPerTask(sim.FiveNodeWestmere()) {
 		t.Fatal("64 GB nodes should get larger per-task heaps than 32 GB nodes")
 	}
+	cfgSmall := Config{Name: "a", TotalInputBytes: GiB, SampleBytesPerTask: KiB}.withDefaults(4)
+	cfgBig := Config{Name: "a", TotalInputBytes: GiB, SampleBytesPerTask: KiB}.withDefaults(2)
 	if cfgSmall.NumReduceTasks != 8 || cfgBig.NumReduceTasks != 4 {
 		t.Fatalf("reduce task defaults should track worker count, got %d and %d",
 			cfgSmall.NumReduceTasks, cfgBig.NumReduceTasks)
 	}
-	if cfgSmall.SplitBytes != 128*MiB || cfgSmall.ReplicationFactor != 3 {
+	if cfgSmall.ReplicationFactor != 3 {
 		t.Fatal("Hadoop-like defaults expected")
 	}
 }
 
 func TestNumMapTasks(t *testing.T) {
-	cfg := Config{TotalInputBytes: 100 * GiB, SplitBytes: 128 * MiB}
+	cfg := Config{TotalInputBytes: 100 * GiB}
 	if got := cfg.NumMapTasks(); got != 800 {
 		t.Fatalf("NumMapTasks = %d, want 800", got)
 	}
-	cfg = Config{TotalInputBytes: 1, SplitBytes: 128 * MiB}
+	cfg = Config{TotalInputBytes: 1}
 	if got := cfg.NumMapTasks(); got != 1 {
 		t.Fatalf("NumMapTasks = %d, want 1", got)
 	}
@@ -225,15 +215,16 @@ func TestKVSize(t *testing.T) {
 }
 
 func TestSpillIncreasesDiskTraffic(t *testing.T) {
-	// A job whose per-task output exceeds the sort buffer must generate more
-	// disk writes than one that fits.
-	run := func(buffer uint64) uint64 {
+	// A job whose per-task output exceeds the 256 MiB sort buffer must write
+	// more to disk per output pair than one whose output fits: a 64 KiB
+	// sample stands for a 128 MiB split, so 240 pairs of 528 bytes
+	// extrapolate to 247.5 MiB per map task and 256 pairs to 264 MiB.
+	writesPerPair := func(pairs int) float64 {
 		cluster := sim.MustNewCluster(sim.FiveNodeWestmere())
 		job := wordCountJob(4 * GiB)
-		job.Config.MapOutputBufferBytes = buffer
 		job.Map = func(ex *sim.Exec, split Split) []KV {
-			kvs := make([]KV, 0, 256)
-			for i := 0; i < 256; i++ {
+			kvs := make([]KV, 0, pairs)
+			for i := 0; i < pairs; i++ {
 				kvs = append(kvs, KV{Key: int64(i), Bytes: make([]byte, 512)})
 			}
 			return kvs
@@ -245,12 +236,12 @@ func TestSpillIncreasesDiskTraffic(t *testing.T) {
 		for _, n := range cluster.Workers() {
 			writes += n.Counters().DiskWriteBytes
 		}
-		return writes
+		return float64(writes) / float64(pairs)
 	}
-	spilling := run(1 * MiB)
-	buffered := run(4 * GiB)
-	if spilling <= buffered {
-		t.Fatalf("spilling job should write more to disk (%d vs %d)", spilling, buffered)
+	buffered := writesPerPair(240)
+	spilling := writesPerPair(256)
+	if spilling <= 1.25*buffered {
+		t.Fatalf("spilling job should write more to disk per pair (%g vs %g)", spilling, buffered)
 	}
 }
 

@@ -184,28 +184,32 @@ func InceptionV3() *core.Benchmark {
 	}
 }
 
-// All returns the five proxy benchmarks in the paper's order.
-func All() []*core.Benchmark {
-	return []*core.Benchmark{TeraSort(), KMeans(), PageRank(), AlexNet(), InceptionV3()}
-}
+// table is the five proxy benchmarks in the paper's order, built once.
+// All and ForWorkload share it, so nothing may write to it; the named
+// constructors above build fresh values for callers that edit one.
+var table = []*core.Benchmark{TeraSort(), KMeans(), PageRank(), AlexNet(), InceptionV3()}
+
+// All returns the five proxy benchmarks in the paper's order.  The slice
+// and the benchmarks are shared and read-only.
+func All() []*core.Benchmark { return table }
 
 // Workloads returns the short names of the real workloads that have a
 // generated proxy ("terasort", "kmeans", ...), in the paper's order.  It is
 // the valid input domain of ForWorkload and what the serving layer's
 // GET /v1/workloads endpoint enumerates.
 func Workloads() []string {
-	all := All()
-	names := make([]string, len(all))
-	for i, b := range all {
+	names := make([]string, len(table))
+	for i, b := range table {
 		names[i] = b.Workload
 	}
 	return names
 }
 
 // ForWorkload returns the proxy benchmark mimicking the named real workload
-// ("terasort", "kmeans", "pagerank", "alexnet", "inception").
+// ("terasort", "kmeans", "pagerank", "alexnet", "inception").  The benchmark
+// is shared and read-only.
 func ForWorkload(shortName string) (*core.Benchmark, error) {
-	for _, b := range All() {
+	for _, b := range table {
 		if b.Workload == shortName {
 			return b, nil
 		}

@@ -42,6 +42,15 @@ func TestForWorkload(t *testing.T) {
 	if _, err := ForWorkload("unknown"); err == nil {
 		t.Fatal("unknown workload should be rejected")
 	}
+	// The table is built once: every call returns the same benchmark,
+	// while a named constructor still builds a fresh one.
+	again, _ := ForWorkload("terasort")
+	if again != b {
+		t.Fatal("ForWorkload should return the shared benchmark on every call")
+	}
+	if TeraSort() == b {
+		t.Fatal("TeraSort should build a fresh benchmark")
+	}
 }
 
 func TestTableIIICompositions(t *testing.T) {

@@ -21,6 +21,7 @@ import (
 	"dataproxy/internal/sim"
 	"dataproxy/internal/testutil"
 	"dataproxy/internal/tuner"
+	"dataproxy/internal/workloads"
 	"dataproxy/pkg/client"
 )
 
@@ -913,17 +914,56 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-// TestRealDeployment pins the implicit-target deployments to the paper's.
+// TestRealDeployment pins the implicit tuning target of each architecture
+// to the paper's deployment of it: on Haswell, the three-node cluster runs
+// the three-node step counts (AlexNet 3,000 steps, not the five-node
+// 10,000), as the cross-architecture study measures it.
 func TestRealDeployment(t *testing.T) {
-	w, err := realDeployment("westmere")
-	if err != nil || w.Nodes != 5 {
-		t.Errorf("westmere deployment %+v err %v, want the five-node cluster", w, err)
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	h, err := realDeployment("haswell")
-	if err != nil || h.Nodes != 3 {
-		t.Errorf("haswell deployment %+v err %v, want the three-node cluster", h, err)
+	defer s.Close()
+	got, err := s.resolveTarget(client.TuneRequest{Workload: "alexnet", Arch: "haswell"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := realDeployment("skylake"); err == nil {
+	cluster := sim.MustNewCluster(sim.ThreeNodeHaswell64GB())
+	if err := workloads.AlexNet(workloads.AlexNetConfig{Steps: 3000, BatchSize: 128}).Run(cluster); err != nil {
+		t.Fatal(err)
+	}
+	if want := cluster.Report("").Metrics; got != want {
+		t.Errorf("haswell AlexNet target runs %.1f virtual seconds, want the three-node deployment's %.1f", got.Runtime, want.Runtime)
+	}
+	if err := validateTune(client.TuneRequest{Workload: "alexnet", Arch: "skylake"}); err == nil {
 		t.Error("unknown architecture should have no real deployment")
+	}
+}
+
+// TestWarmRunAllocations bounds what a warm single POST /v1/run allocates
+// through Server.Handler, request and recorder included: it makes 120
+// allocations, and building the five proxy DAGs (proxy.ForWorkload) or the
+// architecture map (arch.Profiles) per request would add 18.
+func TestWarmRunAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	run := func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(`{"workload":"terasort","arch":"haswell"}`))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(100, run); allocs > 125 {
+		t.Fatalf("a warm single run allocates %.0f times, want at most 125", allocs)
 	}
 }

@@ -344,7 +344,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		apihttp.Fail(w, http.StatusBadRequest, errors.New(`serve: "settings" must contain at least one setting`))
 		return
 	}
-	archName, err := resolveArch(req.Arch)
+	archName, err := s.resolveArch(req.Arch)
 	if err != nil {
 		apihttp.Fail(w, http.StatusBadRequest, err)
 		return
@@ -428,13 +428,13 @@ func runError(w http.ResponseWriter, err error) {
 }
 
 // resolveArch applies the default architecture ("westmere") and rejects
-// unknown profiles.
-func resolveArch(name string) (string, error) {
+// an architecture the scheduler has no cluster pool for.
+func (s *Server) resolveArch(name string) (string, error) {
 	if name == "" {
 		name = "westmere"
 	}
-	if _, ok := arch.Profiles()[name]; !ok {
-		return "", fmt.Errorf("serve: unknown architecture %q", name)
+	if _, err := s.sched.pool(name); err != nil {
+		return "", err
 	}
 	return name, nil
 }
@@ -465,7 +465,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var err error
-	if req.Arch, err = resolveArch(req.Arch); err != nil {
+	if req.Arch, err = s.resolveArch(req.Arch); err != nil {
 		apihttp.Fail(w, http.StatusBadRequest, err)
 		return
 	}
@@ -506,7 +506,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // non-positive option values.  The architecture is already resolved.
 func validateTune(req client.TuneRequest) error {
 	if req.Target == nil {
-		if _, err := realDeployment(req.Arch); err != nil {
+		if _, err := workloads.RealDeployment(req.Arch); err != nil {
 			return err
 		}
 	}
@@ -647,17 +647,17 @@ func (s *Server) resolveTarget(req client.TuneRequest) (perf.Metrics, error) {
 		}
 		return m, nil
 	}
-	cfg, err := realDeployment(req.Arch)
+	d, err := workloads.RealDeployment(req.Arch)
 	if err != nil {
 		return perf.Metrics{}, err
 	}
-	key := fmt.Sprintf("real|%s|%+v", req.Workload, cfg)
+	key := fmt.Sprintf("real|%s|%+v", req.Workload, d.Cluster)
 	m, _, err := s.realMemo.Measure(key, func() (perf.Metrics, error) {
-		spec, err := workloads.ByShortName(req.Workload)
+		spec, err := d.Workload(req.Workload)
 		if err != nil {
 			return perf.Metrics{}, err
 		}
-		cluster, err := sim.NewCluster(cfg)
+		cluster, err := sim.NewCluster(d.Cluster)
 		if err != nil {
 			return perf.Metrics{}, err
 		}
@@ -667,19 +667,6 @@ func (s *Server) resolveTarget(req client.TuneRequest) (perf.Metrics, error) {
 		return cluster.Report(spec.Name).Metrics, nil
 	})
 	return m, err
-}
-
-// realDeployment maps an architecture short name to the paper's real
-// deployment of that generation, on which implicit tuning targets are
-// measured (Section III-B / IV-C).
-func realDeployment(archName string) (sim.ClusterConfig, error) {
-	switch archName {
-	case "westmere":
-		return sim.FiveNodeWestmere(), nil
-	case "haswell":
-		return sim.ThreeNodeHaswell64GB(), nil
-	}
-	return sim.ClusterConfig{}, fmt.Errorf("serve: no real deployment for architecture %q", archName)
 }
 
 // handleWorkloads serves GET /v1/workloads: one client.WorkloadInfo per

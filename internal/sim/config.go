@@ -37,10 +37,11 @@ type ClusterConfig struct {
 	// Profile is the processor/node profile of every node.
 	Profile arch.Profile
 
-	// EventSampleRate controls the 1-in-K sampling of memory accesses and
-	// branches pushed through the micro-architecture models; counter values
-	// are extrapolated from the sampled observations.  Higher values run
-	// faster but are noisier.  Zero selects the default.
+	// EventSampleRate sets the instruction-fetch sampling interval: one
+	// fetch is pushed through the L1I hierarchy per 4×K instructions, and
+	// the instruction-side miss counts are extrapolated from those
+	// samples.  Memory accesses and branches are not sampled by it.  Higher
+	// values run faster but are noisier.  Zero selects the default (4).
 	EventSampleRate int
 
 	// MaxModelOpsPerCall caps the number of cache *lines* probed through the
@@ -62,9 +63,10 @@ type ClusterConfig struct {
 	// selects the default.
 	MaxModelFetchesPerCall int
 
-	// IOOverlapFactor in [0,1] controls how much of the smaller of CPU time
+	// IOOverlapFactor in (0,1] controls how much of the smaller of CPU time
 	// and I/O time overlaps with the larger when composing a stage's
-	// duration (1 = perfect overlap, 0 = fully serialised).
+	// duration (1 = perfect overlap).  Zero selects the default (0.7), so a
+	// stage is never fully serialised.
 	IOOverlapFactor float64
 }
 

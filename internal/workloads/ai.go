@@ -120,7 +120,6 @@ func runAlexNet(cluster *sim.Cluster, cfg AlexNetConfig) error {
 		Name:        "alexnet",
 		BatchSize:   cfg.BatchSize,
 		TotalSteps:  cfg.Steps,
-		SampleSteps: 1,
 		SampleBatch: sampleBatch,
 		// The width scale reduces the in-process convolution cost by ~s^2,
 		// which would call for a CostScale of s^2; the additional factor
@@ -226,7 +225,6 @@ func runInception(cluster *sim.Cluster, cfg InceptionConfig) error {
 		Name:        "inception-v3",
 		BatchSize:   cfg.BatchSize,
 		TotalSteps:  cfg.Steps,
-		SampleSteps: 1,
 		SampleBatch: 1,
 		CostScale:   float64(spatial*width) * inceptionSIMDEfficiency,
 		Input: datagen.ImageConfig{
@@ -298,11 +296,39 @@ func ShortNewClusterWorkloads() []Spec {
 
 // ByShortName returns the workload with the given short name from the
 // paper-default set.
-func ByShortName(name string) (Spec, error) {
-	for _, s := range PaperWorkloads() {
+func ByShortName(name string) (Spec, error) { return find(PaperWorkloads(), name) }
+
+func find(specs []Spec, name string) (Spec, error) {
+	for _, s := range specs {
 		if s.ShortName == name {
 			return s, nil
 		}
 	}
 	return Spec{}, fmt.Errorf("workloads: unknown workload %q", name)
+}
+
+// Deployment is one of the paper's real deployments: a cluster and the
+// workload configurations the paper runs on it.
+type Deployment struct {
+	Cluster   sim.ClusterConfig
+	Workloads []Spec
+}
+
+// Workload returns the deployment's workload with the given short name.
+func (d Deployment) Workload(shortName string) (Spec, error) { return find(d.Workloads, shortName) }
+
+// RealDeployment returns the real deployment of an architecture generation,
+// whose measurements a proxy qualified for that generation is tuned
+// against: "westmere" is the five-node Westmere cluster with the main
+// evaluation's workloads (PaperWorkloads, Section III-B), and "haswell" the
+// three-node Haswell cluster with the three-node step counts
+// (NewClusterWorkloads, Section IV).
+func RealDeployment(archName string) (Deployment, error) {
+	switch archName {
+	case "westmere":
+		return Deployment{Cluster: sim.FiveNodeWestmere(), Workloads: PaperWorkloads()}, nil
+	case "haswell":
+		return Deployment{Cluster: sim.ThreeNodeHaswell64GB(), Workloads: NewClusterWorkloads()}, nil
+	}
+	return Deployment{}, fmt.Errorf("workloads: no real deployment for architecture %q", archName)
 }

@@ -77,8 +77,6 @@ func runTeraSort(cluster *sim.Cluster, inputBytes uint64) error {
 			TotalInputBytes:    inputBytes,
 			NumReduceTasks:     numPartitions / 8,
 			ReplicationFactor:  1, // benchmark output is written unreplicated
-			MapOutputRatio:     1.0,
-			SampleMapTasks:     4,
 			SampleBytesPerTask: 768 * mapreduce.KiB,
 		},
 		Map: func(ex *sim.Exec, split mapreduce.Split) []mapreduce.KV {
@@ -184,8 +182,6 @@ func runKMeans(cluster *sim.Cluster, cfg KMeansConfig) error {
 		Config: mapreduce.Config{
 			Name:               "kmeans",
 			TotalInputBytes:    cfg.InputBytes,
-			MapOutputRatio:     0.001,
-			SampleMapTasks:     4,
 			SampleBytesPerTask: 1200 * vectorBytes,
 		},
 		Map: func(ex *sim.Exec, split mapreduce.Split) []mapreduce.KV {
@@ -307,8 +303,6 @@ func runPageRank(cluster *sim.Cluster, cfg PageRankConfig) error {
 		Config: mapreduce.Config{
 			Name:               "pagerank",
 			TotalInputBytes:    inputBytes,
-			MapOutputRatio:     0.6,
-			SampleMapTasks:     4,
 			SampleBytesPerTask: 1 * mapreduce.MiB,
 		},
 		Map: func(ex *sim.Exec, split mapreduce.Split) []mapreduce.KV {

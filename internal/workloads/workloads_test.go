@@ -85,6 +85,18 @@ func TestPaperWorkloadsSpecs(t *testing.T) {
 	if _, err := ByShortName("nope"); err == nil {
 		t.Fatal("unknown workload should be rejected")
 	}
+	for archName, nodes := range map[string]int{"westmere": 5, "haswell": 3} {
+		d, err := RealDeployment(archName)
+		if err != nil || d.Cluster.Nodes != nodes {
+			t.Fatalf("%s deployment %+v err %v, want the %d-node cluster", archName, d.Cluster, err, nodes)
+		}
+		if _, err := d.Workload("inception"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := RealDeployment("skylake"); err == nil {
+		t.Fatal("unknown architecture should have no real deployment")
+	}
 	var empty Spec
 	if err := empty.Validate(); err == nil {
 		t.Fatal("empty spec should fail validation")
